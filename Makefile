@@ -18,9 +18,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # race runs the data-race detector over the concurrent packages (parallel
-# cross-validation folds, sharded training, the prediction scratch pool,
-# the espserve batching worker pool, and concurrent artifact-cache
-# readers/writers).
+# cross-validation folds, the prediction scratch pool, the espserve batching
+# worker pool, and concurrent artifact-cache readers/writers). This target
+# is the one definition of the race gate: CI and scripts/check.sh call it.
 race:
 	$(GO) test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve ./internal/faultinject ./internal/artifact ./internal/experiments ./internal/obs ./internal/gencorpus ./internal/cluster ./internal/pgo ./internal/hwsim
 

@@ -114,7 +114,7 @@ func benchRegistry() (map[string]func(b *testing.B), error) {
 			xs := enc.EncodeAllSparse(vecs)
 			cfg := neural.Config{
 				Inputs: enc.Dim, Hidden: 12, Seed: 1,
-				MaxEpochs: 40, Patience: 40, Workers: 1,
+				MaxEpochs: 40, Patience: 40,
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

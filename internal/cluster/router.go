@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,8 +17,9 @@ import (
 )
 
 // maxRouteBodyBytes bounds how much of a request body the router buffers
-// for re-sending across failover candidates; matches the serve package's
-// default source bound plus framing slack.
+// for re-sending across failover candidates. It equals a default-config
+// replica's body bound (source bound plus framing slack), so the router
+// answers an oversized body with the same 413 the replica would.
 const maxRouteBodyBytes = 1<<20 + 1<<16
 
 // Replica is one routable espserve instance. Its URL is mutable so a
@@ -142,9 +144,15 @@ func RequestKey(req *serve.PredictRequest) string {
 // ring for that path, without failover semantics beyond skipping drained
 // replicas.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRouteBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouteBodyBytes))
 	if err != nil {
-		http.Error(w, "read body", http.StatusBadRequest)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeRouterError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
+		writeRouterError(w, http.StatusBadRequest, "read body")
 		return
 	}
 	key := r.URL.Path

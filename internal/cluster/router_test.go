@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -263,3 +264,57 @@ type countFailovers struct{ n *atomic.Int64 }
 func (c countFailovers) PeerHit()  {}
 func (c countFailovers) PeerMiss() {}
 func (c countFailovers) Failover() { c.n.Add(1) }
+
+// sourceBody returns a /predict body of exactly size bytes: one source
+// submission padded with a comment.
+func sourceBody(size int) []byte {
+	const head, tail = `{"source":"int main() { return 0; } /* `, ` */"}`
+	pad := size - len(head) - len(tail)
+	return []byte(head + strings.Repeat("x", pad) + tail)
+}
+
+// TestRouterBodyParity: the router promises clients the single-server
+// protocol, so every body must get the status a default-config replica
+// gives it directly, whether the router rejects the body itself or
+// forwards it.
+func TestRouterBodyParity(t *testing.T) {
+	rep := newTestReplica(t, "a", serve.Config{})
+	r := &Replica{Name: "a"}
+	r.SetURL(rep.ts.URL)
+	router := httptest.NewServer(NewRouter(RouterConfig{}, r))
+	t.Cleanup(router.Close)
+
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"empty", nil, http.StatusBadRequest},
+		{"malformed", []byte(`{"source":`), http.StatusBadRequest},
+		{"not an object", []byte(`[1,2]`), http.StatusBadRequest},
+		{"neither source nor vectors", []byte(`{}`), http.StatusBadRequest},
+		{"source over its bound, body at the limit", sourceBody(maxRouteBodyBytes), http.StatusRequestEntityTooLarge},
+		{"oversized by one byte", sourceBody(maxRouteBodyBytes + 1), http.StatusRequestEntityTooLarge},
+		{"oversized", sourceBody(maxRouteBodyBytes + 1<<16), http.StatusRequestEntityTooLarge},
+		{"oversized garbage", bytes.Repeat([]byte("{"), maxRouteBodyBytes+1), http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			direct := postStatus(t, rep.ts.URL, tc.body)
+			routed := postStatus(t, router.URL, tc.body)
+			if direct != tc.want || routed != direct {
+				t.Errorf("replica %d, router %d, want both %d", direct, routed, tc.want)
+			}
+		})
+	}
+}
+
+func postStatus(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url+"/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode
+}

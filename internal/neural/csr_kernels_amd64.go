@@ -11,23 +11,23 @@ var useAVX = x86HasAVX()
 func x86HasAVX() bool
 
 //go:noescape
-func csrGatherAVX(h, w *float64, idx *int32, val *float64, nnz, n, stride int)
+func csrGatherAVX(h, w *float64, idx *int32, val *float64, nnz, n int)
 
 //go:noescape
-func csrScatterAVX(gw, dh *float64, idx *int32, val *float64, nnz, n, stride int)
+func csrScatterAVX(gw, dh *float64, idx *int32, val *float64, nnz, n int)
 
-func csrGather(h, w []float64, idx []int32, val []float64, n, stride int) {
-	if useAVX && len(idx) > 0 && n > 0 {
-		csrGatherAVX(&h[0], &w[0], &idx[0], &val[0], len(idx), n, stride)
+func csrGather(h, w []float64, idx []int32, val []float64) {
+	if useAVX && len(idx) > 0 && len(h) > 0 {
+		csrGatherAVX(&h[0], &w[0], &idx[0], &val[0], len(idx), len(h))
 		return
 	}
-	csrGatherGeneric(h, w, idx, val, n, stride)
+	csrGatherGeneric(h, w, idx, val)
 }
 
-func csrScatter(gw, dh []float64, idx []int32, val []float64, n, stride int) {
-	if useAVX && len(idx) > 0 && n > 0 {
-		csrScatterAVX(&gw[0], &dh[0], &idx[0], &val[0], len(idx), n, stride)
+func csrScatter(gw, dh []float64, idx []int32, val []float64) {
+	if useAVX && len(idx) > 0 && len(dh) > 0 {
+		csrScatterAVX(&gw[0], &dh[0], &idx[0], &val[0], len(idx), len(dh))
 		return
 	}
-	csrScatterGeneric(gw, dh, idx, val, n, stride)
+	csrScatterGeneric(gw, dh, idx, val)
 }

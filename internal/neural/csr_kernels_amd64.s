@@ -26,20 +26,19 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func csrGatherAVX(h, w *float64, idx *int32, val *float64, nnz, n, stride int)
+// func csrGatherAVX(h, w *float64, idx *int32, val *float64, nnz, n int)
 //
-// for p in [0,nnz): h[0:n] += w[idx[p]*stride : +n] * val[p]
-TEXT ·csrGatherAVX(SB), NOSPLIT, $0-56
+// for p in [0,nnz): h[0:n] += w[idx[p]*n : +n] * val[p]
+TEXT ·csrGatherAVX(SB), NOSPLIT, $0-48
 	MOVQ h+0(FP), DI
 	MOVQ w+8(FP), SI
 	MOVQ idx+16(FP), DX
 	MOVQ val+24(FP), CX
 	MOVQ nnz+32(FP), R8
 	MOVQ n+40(FP), R9
-	MOVQ stride+48(FP), R15
 gploop:
 	MOVLQSX (DX), R10      // col = idx[p]
-	IMULQ   R15, R10       // col*stride
+	IMULQ   R9, R10        // col*n
 	LEAQ    (SI)(R10*8), R14
 	VBROADCASTSD (CX), Y0  // val[p] in all lanes (X0 = low lane)
 	MOVQ    DI, R13        // accumulator cursor
@@ -74,20 +73,19 @@ gnext:
 	VZEROUPPER
 	RET
 
-// func csrScatterAVX(gw, dh *float64, idx *int32, val *float64, nnz, n, stride int)
+// func csrScatterAVX(gw, dh *float64, idx *int32, val *float64, nnz, n int)
 //
-// for p in [0,nnz): gw[idx[p]*stride : +n] += dh[0:n] * val[p]
-TEXT ·csrScatterAVX(SB), NOSPLIT, $0-56
+// for p in [0,nnz): gw[idx[p]*n : +n] += dh[0:n] * val[p]
+TEXT ·csrScatterAVX(SB), NOSPLIT, $0-48
 	MOVQ gw+0(FP), DI
 	MOVQ dh+8(FP), SI
 	MOVQ idx+16(FP), DX
 	MOVQ val+24(FP), CX
 	MOVQ nnz+32(FP), R8
 	MOVQ n+40(FP), R9
-	MOVQ stride+48(FP), R15
 sploop:
 	MOVLQSX (DX), R10
-	IMULQ   R15, R10
+	IMULQ   R9, R10
 	LEAQ    (DI)(R10*8), R14  // destination column
 	VBROADCASTSD (CX), Y0
 	MOVQ    SI, R13           // dh cursor

@@ -2,6 +2,7 @@ package neural
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -74,12 +75,17 @@ func sameResult(t *testing.T, label string, a, b TrainResult) {
 
 // TestTrainCSRMatchesDense is the tentpole equivalence guarantee: the sparse
 // fused kernel must produce bit-for-bit the same model and statistics as the
-// dense reference on the same seed and data.
+// dense reference on the same seed and data. The 275-row batch makes each
+// weight's gradient a long sum, where any reordering of its terms would
+// show in the bits.
 func TestTrainCSRMatchesDense(t *testing.T) {
-	for _, seed := range []uint64{1, 42, 12345} {
-		cfg := Config{Inputs: 40, Hidden: 7, Seed: seed,
+	for _, tc := range []struct {
+		seed uint64
+		rows int
+	}{{1, 90}, {42, 90}, {12345, 90}, {3, 275}} {
+		cfg := Config{Inputs: 40, Hidden: 7, Seed: tc.seed,
 			MaxEpochs: 150, Patience: 12, RecordHistory: true}
-		xs, targets, w := synthBatch(90, cfg.Inputs, 5, seed*31+7)
+		xs, targets, w := synthBatch(tc.rows, cfg.Inputs, 5, tc.seed*31+7)
 
 		dense := New(cfg)
 		dres := dense.Train(cfg, xs, targets, w)
@@ -112,26 +118,36 @@ func TestTrainCSRMatchesDense(t *testing.T) {
 	}
 }
 
-// TestTrainCSRWorkerInvariance: the sharded parallel epoch must produce the
-// same bits as the serial kernel for every worker count. The batch is large
-// enough (≥ 4×minShardRows) that sharding actually engages.
+// TestTrainCSRWorkerInvariance: training is serial within one call, and the
+// only parallelism left is many calls at once (cross-validation trains its
+// folds concurrently over shared batches). Every worker count must give the
+// bits of one lone call, so TrainCSR may keep no shared mutable state and
+// must not write to its inputs.
 func TestTrainCSRWorkerInvariance(t *testing.T) {
 	base := Config{Inputs: 30, Hidden: 6, Seed: 3, MaxEpochs: 40, Patience: 40}
-	xs, targets, w := synthBatch(4*minShardRows+19, base.Inputs, 5, 77)
+	xs, targets, w := synthBatch(4*64+19, base.Inputs, 5, 77)
 	data := NewCSRFromDense(xs, base.Inputs)
 
 	ref := New(base)
-	serialCfg := base
-	serialCfg.Workers = 1
-	rres := ref.TrainCSR(serialCfg, data, targets, w)
+	rres := ref.TrainCSR(base, data, targets, w)
 
 	for _, workers := range []int{2, 3, 8} {
-		cfg := base
-		cfg.Workers = workers
-		n := New(cfg)
-		res := n.TrainCSR(cfg, data, targets, w)
-		sameNet(t, "workers", ref, n)
-		sameResult(t, "workers", rres, res)
+		nets := make([]*Net, workers)
+		results := make([]TrainResult, workers)
+		var wg sync.WaitGroup
+		for i := range nets {
+			nets[i] = New(base)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i] = nets[i].TrainCSR(base, data, targets, w)
+			}(i)
+		}
+		wg.Wait()
+		for i := range nets {
+			sameNet(t, "workers", ref, nets[i])
+			sameResult(t, "workers", rres, results[i])
+		}
 	}
 }
 
@@ -187,16 +203,14 @@ func TestHistoryGatedByConfig(t *testing.T) {
 }
 
 // TestKernelsMatchGeneric exercises the dispatching gather/scatter kernels
-// against the portable loops across awkward shapes: vector-width remainders,
-// single lanes, and scatter into a sub-range of the hidden units (the
-// parallel phase-2 case, where n < stride).
+// against the portable loops across awkward shapes: vector-width remainders
+// and single lanes.
 func TestKernelsMatchGeneric(t *testing.T) {
 	r := newRNG(321)
-	for _, shape := range []struct{ n, stride, cols, nnz int }{
-		{1, 1, 3, 5}, {3, 3, 4, 9}, {4, 4, 6, 11}, {7, 7, 10, 25},
-		{20, 20, 80, 60}, {5, 20, 80, 60}, {6, 13, 9, 17},
+	for _, shape := range []struct{ n, cols, nnz int }{
+		{1, 3, 5}, {3, 4, 9}, {4, 6, 11}, {7, 10, 25}, {20, 80, 60}, {6, 9, 17},
 	} {
-		w := make([]float64, shape.cols*shape.stride)
+		w := make([]float64, shape.cols*shape.n)
 		for i := range w {
 			w[i] = 2*r.uniform() - 1
 		}
@@ -215,8 +229,8 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			h1[i] = r.uniform()
 			h2[i] = h1[i]
 		}
-		csrGather(h1, w, idx, val, shape.n, shape.stride)
-		csrGatherGeneric(h2, w, idx, val, shape.n, shape.stride)
+		csrGather(h1, w, idx, val)
+		csrGatherGeneric(h2, w, idx, val)
 		for i := range h1 {
 			if h1[i] != h2[i] {
 				t.Fatalf("gather %+v: h[%d] = %g vs %g", shape, i, h1[i], h2[i])
@@ -228,8 +242,8 @@ func TestKernelsMatchGeneric(t *testing.T) {
 		for i := range dh {
 			dh[i] = 2*r.uniform() - 1
 		}
-		csrScatter(g1, dh, idx, val, shape.n, shape.stride)
-		csrScatterGeneric(g2, dh, idx, val, shape.n, shape.stride)
+		csrScatter(g1, dh, idx, val)
+		csrScatterGeneric(g2, dh, idx, val)
 		for i := range g1 {
 			if g1[i] != g2[i] {
 				t.Fatalf("scatter %+v: g[%d] = %g vs %g", shape, i, g1[i], g2[i])

@@ -12,10 +12,11 @@
 //
 // Two training kernels share these semantics bit for bit: Train, the dense
 // reference implementation, and TrainCSR, the production kernel that runs on
-// sparse rows, fuses the early-stopping forward pass into the training pass,
-// and can shard the batch gradient across goroutines (csr.go). Every kernel
-// accumulates each weight's contributions in the same example-then-column
-// order, so a fixed seed yields identical models from either path.
+// sparse rows and fuses the early-stopping forward pass into the training
+// pass (csr.go). Both accumulate each weight's contributions in the same
+// example-then-column order, so a fixed seed yields identical models from
+// either path. Training one network is serial; parallelism lives one level
+// up, across independently trained models.
 package neural
 
 import (
@@ -46,10 +47,6 @@ type Config struct {
 	// in the TrainResult. Off by default: cross-validation runs thousands of
 	// epochs whose histories nobody reads.
 	RecordHistory bool
-	// Workers bounds the goroutines TrainCSR shards the batch gradient over
-	// (0 = GOMAXPROCS). The result is bit-identical for every worker count;
-	// see csr.go.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {

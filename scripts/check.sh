@@ -1,28 +1,12 @@
 #!/bin/sh
-# check.sh — the full local gate: build, vet, gofmt, tests, race tests.
-# CI (.github/workflows/ci.yml) runs the same sequence.
+# check.sh — the full local gate: `make check` (build, vet, gofmt, tests,
+# and the race, chaos and cluster-chaos suites). CI (.github/workflows/ci.yml)
+# calls the same make targets for its race and chaos steps, so each
+# package list is defined once, in the Makefile.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> go build"
-go build ./...
-
-echo "==> go vet"
-go vet ./...
-
-echo "==> gofmt"
-out=$(gofmt -l .)
-if [ -n "$out" ]; then
-	echo "gofmt needed on:"
-	echo "$out"
-	exit 1
-fi
-
-echo "==> go test"
-go test ./...
-
-echo "==> go test -race (concurrent packages)"
-go test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve
+make check
 
 echo "OK"
