@@ -51,7 +51,6 @@ cluster-chaos:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=20s ./internal/minic
 	$(GO) test -run=NONE -fuzz=FuzzEncode -fuzztime=20s ./internal/features
-	$(GO) test -run=NONE -fuzz=FuzzQuantDot -fuzztime=20s ./internal/neural
 	$(GO) test -run=NONE -fuzz=FuzzGenCorpus -fuzztime=20s ./internal/gencorpus
 
 check: build vet fmt-check test race chaos cluster-chaos

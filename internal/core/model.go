@@ -112,7 +112,7 @@ type Model struct {
 
 	// quant, when non-nil, routes TakenProbability/TakenProbabilities
 	// through the int8 forward pass.
-	quant *quantPath
+	quant *quantFused
 
 	excluded map[int]bool
 	// scratch pools the per-prediction encode/hidden buffers so
@@ -137,22 +137,10 @@ type QuantCalibration struct {
 	Margin float64 `json:"margin,omitempty"`
 }
 
-// quantPath is the assembled int8 serving path. fused answers single
-// predictions via prefolded per-(feature, value) contribution tables;
-// net/enc are the kernel form of the same computation, used by the
-// calibration sweep and batch callers. The two are bit-identical
-// (see quantFused).
-type quantPath struct {
-	net   *neural.QuantNet
-	enc   *features.QuantEncoder
-	fused *quantFused
-}
-
 // predictBuf is the reusable per-prediction scratch.
 type predictBuf struct {
 	x   []float64
 	h   []float64
-	qx  []int8
 	acc []int32
 }
 
@@ -166,15 +154,16 @@ func (m *Model) EnableQuant() error {
 	if m.QuantCalib == nil {
 		return fmt.Errorf("core: model has no quantization calibration; run esptool calibrate (or CalibrateQuant)")
 	}
+	if g := m.QuantCalib.Guard; !(g >= 0) {
+		// A negative (or NaN) band never holds, so the float fallback would
+		// never run and decisions would silently go unpinned.
+		return fmt.Errorf("core: bad quantization guard band %v", g)
+	}
 	qn, err := neural.Quantize(m.Net, m.QuantCalib.XScale)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	qe, err := features.NewQuantEncoder(m.Encoder, m.QuantCalib.XScale)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	m.quant = &quantPath{net: qn, enc: qe, fused: newQuantFused(qn, qe, m.excluded)}
+	m.quant = newQuantFused(qn, m.Encoder, m.excluded)
 	return nil
 }
 
@@ -306,7 +295,7 @@ func (m *Model) TakenProbability(v features.Vector) float64 {
 }
 
 // getBuf pools the per-prediction scratch (encode row, hidden activations,
-// and — when quantization is enabled — the int8 input row).
+// and — when quantization is enabled — the int32 hidden accumulators).
 func (m *Model) getBuf() *predictBuf {
 	buf, _ := m.scratch.Get().(*predictBuf)
 	if buf == nil {
@@ -315,13 +304,8 @@ func (m *Model) getBuf() *predictBuf {
 			h: make([]float64, m.Net.Hidden),
 		}
 	}
-	if m.quant != nil {
-		if len(buf.qx) != m.Encoder.Dim {
-			buf.qx = make([]int8, m.Encoder.Dim)
-		}
-		if len(buf.acc) != m.Net.Hidden {
-			buf.acc = make([]int32, m.Net.Hidden)
-		}
+	if m.quant != nil && len(buf.acc) != m.Net.Hidden {
+		buf.acc = make([]int32, m.Net.Hidden)
 	}
 	return buf
 }
@@ -332,7 +316,7 @@ func (m *Model) getBuf() *predictBuf {
 // inside the fused tables, so the hot path never copies the vector. v is a
 // pointer purely for speed (25 string headers) and is not modified.
 func (m *Model) quantForward(v *features.Vector, buf *predictBuf) float64 {
-	y := m.quant.fused.forward(v, buf.acc)
+	y := m.quant.forward(v, buf.acc)
 	if diff := y - 0.5; diff <= m.QuantCalib.Guard && -diff <= m.QuantCalib.Guard {
 		// Too close to the decision boundary for the quantized pass to
 		// be trusted with the outcome: recompute in float64.

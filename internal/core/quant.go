@@ -20,9 +20,12 @@
 //     decisions are pinned *by construction*, and the differential test
 //     verifies it end to end.
 //
-// The chosen margin is the one that sends the fewest vectors to the float
-// fallback (the serving cost of safety), tie-broken by probability
-// fidelity.
+// The sweep measures every margin with the one int8 forward pass there is —
+// the fused contribution tables of quantfast.go that serving answers with —
+// so the guard band is derived from exactly the probabilities serving
+// produces. The chosen margin is the one that sends the fewest vectors to
+// the float fallback (the serving cost of safety), tie-broken by
+// probability fidelity.
 package core
 
 import (
@@ -107,7 +110,8 @@ const guardEpsilon = 1e-9
 
 // CalibrateQuant sweeps the quantization scale over the corpus and pins
 // decisions: for every margin it quantizes the model, runs every corpus
-// feature vector through both forward passes, and derives the guard band
+// feature vector through the float reference and the int8 fused pass that
+// serving uses, and derives the guard band
 // that routes every would-flip decision to the float64 fallback. The
 // winning calibration is stored in m.QuantCalib (ready for EnableQuant and
 // Save); the model's serving path is left untouched. A nil margins slice
@@ -144,7 +148,7 @@ func CalibrateQuant(m *Model, data []*ProgramData, margins []float64) (*QuantCal
 		return nil, fmt.Errorf("core: degenerate encoder: zero activation range")
 	}
 	rep := &QuantCalibrationReport{MaxAbsActivation: maxAbs}
-	qx := make([]int8, m.Encoder.Dim)
+	acc := make([]int32, m.Net.Hidden)
 	for _, margin := range margins {
 		if margin <= 0 {
 			return nil, fmt.Errorf("core: bad calibration margin %v", margin)
@@ -154,16 +158,12 @@ func CalibrateQuant(m *Model, data []*ProgramData, margins []float64) (*QuantCal
 		if err != nil {
 			return nil, err
 		}
-		qe, err := features.NewQuantEncoder(m.Encoder, xscale)
-		if err != nil {
-			return nil, err
-		}
+		fused := newQuantFused(qn, m.Encoder, m.excluded)
 		p := QuantSweepPoint{Margin: margin, XScale: xscale, Vectors: len(vecs)}
 		var sumDelta float64
 		quant := make([]float64, len(vecs))
 		for i := range vecs {
-			qe.Encode(&vecs[i], qx)
-			yq := qn.Forward(qx)
+			yq := fused.forward(&vecs[i], acc)
 			quant[i] = yq
 			d := math.Abs(yq - ref[i])
 			sumDelta += d

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/codegen"
@@ -249,5 +250,17 @@ func TestEnableQuantErrors(t *testing.T) {
 	}
 	if _, err := CalibrateQuant(neuralM, data, []float64{-1}); err == nil {
 		t.Error("CalibrateQuant with a negative margin: no error")
+	}
+	// A guard band from a model file is untrusted: a negative or NaN band
+	// never holds, which would silently skip the float fallback.
+	for _, g := range []float64{-0.01, math.NaN()} {
+		m, _ := calibratedModel(t, data)
+		m.QuantCalib.Guard = g
+		if err := m.EnableQuant(); err == nil {
+			t.Errorf("EnableQuant with guard %v: no error", g)
+		}
+		if m.QuantEnabled() {
+			t.Errorf("EnableQuant with guard %v enabled the int8 path", g)
+		}
 	}
 }

@@ -5,23 +5,20 @@ import (
 	"repro/internal/neural"
 )
 
-// quantFused is the serving-speed form of the int8 forward pass. The kernel
-// path (features.QuantEncoder + neural.QuantNet.Forward) materializes the
-// full D-wide int8 input row and runs H row-dot-products over it — but the
-// row is almost entirely zeros: each of the 25 features contributes one
-// small one-hot-ish block. So for every (feature, value) pair we prefold
-// that block against the quantized weight matrix once, yielding an H-wide
-// int32 contribution vector, and a prediction becomes 25 table lookups plus
-// 25 H-wide int32 adds.
+// quantFused is the int8 forward pass, used by calibration and serving
+// alike. The quantized input row is almost entirely zeros: each of the 25
+// features contributes one small one-hot block, and a (feature, value)
+// pair always quantizes to the same block under the calibrated input
+// scale. So for every (feature, value) pair we quantize that block once
+// and prefold it against the int8 weight matrix, yielding an H-wide int32
+// contribution vector, and a prediction becomes 25 table lookups plus 25
+// H-wide int32 adds, finished by neural.QuantNet.ForwardAcc.
 //
-// The result is bit-identical to the kernel path by construction: integer
-// addition is exact and associative, so summing per-feature partial dot
-// products gives exactly the accumulators quantDot computes over the full
-// row, and neural.QuantNet.ForwardAcc finishes in Forward's exact float
-// operation order. The calibration sweep therefore measures with the kernel
-// path and serving answers with this one; the differential test holds for
-// both. The AVX2 kernels remain load-bearing for calibration (which probes
-// dense rows) and for ForwardBatch callers.
+// The accumulators are exactly the full-row int8 dot products
+// Σ_j WQ[i·d+j]·qx[j]: integer addition is exact and associative, and
+// |WQ·qx| ≤ 127·127 keeps every int32 sum exact for rows far wider than
+// the encoder's. The full-row form survives only as the test oracle
+// (TestQuantFusedMatchesKernelPath).
 type quantFused struct {
 	net   *neural.QuantNet
 	feats [features.NumFeatures]fusedFeature
@@ -67,63 +64,73 @@ func packKey(s string) (uint64, bool) {
 // fusedHashMul is the Fibonacci-hashing multiplier (2^64/φ, odd).
 const fusedHashMul = 0x9E3779B97F4A7C15
 
-// newQuantFused folds the quantized encoder's per-value blocks against the
-// quantized weight matrix. Features in excluded are gated: forward treats
-// them exactly as if the vector had been masked to "?".
-func newQuantFused(qn *neural.QuantNet, qe *features.QuantEncoder, excluded map[int]bool) *quantFused {
+// newQuantFused quantizes every (feature, value) block of the float
+// encoder on qn's input grid and folds it against the quantized weight
+// matrix. Features in excluded are gated: forward treats them exactly as if
+// the vector had been masked to "?".
+func newQuantFused(qn *neural.QuantNet, enc *features.Encoder, excluded map[int]bool) *quantFused {
 	f := &quantFused{net: qn}
-	d := qn.Inputs
+	d, step := qn.Inputs, 1/qn.XScale
+	// fold returns the contribution of feature block [off, off+width) with
+	// column off+hot set (hot < 0: an unseen value, no column set). Each
+	// column is normalized exactly as Encoder.Encode does and quantized
+	// with QuantizeSym; constant columns encode as zero.
+	fold := func(off, width, hot int) []int32 {
+		contrib := make([]int32, qn.Hidden)
+		for j := 0; j < width; j++ {
+			c := off + j
+			if enc.Std[c] == 0 {
+				continue
+			}
+			x := 0.0
+			if j == hot {
+				x = 1
+			}
+			qx := int32(neural.QuantizeSym((x-enc.Mean[c])/enc.Std[c], step))
+			for i := range contrib {
+				contrib[i] += int32(qn.WQ[i*d+c]) * qx
+			}
+		}
+		return contrib
+	}
 	for ft := 0; ft < features.NumFeatures; ft++ {
+		ff := &f.feats[ft]
 		if excluded[ft] {
-			f.feats[ft].gated = true
+			ff.gated = true
 			continue
 		}
-		off, _ := qe.FeatureSpan(ft)
-		fold := func(block []int8) []int32 {
-			contrib := make([]int32, qn.Hidden)
-			for i := 0; i < qn.Hidden; i++ {
-				row := qn.WQ[i*d+off : i*d+off+len(block)]
-				var acc int32
-				for j, b := range block {
-					acc += int32(row[j]) * int32(b)
-				}
-				contrib[i] = acc
-			}
-			return contrib
-		}
-		known := qe.KnownBlocks(ft)
-		ff := &f.feats[ft]
-		ff.unseen = fold(qe.UnseenBlock(ft))
+		off, vocab := enc.Offsets[ft], enc.Vocab[ft]
+		ff.unseen = fold(off, len(vocab), -1)
 		packable := true
-		for val := range known {
+		for _, val := range vocab {
 			if _, ok := packKey(val); !ok {
 				packable = false
 				break
 			}
 		}
 		if !packable {
-			ff.slow = make(map[string][]int32, len(known))
-			for val, block := range known {
-				ff.slow[val] = fold(block)
+			ff.slow = make(map[string][]int32, len(vocab))
+			for vi, val := range vocab {
+				ff.slow[val] = fold(off, len(vocab), vi)
 			}
 			continue
 		}
 		size := 1
-		for size < 2*(len(known)+1) {
+		for size < 2*(len(vocab)+1) {
 			size <<= 1
 		}
 		ff.keys = make([]uint64, size)
 		ff.vals = make([][]int32, size)
 		ff.mask = uint64(size - 1)
 		ff.shift = 64 - uint(log2(size))
-		for val, block := range known {
+		for vi, val := range vocab {
 			k, _ := packKey(val)
 			h := (k * fusedHashMul) >> ff.shift
 			for ff.keys[h] != 0 {
 				h = (h + 1) & ff.mask
 			}
 			ff.keys[h] = k
-			ff.vals[h] = fold(block)
+			ff.vals[h] = fold(off, len(vocab), vi)
 		}
 	}
 	return f

@@ -1,124 +1,6 @@
 package features
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/neural"
-)
-
-// QuantEncoder is the int8 twin of Encoder, built for the serving hot path.
-//
-// The float encoder computes (x − mean)/std per column on every request.
-// But a categorical feature can only take a handful of shapes: one of its
-// vocabulary values, an unseen value, or the gated "?" — and each shape
-// produces a fixed block of normalized activations. Under a fixed input
-// scale those blocks quantize to fixed int8 patterns, so this encoder
-// precomputes every (feature, value) block once and turns per-request
-// encoding into a memset plus ~25 small int8 copies: no float math, no
-// rounding, no allocation.
-//
-// For every vector, Encode produces exactly the bytes
-// neural.QuantNet.QuantizeInput would produce from Encoder.Encode's float
-// output — asserted column-for-column by the equivalence test.
-type QuantEncoder struct {
-	dim    int
-	xscale float64
-	// offsets/widths mirror the float encoder's block layout.
-	offsets [NumFeatures]int
-	widths  [NumFeatures]int
-	// known maps each in-vocabulary value to its precomputed block.
-	known [NumFeatures]map[string][]int8
-	// unseen is the block for a value outside the vocabulary (zero activity
-	// on every column: x = 0 everywhere, normalized).
-	unseen [NumFeatures][]int8
-}
-
-// NewQuantEncoder precomputes the quantized block table for a trained float
-// encoder under the given input scale (qx = clamp(round(x·xscale), ±127)).
-func NewQuantEncoder(e *Encoder, xscale float64) (*QuantEncoder, error) {
-	if e == nil {
-		return nil, fmt.Errorf("features: NewQuantEncoder: nil encoder")
-	}
-	if xscale <= 0 || math.IsInf(xscale, 0) || math.IsNaN(xscale) {
-		return nil, fmt.Errorf("features: NewQuantEncoder: bad xscale %v", xscale)
-	}
-	q := &QuantEncoder{dim: e.Dim, xscale: xscale}
-	step := 1 / xscale // matches neural.QuantNet.QuantizeInput exactly
-	quantCol := func(i int, x float64) int8 {
-		if e.Std[i] == 0 {
-			return 0
-		}
-		return neural.QuantizeSym((x-e.Mean[i])/e.Std[i], step)
-	}
-	for f := 0; f < NumFeatures; f++ {
-		lo := e.Offsets[f]
-		w := len(e.Vocab[f])
-		q.offsets[f] = lo
-		q.widths[f] = w
-		q.unseen[f] = make([]int8, w)
-		for i := 0; i < w; i++ {
-			q.unseen[f][i] = quantCol(lo+i, 0)
-		}
-		q.known[f] = make(map[string][]int8, w)
-		for vi, val := range e.Vocab[f] {
-			block := make([]int8, w)
-			for i := 0; i < w; i++ {
-				x := 0.0
-				if i == vi {
-					x = 1
-				}
-				block[i] = quantCol(lo+i, x)
-			}
-			q.known[f][val] = block
-		}
-	}
-	return q, nil
-}
-
-// Dim is the encoded row width (the float encoder's Dim).
-func (q *QuantEncoder) Dim() int { return q.dim }
-
-// XScale is the input quantization scale the table was built for.
-func (q *QuantEncoder) XScale() float64 { return q.xscale }
-
-// FeatureSpan returns feature f's column range in the encoded row.
-func (q *QuantEncoder) FeatureSpan(f int) (offset, width int) {
-	return q.offsets[f], q.widths[f]
-}
-
-// KnownBlocks returns feature f's precomputed per-value blocks. The map and
-// its blocks are shared state: read-only for callers (core folds them into
-// its fused serving tables).
-func (q *QuantEncoder) KnownBlocks(f int) map[string][]int8 { return q.known[f] }
-
-// UnseenBlock returns feature f's block for an out-of-vocabulary value.
-// Read-only for callers.
-func (q *QuantEncoder) UnseenBlock(f int) []int8 { return q.unseen[f] }
-
-// Encode writes the quantized input row for v into dst, which must have
-// length Dim. It allocates nothing: gated ("?") features leave their block
-// zero, every other feature copies a precomputed int8 block. v is a pointer
-// purely for speed — a Vector is 25 string headers, too big to copy on a
-// hot path — and is not modified.
-func (q *QuantEncoder) Encode(v *Vector, dst []int8) {
-	if len(dst) != q.dim {
-		panic(fmt.Sprintf("features: QuantEncoder.Encode dst length %d, want %d", len(dst), q.dim))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for f, val := range v.Values {
-		if val == Unknown || val == "" {
-			continue
-		}
-		block, ok := q.known[f][val]
-		if !ok {
-			block = q.unseen[f]
-		}
-		copy(dst[q.offsets[f]:q.offsets[f]+q.widths[f]], block)
-	}
-}
+import "math"
 
 // MaxAbsActivation returns the largest activation magnitude the float
 // encoder can produce on any column — the calibration sweep's reference

@@ -32,41 +32,59 @@ func quantFixture() (*Encoder, []Vector) {
 	return NewEncoder(train), train
 }
 
-// TestQuantEncoderMatchesFloatPath is the grid-equivalence contract: for
-// every vector (training values, unseen values, gated features), the
-// precomputed-block encoder produces exactly the bytes the float
-// Encode → QuantizeInput pipeline produces.
+// TestQuantEncoderMatchesFloatPath is the grid-equivalence contract the
+// int8 contribution tables rest on: for every vector (training values, an
+// unseen value, gated features), quantizing the float Encode output column
+// by column gives exactly the bytes built one feature block at a time from
+// Vocab, Mean and Std — hot column x=1, others x=0, (x−Mean)/Std on the
+// QuantizeSym grid, constant columns 0, a gated feature's whole block 0.
 func TestQuantEncoderMatchesFloatPath(t *testing.T) {
 	enc, train := quantFixture()
+	probe := append([]Vector(nil), train...)
+	unseen := train[0]
+	unseen.Values[0] = "NEVER-SEEN"
+	probe = append(probe, unseen)
+	gatedAll := Vector{}
+	for i := range gatedAll.Values {
+		gatedAll.Values[i] = Unknown
+	}
+	probe = append(probe, gatedAll)
+
+	x := make([]float64, enc.Dim)
+	want := make([]int8, enc.Dim)
+	got := make([]int8, enc.Dim)
 	for _, xscale := range []float64{127 / enc.MaxAbsActivation(), 127 / 4.0, 16.0} {
-		qe, err := NewQuantEncoder(enc, xscale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The float reference: a throwaway quant net carries QuantizeInput's
-		// grid for the same xscale.
-		qn, err := neural.Quantize(neural.New(neural.Config{Inputs: enc.Dim, Hidden: 1, Seed: 1}), xscale)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		probe := append([]Vector(nil), train...)
-		unseen := train[0]
-		unseen.Values[0] = "NEVER-SEEN"
-		probe = append(probe, unseen)
-		gatedAll := Vector{}
-		for i := range gatedAll.Values {
-			gatedAll.Values[i] = Unknown
-		}
-		probe = append(probe, gatedAll)
-
-		x := make([]float64, enc.Dim)
-		want := make([]int8, enc.Dim)
-		got := make([]int8, enc.Dim)
+		step := 1 / xscale
 		for vi, v := range probe {
 			enc.Encode(v, x)
-			qn.QuantizeInput(x, want)
-			qe.Encode(&v, got)
+			for i, xv := range x {
+				want[i] = neural.QuantizeSym(xv, step)
+			}
+			for i := range got {
+				got[i] = 0
+			}
+			for f, val := range v.Values {
+				if val == Unknown || val == "" {
+					continue
+				}
+				hot := -1
+				for vj, known := range enc.Vocab[f] {
+					if known == val {
+						hot = vj
+					}
+				}
+				for j := range enc.Vocab[f] {
+					c := enc.Offsets[f] + j
+					if enc.Std[c] == 0 {
+						continue
+					}
+					xv := 0.0
+					if j == hot {
+						xv = 1
+					}
+					got[c] = neural.QuantizeSym((xv-enc.Mean[c])/enc.Std[c], step)
+				}
+			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("xscale=%v vector %d column %d: block path %d, float path %d",
@@ -75,44 +93,6 @@ func TestQuantEncoderMatchesFloatPath(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestQuantEncoderZeroAlloc pins the hot-path property the serving layer
-// depends on: steady-state encoding allocates nothing.
-func TestQuantEncoderZeroAlloc(t *testing.T) {
-	enc, train := quantFixture()
-	qe, err := NewQuantEncoder(enc, 127/enc.MaxAbsActivation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int8, enc.Dim)
-	v := train[0]
-	if allocs := testing.AllocsPerRun(200, func() { qe.Encode(&v, dst) }); allocs != 0 {
-		t.Fatalf("QuantEncoder.Encode allocates %v per run, want 0", allocs)
-	}
-}
-
-// TestQuantEncoderValidates pins the error and panic paths.
-func TestQuantEncoderValidates(t *testing.T) {
-	enc, _ := quantFixture()
-	if _, err := NewQuantEncoder(nil, 1); err == nil {
-		t.Error("nil encoder: no error")
-	}
-	for _, s := range []float64{0, -2} {
-		if _, err := NewQuantEncoder(enc, s); err == nil {
-			t.Errorf("xscale=%v: no error", s)
-		}
-	}
-	qe, err := NewQuantEncoder(enc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("short dst did not panic")
-		}
-	}()
-	qe.Encode(&Vector{}, make([]int8, enc.Dim-1))
 }
 
 // TestMaxAbsActivation checks the calibration range against a brute-force

@@ -8,10 +8,15 @@ import (
 // QuantNet is the int8 inference twin of Net: the hidden×inputs weight
 // matrix quantized symmetrically per row to int8, inputs quantized to int8
 // with one fixed calibrated scale, and the hidden pre-activations computed
-// as int32 dot products (quant_kernels). Only the first layer — the O(D·H)
-// bulk of the forward pass — runs in fixed point; biases, tanh, and the
-// H-wide output layer stay float64, where they cost nothing and keep the
-// output a smooth probability.
+// as exact int32 dot products. Only the first layer — the O(D·H) bulk of
+// the forward pass — runs in fixed point; biases, tanh, and the H-wide
+// output layer stay float64, where they cost nothing and keep the output a
+// smooth probability.
+//
+// QuantNet holds the weights and finishes the pass (ForwardAcc); the
+// caller supplies the int32 accumulators. core builds them from
+// per-(feature, value) contribution tables folded against WQ, so no D-wide
+// int8 input row is ever materialized.
 //
 // Quantization moves probabilities, never measured outcomes: the calibration
 // step (core.CalibrateQuant) picks XScale and a decision guard band so that
@@ -29,8 +34,8 @@ type QuantNet struct {
 	WScale []float64
 	// XScale quantizes inputs: qx = clamp(round(x · XScale), ±127). Fixed
 	// at calibration time rather than per-vector, so a (feature, value)
-	// pair always quantizes to the same int8 pattern and the quantized
-	// encoder can precompute whole blocks (features.QuantEncoder).
+	// pair always quantizes to the same int8 pattern and its contribution
+	// to every accumulator can be precomputed once.
 	XScale float64
 	// B, V, A are carried unquantized from the float net.
 	B []float64
@@ -43,10 +48,10 @@ type QuantNet struct {
 	deq []float64
 }
 
-// QuantizeSym exposes the symmetric int8 grid to the feature-level
-// quantized encoder, which precomputes per-value input blocks and must land
-// on exactly the codes QuantizeInput would produce (same step, same
-// rounding). step is the quantization step size, i.e. 1/XScale for inputs.
+// QuantizeSym is the symmetric int8 grid inputs are quantized on:
+// clamp(round(v/step), ±127). step is the quantization step size, i.e.
+// 1/XScale for inputs. Callers that quantize normalized activations must
+// go through it so every input lands on exactly the calibrated codes.
 func QuantizeSym(v, step float64) int8 { return quantizeSym(v, step) }
 
 // quantizeSym quantizes v symmetrically: clamp(round(v/scale)) to ±127.
@@ -107,47 +112,17 @@ func Quantize(n *Net, xscale float64) (*QuantNet, error) {
 	return q, nil
 }
 
-// QuantizeInput writes the int8 quantization of x into qx (both length
-// Inputs). Serving uses features.QuantEncoder instead, which produces the
-// same bytes from precomputed per-value blocks without touching float64.
-func (q *QuantNet) QuantizeInput(x []float64, qx []int8) {
-	if len(x) != q.Inputs || len(qx) != q.Inputs {
-		panic(fmt.Sprintf("neural: QuantizeInput lengths x=%d qx=%d, want %d", len(x), len(qx), q.Inputs))
-	}
-	inv := 1 / q.XScale
-	for j, v := range x {
-		qx[j] = quantizeSym(v, inv)
-	}
-}
-
-// Forward returns the quantized network's output probability for one
-// already-quantized input row. It allocates nothing.
+// ForwardAcc finishes a forward pass from the hidden-unit accumulators
+// acc[i] = Σ_j WQ[i·d+j]·qx[j] and returns the output probability. It
+// allocates nothing. Integer addition is exact and associative, so any
+// decomposition of the dot products — a full-row loop or a sum of
+// per-feature partial products — yields the same accumulators and
+// therefore the same probability, bit for bit.
 //
 // The nonlinearity is tanhApprox, not math.Tanh: the approximation error is
 // calibration noise by design (the sweep measures flips against this exact
 // function), and the table lookup is what keeps the int8 pass from being
 // tanh-bound.
-func (q *QuantNet) Forward(qx []int8) float64 {
-	if len(qx) != q.Inputs {
-		panic(fmt.Sprintf("neural: QuantNet.Forward input length %d, want %d", len(qx), q.Inputs))
-	}
-	z := q.A
-	d := q.Inputs
-	for i := 0; i < q.Hidden; i++ {
-		acc := quantDot(q.WQ[i*d:(i+1)*d], qx)
-		z += q.V[i] * tanhApprox(float64(acc)*q.deq[i]+q.B[i])
-	}
-	return 0.5 * (tanhApprox(z) + 1)
-}
-
-// ForwardAcc finishes a forward pass from externally computed hidden-unit
-// accumulators (acc[i] = Σ_j WQ[i·d+j]·qx[j]). Integer addition is exact
-// and associative, so any decomposition of the dot products — in
-// particular the per-feature-block fusion core builds for serving — yields
-// accumulators identical to quantDot's, and this function performs the
-// float combination in exactly Forward's operation order. The two are
-// therefore bit-identical: the calibration sweep can measure with Forward
-// and serving can answer with ForwardAcc.
 func (q *QuantNet) ForwardAcc(acc []int32) float64 {
 	if len(acc) != q.Hidden {
 		panic(fmt.Sprintf("neural: QuantNet.ForwardAcc acc length %d, want %d", len(acc), q.Hidden))
@@ -157,16 +132,4 @@ func (q *QuantNet) ForwardAcc(acc []int32) float64 {
 		z += q.V[i] * tanhApprox(float64(a)*q.deq[i]+q.B[i])
 	}
 	return 0.5 * (tanhApprox(z) + 1)
-}
-
-// ForwardBatch runs every quantized row through the network, writing the
-// output probabilities into out. len(out) must equal len(qxs); the empty
-// batch is a no-op.
-func (q *QuantNet) ForwardBatch(qxs [][]int8, out []float64) {
-	if len(out) != len(qxs) {
-		panic(fmt.Sprintf("neural: QuantNet.ForwardBatch out length %d, want %d", len(out), len(qxs)))
-	}
-	for i, qx := range qxs {
-		out[i] = q.Forward(qx)
-	}
 }

@@ -5,106 +5,19 @@ import (
 	"testing"
 )
 
-// edgeValues are the int8 extremes the quant kernels must handle exactly:
-// the most negative code (−128, which the symmetric quantizer never emits
-// but the kernel contract still covers), the extremes of the symmetric
-// grid, zero, and ±1.
-var edgeValues = []int8{-128, -127, -1, 0, 1, 127}
-
-// TestQuantDotEdgeValuesExhaustive runs every (a, b) pair of edge values
-// through both kernels at a length past the vector width, checking the
-// exact int32 accumulation (including -128·-128 = 16384 products).
-func TestQuantDotEdgeValuesExhaustive(t *testing.T) {
-	const n = 37 // two 16-lane iterations plus a 5-lane scalar tail
-	for _, av := range edgeValues {
-		for _, bv := range edgeValues {
-			a := make([]int8, n)
-			b := make([]int8, n)
-			for i := range a {
-				a[i] = av
-				b[i] = bv
-			}
-			want := int32(n) * int32(av) * int32(bv)
-			if got := quantDotGeneric(a, b); got != want {
-				t.Errorf("generic dot(%d,%d)×%d = %d, want %d", av, bv, n, got, want)
-			}
-			if got := quantDot(a, b); got != want {
-				t.Errorf("dispatched dot(%d,%d)×%d = %d, want %d", av, bv, n, got, want)
-			}
+// quantForwardRef is the test oracle for the int8 forward pass: H
+// full-row int8 dot products over an already-quantized input row, finished
+// by ForwardAcc. Production never materializes the D-wide row (core sums
+// prefolded per-feature contributions instead); integer addition makes the
+// two bit-identical.
+func quantForwardRef(q *QuantNet, qx []int8) float64 {
+	acc := make([]int32, q.Hidden)
+	for i := range acc {
+		for j, w := range q.WQ[i*q.Inputs : (i+1)*q.Inputs] {
+			acc[i] += int32(w) * int32(qx[j])
 		}
 	}
-}
-
-// TestQuantDotLengthsAroundVectorWidth sweeps every length 0..67 — odd
-// lengths, exact multiples of the 16-lane width, and one-off lengths on
-// both sides — with mixed-sign contents, asserting the dispatched kernel
-// (AVX2 where available) equals the generic loop exactly.
-func TestQuantDotLengthsAroundVectorWidth(t *testing.T) {
-	rng := newRNG(7)
-	for n := 0; n <= 67; n++ {
-		a := make([]int8, n)
-		b := make([]int8, n)
-		for i := 0; i < n; i++ {
-			a[i] = int8(rng.next())
-			b[i] = int8(rng.next())
-		}
-		// Plant edge codes at the boundaries the tail logic cares about.
-		if n > 0 {
-			a[0], b[0] = -128, 127
-			a[n-1], b[n-1] = 127, -128
-		}
-		want := quantDotGeneric(a, b)
-		if got := quantDot(a, b); got != want {
-			t.Fatalf("n=%d: dispatched dot %d, generic %d", n, got, want)
-		}
-	}
-}
-
-// TestQuantDotUnalignedOffsets slides both operands across sub-slice
-// offsets so the AVX2 loads hit every 16-byte misalignment.
-func TestQuantDotUnalignedOffsets(t *testing.T) {
-	rng := newRNG(11)
-	backing := make([]int8, 128)
-	for i := range backing {
-		backing[i] = int8(rng.next())
-	}
-	for off := 0; off < 16; off++ {
-		for n := 15; n <= 49; n += 17 {
-			a := backing[off : off+n]
-			b := backing[off+n : off+2*n]
-			want := quantDotGeneric(a, b)
-			if got := quantDot(a, b); got != want {
-				t.Fatalf("off=%d n=%d: dispatched dot %d, generic %d", off, n, got, want)
-			}
-		}
-	}
-}
-
-// FuzzQuantDot compares the dispatched kernel against the generic fallback
-// on arbitrary byte strings: the two halves of the input become the two
-// operands. On amd64 this differentially fuzzes the assembly; under the
-// purego tag (or other GOARCH) it degenerates to self-consistency.
-func FuzzQuantDot(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x80, 0x7f, 0x00, 0x01, 0xff, 0x80})
-	seed := make([]byte, 66)
-	for i := range seed {
-		seed[i] = byte(i*37 + 128)
-	}
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := len(data) / 2
-		a := make([]int8, n)
-		b := make([]int8, n)
-		for i := 0; i < n; i++ {
-			a[i] = int8(data[i])
-			b[i] = int8(data[n+i])
-		}
-		want := quantDotGeneric(a, b)
-		if got := quantDot(a, b); got != want {
-			t.Fatalf("n=%d: dispatched dot %d, generic %d", n, got, want)
-		}
-	})
+	return q.ForwardAcc(acc)
 }
 
 // TestQuantizeSym pins the quantizer's grid: symmetric ±127, round half
@@ -163,9 +76,11 @@ func TestQuantizeRoundTrip(t *testing.T) {
 		for j := range x {
 			x[j] = rng.uniform() * 3
 		}
-		q.QuantizeInput(x, qx)
+		for j, v := range x {
+			qx[j] = QuantizeSym(v, 1/q.XScale)
+		}
 		yf := n.ForwardInto(h, x)
-		yq := q.Forward(qx)
+		yq := quantForwardRef(q, qx)
 		if d := math.Abs(yf - yq); d > worst {
 			worst = d
 		}
@@ -203,7 +118,7 @@ func TestQuantizeAllZeroRow(t *testing.T) {
 	for i := range qx {
 		qx[i] = 127
 	}
-	got := q.Forward(qx)
+	got := quantForwardRef(q, qx)
 	if math.IsNaN(got) || got < 0 || got > 1 {
 		t.Fatalf("forward with all-zero row = %v, want a probability", got)
 	}
@@ -220,41 +135,4 @@ func TestQuantizeRejectsBadScale(t *testing.T) {
 	if _, err := Quantize(nil, 1); err == nil {
 		t.Error("Quantize(nil): no error")
 	}
-}
-
-// TestQuantForwardBatchValidates mirrors the Net.ForwardBatch contract:
-// mismatched lengths panic, the empty batch is a no-op.
-func TestQuantForwardBatchValidates(t *testing.T) {
-	n := New(Config{Inputs: 4, Hidden: 2, Seed: 1})
-	q, err := Quantize(n, 127.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.ForwardBatch(nil, nil) // empty batch: no panic
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ForwardBatch length mismatch did not panic")
-			}
-		}()
-		q.ForwardBatch(make([][]int8, 2), make([]float64, 1))
-	}()
-}
-
-// BenchmarkQuantDot measures the int8 kernel at the serving row width.
-func BenchmarkQuantDot(b *testing.B) {
-	const n = 256
-	rng := newRNG(5)
-	a := make([]int8, n)
-	c := make([]int8, n)
-	for i := 0; i < n; i++ {
-		a[i] = int8(rng.next())
-		c[i] = int8(rng.next())
-	}
-	b.ResetTimer()
-	var sink int32
-	for i := 0; i < b.N; i++ {
-		sink += quantDot(a, c)
-	}
-	_ = sink
 }

@@ -44,7 +44,8 @@ func TestTanhApproxAccuracy(t *testing.T) {
 
 // TestForwardAccMatchesForward pins the decomposition contract ForwardAcc
 // documents: feeding it accumulators computed any which way — here, split
-// into arbitrary segment sums — must reproduce Forward bit for bit.
+// into arbitrary segment sums — must reproduce the full-row oracle
+// (quantForwardRef) bit for bit.
 func TestForwardAccMatchesForward(t *testing.T) {
 	const inputs, hidden = 57, 9
 	n := New(Config{Inputs: inputs, Hidden: hidden, Seed: 7})
@@ -56,7 +57,7 @@ func TestForwardAccMatchesForward(t *testing.T) {
 	for i := range qx {
 		qx[i] = int8((i*37+11)%255 - 127)
 	}
-	want := q.Forward(qx)
+	want := quantForwardRef(q, qx)
 
 	acc := make([]int32, hidden)
 	for i := 0; i < hidden; i++ {
@@ -76,7 +77,7 @@ func TestForwardAccMatchesForward(t *testing.T) {
 		}
 	}
 	if got := q.ForwardAcc(acc); got != want {
-		t.Fatalf("ForwardAcc %v, Forward %v — not bit-identical", got, want)
+		t.Fatalf("ForwardAcc %v, full-row oracle %v — not bit-identical", got, want)
 	}
 
 	defer func() {

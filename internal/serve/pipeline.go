@@ -41,10 +41,11 @@ func (s *Server) PredictPipeline(ctx context.Context, body, out []byte) ([]byte,
 
 // PredictPipelineReference runs the same request through the pre-arena
 // pipeline: encoding/json decode, features.FromValues, a per-request job
-// allocation, encoding/json response. This is the committed float-era
-// request path, preserved verbatim as the baseline for BENCH_serve.json's
-// speedup ratio — and it is still the live slow path for requests the
-// arena scanner doesn't own.
+// allocation, encoding/json response. It is the frozen float-era request
+// path, kept verbatim as the baseline that BENCH_serve.json's speedup ratio
+// (espbench -serve) and TestQuantServePipelineSpeedup measure against. No
+// request handler calls it: handlePredict has its own encoding/json branch
+// for requests the arena scanner does not own.
 func (s *Server) PredictPipelineReference(ctx context.Context, body []byte) ([]byte, error) {
 	var req PredictRequest
 	if err := json.Unmarshal(body, &req); err != nil {
