@@ -51,6 +51,7 @@ cluster-chaos:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=20s ./internal/minic
 	$(GO) test -run=NONE -fuzz=FuzzEncode -fuzztime=20s ./internal/features
+	$(GO) test -run=NONE -fuzz=FuzzPredict -fuzztime=20s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzGenCorpus -fuzztime=20s ./internal/gencorpus
 
 check: build vet fmt-check test race chaos cluster-chaos

@@ -71,6 +71,7 @@ func benchRegistry() (map[string]func(b *testing.B), error) {
 		return nil, err
 	}
 	enc := features.NewEncoder(pd.Vectors)
+	var model *core.Model
 
 	return map[string]func(b *testing.B){
 		"parse": func(b *testing.B) {
@@ -93,14 +94,16 @@ func benchRegistry() (map[string]func(b *testing.B), error) {
 			}
 		},
 		"forward": func(b *testing.B) {
-			cfg := neural.Config{Inputs: enc.Dim, Hidden: 20, Seed: 1}
-			net := neural.New(cfg)
-			xs := enc.EncodeAll(pd.Vectors)
-			h := make([]float64, net.Hidden)
-			out := make([]float64, len(xs))
+			// The production float prediction path on a default-config
+			// model trained on the program itself. testing.Benchmark calls
+			// this body once per trial b.N, so train only once.
+			if model == nil {
+				model = core.Train([]*core.ProgramData{pd}, core.Config{})
+			}
+			out := make([]float64, len(pd.Vectors))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.ForwardBatch(h, xs, out)
+				model.TakenProbabilities(pd.Vectors, out)
 			}
 		},
 		"train": func(b *testing.B) {

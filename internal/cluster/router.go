@@ -210,8 +210,12 @@ func (rt *Router) forward(base string, r *http.Request, body []byte) (*http.Resp
 	if err != nil {
 		return nil, nil, err
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	// X-Request-ID carries the client's request ID to the replica, whose
+	// trace ring (/debug/requests) records it.
+	for _, k := range []string{"Content-Type", "X-Request-ID"} {
+		if v := r.Header.Get(k); v != "" {
+			req.Header.Set(k, v)
+		}
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -317,4 +319,69 @@ func postStatus(t *testing.T, url string, body []byte) int {
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode
+}
+
+// TestRouterForwardsRequestID: the client's X-Request-ID reaches the
+// replica, so the replica's trace ring holds the ID the client chose.
+func TestRouterForwardsRequestID(t *testing.T) {
+	rep := newTestReplica(t, "a", serve.Config{})
+	r := &Replica{Name: "a"}
+	r.SetURL(rep.ts.URL)
+	router := httptest.NewServer(NewRouter(RouterConfig{}, r))
+	t.Cleanup(router.Close)
+
+	_, data := testModel(t)
+	body, err := json.Marshal(serve.PredictRequest{Vectors: vectorValues(data[0].Vectors[:2])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "client-id-7"
+	req, err := http.NewRequest(http.MethodPost, router.URL+"/predict", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Request-ID", id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed predict: status %d", resp.StatusCode)
+	}
+
+	// The replica records a trace after writing its response: poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var ids []string
+		for _, tr := range replicaTraces(t, rep.ts.URL) {
+			if tr.ID == id {
+				return
+			}
+			ids = append(ids, tr.ID)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica trace ring has IDs %q, not the client's %q", ids, id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// replicaTraces reads a replica's /debug/requests ring.
+func replicaTraces(t *testing.T, url string) []*obs.Trace {
+	t.Helper()
+	resp, err := http.Get(url + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var dr struct {
+		Traces []*obs.Trace `json:"traces"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
+		t.Fatal(err)
+	}
+	return dr.Traces
 }

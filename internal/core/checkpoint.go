@@ -102,10 +102,10 @@ func CrossValidateCheckpointed(ctx context.Context, corpus []*ProgramData, cfg C
 		return nil, err
 	}
 	hash := checkpointHash(corpus, cfg)
-	excluded := excludeSet(cfg.ExcludeFeatures)
+	gate := gateOf(cfg.ExcludeFeatures)
 	preps := make([]preparedProgram, len(corpus))
 	for i, pd := range corpus {
-		preps[i] = prepareProgram(pd, excluded)
+		preps[i] = prepareProgram(pd, &gate)
 	}
 	results := make([]FoldResult, len(corpus))
 	for i := range corpus {
@@ -117,7 +117,7 @@ func CrossValidateCheckpointed(ctx context.Context, corpus []*ProgramData, cfg C
 			results[i] = fold
 			continue
 		}
-		results[i] = crossValidateFold(corpus, preps, i, cfg, excluded)
+		results[i] = crossValidateFold(corpus, preps, i, cfg, gate)
 		if err := saveCheckpoint(path, foldCheckpoint{ConfigHash: hash, Fold: results[i]}); err != nil {
 			return nil, fmt.Errorf("core: checkpoint fold %d: %w", i, err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/codegen"
@@ -145,6 +146,64 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte("{}"))); err == nil {
 		t.Error("Load accepted an empty model")
+	}
+}
+
+// TestLoadRejectsShapeMismatch: a model file whose shapes disagree must
+// not load. Before the check, a net.b one entry short loaded and predicted
+// with a hidden bias left over from pooled scratch.
+func TestLoadRejectsShapeMismatch(t *testing.T) {
+	model := Train([]*ProgramData{analyzeSrc(t, "a", loopy, nil)}, Config{})
+	var saved bytes.Buffer
+	if err := model.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	type doc = map[string]any
+	for _, tc := range []struct {
+		name   string
+		mutate func(net, enc doc)
+	}{
+		{"unchanged", func(net, enc doc) {}},
+		{"net.b short", func(net, enc doc) { net["b"] = net["b"].([]any)[1:] }},
+		{"net.v long", func(net, enc doc) { net["v"] = append(net["v"].([]any), 0.5) }},
+		{"net inputs differ from encoder dim", func(net, enc doc) {
+			net["inputs"] = net["inputs"].(float64) - 1
+			rows := net["w"].([]any)
+			for i, row := range rows {
+				r := row.([]any)
+				rows[i] = r[:len(r)-1]
+			}
+		}},
+		{"encoder mean short", func(net, enc doc) { enc["Mean"] = enc["Mean"].([]any)[1:] }},
+		{"encoder std short", func(net, enc doc) { enc["Std"] = enc["Std"].([]any)[1:] }},
+		{"encoder offsets shifted", func(net, enc doc) {
+			off := enc["Offsets"].([]any)
+			off[3] = off[3].(float64) + 1
+		}},
+		{"encoder vocab longer than dim", func(net, enc doc) {
+			vocab := enc["Vocab"].([]any)
+			vocab[len(vocab)-1] = []any{"EXTRA"}
+		}},
+	} {
+		var d doc
+		if err := json.Unmarshal(saved.Bytes(), &d); err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(d["net"].(doc), d["encoder"].(doc))
+		data, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(bytes.NewReader(data))
+		if tc.name == "unchanged" {
+			if err != nil {
+				t.Fatalf("unchanged model: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: Load accepted the model", tc.name)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ type preparedProgram struct {
 	weights []float64
 }
 
-func prepareProgram(pd *ProgramData, excluded map[int]bool) preparedProgram {
+func prepareProgram(pd *ProgramData, gate *featureGate) preparedProgram {
 	examples := pd.Examples()
 	p := preparedProgram{
 		masked:  make([]features.Vector, len(examples)),
@@ -39,7 +39,7 @@ func prepareProgram(pd *ProgramData, excluded map[int]bool) preparedProgram {
 		weights: make([]float64, len(examples)),
 	}
 	for i, ex := range examples {
-		p.masked[i] = maskVector(ex.Vector, excluded)
+		p.masked[i] = maskVector(ex.Vector, gate)
 		p.targets[i] = ex.Target
 		p.weights[i] = ex.Weight
 	}
@@ -67,10 +67,10 @@ func CrossValidateSerial(corpus []*ProgramData, cfg Config) []FoldResult {
 
 func crossValidate(corpus []*ProgramData, cfg Config, workers int) []FoldResult {
 	cfg = cfg.withDefaults()
-	excluded := excludeSet(cfg.ExcludeFeatures)
+	gate := gateOf(cfg.ExcludeFeatures)
 	preps := make([]preparedProgram, len(corpus))
 	for i, pd := range corpus {
-		preps[i] = prepareProgram(pd, excluded)
+		preps[i] = prepareProgram(pd, &gate)
 	}
 	results := make([]FoldResult, len(corpus))
 	var wg sync.WaitGroup
@@ -81,7 +81,7 @@ func crossValidate(corpus []*ProgramData, cfg Config, workers int) []FoldResult 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = crossValidateFold(corpus, preps, i, cfg, excluded)
+			results[i] = crossValidateFold(corpus, preps, i, cfg, gate)
 		}(i)
 	}
 	wg.Wait()
@@ -96,7 +96,7 @@ func maxParallel() int {
 	return n
 }
 
-func crossValidateFold(corpus []*ProgramData, preps []preparedProgram, hold int, cfg Config, excluded map[int]bool) FoldResult {
+func crossValidateFold(corpus []*ProgramData, preps []preparedProgram, hold int, cfg Config, gate featureGate) FoldResult {
 	total := 0
 	for j := range preps {
 		if j != hold {
@@ -114,7 +114,7 @@ func crossValidateFold(corpus []*ProgramData, preps []preparedProgram, hold int,
 		targets = append(targets, preps[j].targets...)
 		weights = append(weights, preps[j].weights...)
 	}
-	model := trainMasked(masked, targets, weights, cfg, excluded)
+	model := trainMasked(masked, targets, weights, cfg, gate)
 	held := corpus[hold]
 	miss := heuristics.MissRate(held.Sites, held.Profile, &Predictor{Model: model})
 	return FoldResult{

@@ -114,11 +114,16 @@ type Model struct {
 	// through the int8 forward pass.
 	quant *quantFused
 
-	excluded map[int]bool
-	// scratch pools the per-prediction encode/hidden buffers so
+	// gate marks the features the model excludes (Cfg.ExcludeFeatures):
+	// prediction encodes them as Unknown, so it never copies the vector.
+	gate featureGate
+	// scratch pools the per-prediction row/hidden buffers so
 	// TakenProbability stays allocation-free and safe for concurrent use.
 	scratch sync.Pool
 }
+
+// featureGate marks, per feature, whether the model hides it.
+type featureGate = [features.NumFeatures]bool
 
 // QuantCalibration is the serialized outcome of the decision-pinning sweep:
 // everything needed to rebuild the int8 path deterministically from the
@@ -137,9 +142,12 @@ type QuantCalibration struct {
 	Margin float64 `json:"margin,omitempty"`
 }
 
-// predictBuf is the reusable per-prediction scratch.
+// predictBuf is the reusable per-prediction scratch: the sparse input row
+// (capacity Dim, so appending never grows it), the hidden activations, and
+// — when quantization is enabled — the int32 hidden accumulators.
 type predictBuf struct {
-	x   []float64
+	idx []int32
+	val []float64
 	h   []float64
 	acc []int32
 }
@@ -163,7 +171,7 @@ func (m *Model) EnableQuant() error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	m.quant = newQuantFused(qn, m.Encoder, m.excluded)
+	m.quant = newQuantFused(qn, m.Encoder, &m.gate)
 	return nil
 }
 
@@ -185,23 +193,23 @@ func Train(corpus []*ProgramData, cfg Config) *Model {
 // TrainExamples fits an ESP model on explicit examples.
 func TrainExamples(examples []Example, cfg Config) *Model {
 	cfg = cfg.withDefaults()
-	excluded := excludeSet(cfg.ExcludeFeatures)
+	gate := gateOf(cfg.ExcludeFeatures)
 	masked := make([]features.Vector, len(examples))
 	targets := make([]float64, len(examples))
 	weightVals := make([]float64, len(examples))
 	for i, ex := range examples {
-		masked[i] = maskVector(ex.Vector, excluded)
+		masked[i] = maskVector(ex.Vector, &gate)
 		targets[i] = ex.Target
 		weightVals[i] = ex.Weight
 	}
-	return trainMasked(masked, targets, weightVals, cfg, excluded)
+	return trainMasked(masked, targets, weightVals, cfg, gate)
 }
 
 // trainMasked fits a model on already-masked feature vectors. Cross-validation
 // masks each program's vectors once and reuses them across all folds, so the
 // masking work is hoisted out of here.
-func trainMasked(masked []features.Vector, targets, weightVals []float64, cfg Config, excluded map[int]bool) *Model {
-	m := &Model{Cfg: cfg, excluded: excluded}
+func trainMasked(masked []features.Vector, targets, weightVals []float64, cfg Config, gate featureGate) *Model {
+	m := &Model{Cfg: cfg, gate: gate}
 	if cfg.UniformWeights {
 		uniform := make([]float64, len(masked))
 		for i := range uniform {
@@ -248,24 +256,24 @@ func trainMasked(masked []features.Vector, targets, weightVals []float64, cfg Co
 	return m
 }
 
-func excludeSet(feats []int) map[int]bool {
-	if len(feats) == 0 {
-		return nil
-	}
-	s := make(map[int]bool, len(feats))
+// gateOf marks the listed feature indices; indices outside the feature set
+// are ignored.
+func gateOf(feats []int) featureGate {
+	var g featureGate
 	for _, f := range feats {
-		s[f] = true
+		if f >= 0 && f < features.NumFeatures {
+			g[f] = true
+		}
 	}
-	return s
+	return g
 }
 
-// maskVector hides excluded features.
-func maskVector(v features.Vector, excluded map[int]bool) features.Vector {
-	if len(excluded) == 0 {
-		return v
-	}
-	for f := range excluded {
-		if f >= 0 && f < features.NumFeatures {
+// maskVector returns a copy of v with the gated features set to Unknown:
+// the training set's form, and the form the decision tree and
+// memory-based classifiers predict from.
+func maskVector(v features.Vector, gate *featureGate) features.Vector {
+	for f, g := range gate {
+		if g {
 			v.Values[f] = features.Unknown
 		}
 	}
@@ -276,7 +284,7 @@ func maskVector(v features.Vector, excluded map[int]bool) features.Vector {
 // the feature vector is taken.
 func (m *Model) TakenProbability(v features.Vector) float64 {
 	if m.Tree != nil || m.MBR != nil {
-		v = maskVector(v, m.excluded)
+		v = maskVector(v, &m.gate)
 		if m.Tree != nil {
 			return m.Tree.Predict(v.Values)
 		}
@@ -287,21 +295,20 @@ func (m *Model) TakenProbability(v features.Vector) float64 {
 	if m.quant != nil {
 		y = m.quantForward(&v, buf)
 	} else {
-		v = maskVector(v, m.excluded)
 		y = m.forwardFloat(&v, buf)
 	}
 	m.scratch.Put(buf)
 	return y
 }
 
-// getBuf pools the per-prediction scratch (encode row, hidden activations,
-// and — when quantization is enabled — the int32 hidden accumulators).
+// getBuf pools the per-prediction scratch.
 func (m *Model) getBuf() *predictBuf {
 	buf, _ := m.scratch.Get().(*predictBuf)
 	if buf == nil {
 		buf = &predictBuf{
-			x: make([]float64, m.Encoder.Dim),
-			h: make([]float64, m.Net.Hidden),
+			idx: make([]int32, 0, m.Encoder.Dim),
+			val: make([]float64, 0, m.Encoder.Dim),
+			h:   make([]float64, m.Net.Hidden),
 		}
 	}
 	if m.quant != nil && len(buf.acc) != m.Net.Hidden {
@@ -312,31 +319,31 @@ func (m *Model) getBuf() *predictBuf {
 
 // quantForward runs one vector through the int8 fused path, with the
 // float64 fallback inside the calibrated guard band around 0.5 (which is
-// what pins decisions). v may be unmasked — excluded features are gated
-// inside the fused tables, so the hot path never copies the vector. v is a
-// pointer purely for speed (25 string headers) and is not modified.
+// what pins decisions). Like forwardFloat it gates excluded features
+// itself. v is a pointer purely for speed (27 string headers) and is not
+// modified.
 func (m *Model) quantForward(v *features.Vector, buf *predictBuf) float64 {
 	y := m.quant.forward(v, buf.acc)
 	if diff := y - 0.5; diff <= m.QuantCalib.Guard && -diff <= m.QuantCalib.Guard {
 		// Too close to the decision boundary for the quantized pass to
 		// be trusted with the outcome: recompute in float64.
-		mv := maskVector(*v, m.excluded)
-		m.Encoder.Encode(mv, buf.x)
-		y = m.Net.ForwardInto(buf.h, buf.x)
+		y = m.forwardFloat(v, buf)
 	}
 	return y
 }
 
-// forwardFloat runs one already-masked vector through the float64 reference
-// network.
+// forwardFloat runs one vector through the float64 network: its sparse row
+// from the encoder's precomputed tables, with the model's excluded features
+// gated, then the training kernel's forward pass. Bit-identical to masking
+// v, Encode and ForwardInto on the dense row. v is not modified.
 func (m *Model) forwardFloat(v *features.Vector, buf *predictBuf) float64 {
-	m.Encoder.Encode(*v, buf.x)
-	return m.Net.ForwardInto(buf.h, buf.x)
+	buf.idx, buf.val = m.Encoder.AppendRow(buf.idx[:0], buf.val[:0], v, &m.gate)
+	return m.Net.ForwardSparse(buf.h, buf.idx, buf.val)
 }
 
 // TakenProbabilities predicts a whole batch of feature vectors into out
 // (len(out) must equal len(vs)). For the neural classifier the batch shares
-// one pooled scratch — a single Get/Put and one encode buffer for all rows —
+// one pooled scratch — a single Get/Put and one row buffer for all vectors —
 // so a serving worker can fold many queued queries into one pass. The
 // results are bit-identical to calling TakenProbability per vector.
 func (m *Model) TakenProbabilities(vs []features.Vector, out []float64) {
@@ -350,21 +357,13 @@ func (m *Model) TakenProbabilities(vs []features.Vector, out []float64) {
 		return
 	}
 	buf := m.getBuf()
-	switch {
-	case m.quant != nil:
-		// The fused tables gate excluded features themselves, so predict
-		// straight from the caller's slice — no mask copy per vector.
+	if m.quant != nil {
 		for i := range vs {
 			out[i] = m.quantForward(&vs[i], buf)
 		}
-	case len(m.excluded) == 0:
+	} else {
 		for i := range vs {
 			out[i] = m.forwardFloat(&vs[i], buf)
-		}
-	default:
-		for i, v := range vs {
-			v = maskVector(v, m.excluded)
-			out[i] = m.forwardFloat(&v, buf)
 		}
 	}
 	m.scratch.Put(buf)
@@ -437,7 +436,15 @@ func Load(r io.Reader) (*Model, error) {
 	if mj.Encoder == nil {
 		return nil, fmt.Errorf("core: model file has no encoder")
 	}
-	mj.Encoder.Rebuild()
+	if err := mj.Encoder.Rebuild(); err != nil {
+		return nil, fmt.Errorf("core: loading model: %w", err)
+	}
+	if mj.Net != nil && mj.Net.Inputs != mj.Encoder.Dim {
+		// The net's own shapes (bias and output-weight lengths, weight
+		// rows) are checked when it decodes.
+		return nil, fmt.Errorf("core: loading model: net has %d inputs, encoder dimension is %d",
+			mj.Net.Inputs, mj.Encoder.Dim)
+	}
 	m := &Model{
 		Cfg: Config{
 			Classifier:      mj.Classifier,
@@ -449,7 +456,7 @@ func Load(r io.Reader) (*Model, error) {
 		Tree:       mj.Tree,
 		MBR:        mj.MBR,
 		QuantCalib: mj.Quant,
-		excluded:   excludeSet(mj.Excluded),
+		gate:       gateOf(mj.Excluded),
 	}
 	if m.Net == nil && m.Tree == nil && m.MBR == nil {
 		return nil, fmt.Errorf("core: model file has no classifier")

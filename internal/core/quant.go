@@ -127,21 +127,19 @@ func CalibrateQuant(m *Model, data []*ProgramData, margins []float64) (*QuantCal
 		margins = DefaultQuantMargins
 	}
 
-	// Mask once, and compute the float64 reference probabilities once —
-	// they are margin-independent.
+	// The float64 reference probabilities are margin-independent: compute
+	// them once, through the float serving path. Both passes gate the
+	// excluded features themselves, so the vectors are used unmasked.
 	var vecs []features.Vector
 	for _, pd := range data {
-		for _, v := range pd.Vectors {
-			vecs = append(vecs, maskVector(v, m.excluded))
-		}
+		vecs = append(vecs, pd.Vectors...)
 	}
-	x := make([]float64, m.Encoder.Dim)
-	h := make([]float64, m.Net.Hidden)
 	ref := make([]float64, len(vecs))
-	for i, v := range vecs {
-		m.Encoder.Encode(v, x)
-		ref[i] = m.Net.ForwardInto(h, x)
+	buf := m.getBuf()
+	for i := range vecs {
+		ref[i] = m.forwardFloat(&vecs[i], buf)
 	}
+	m.scratch.Put(buf)
 
 	maxAbs := m.Encoder.MaxAbsActivation()
 	if maxAbs == 0 {
@@ -158,7 +156,7 @@ func CalibrateQuant(m *Model, data []*ProgramData, margins []float64) (*QuantCal
 		if err != nil {
 			return nil, err
 		}
-		fused := newQuantFused(qn, m.Encoder, m.excluded)
+		fused := newQuantFused(qn, m.Encoder, &m.gate)
 		p := QuantSweepPoint{Margin: margin, XScale: xscale, Vectors: len(vecs)}
 		var sumDelta float64
 		quant := make([]float64, len(vecs))

@@ -11,8 +11,9 @@ import (
 // pair always quantizes to the same block under the calibrated input
 // scale. So for every (feature, value) pair we quantize that block once
 // and prefold it against the int8 weight matrix, yielding an H-wide int32
-// contribution vector, and a prediction becomes 25 table lookups plus 25
-// H-wide int32 adds, finished by neural.QuantNet.ForwardAcc.
+// contribution vector, and a prediction becomes one pass of value lookups
+// (features.Encoder.Positions, shared with the float path) plus 25 H-wide
+// int32 adds, finished by neural.QuantNet.ForwardAcc.
 //
 // The accumulators are exactly the full-row int8 dot products
 // Σ_j WQ[i·d+j]·qx[j]: integer addition is exact and associative, and
@@ -21,62 +22,32 @@ import (
 // (TestQuantFusedMatchesKernelPath).
 type quantFused struct {
 	net   *neural.QuantNet
+	enc   *features.Encoder
+	gate  featureGate
 	feats [features.NumFeatures]fusedFeature
 }
 
-// fusedFeature maps one feature's values to prefolded contribution vectors.
-// Lookups take the packed-key open-addressing table when every vocabulary
-// value packs into a uint64 (they essentially always do — values are short
-// mnemonics); otherwise the whole feature falls back to a Go map.
+// fusedFeature holds one feature's prefolded H-wide contribution vectors
+// back to back, the value at vocabulary position p (features.Encoder.
+// Positions) at vals[p·H:], followed by the contribution of an
+// out-of-vocabulary value.
 type fusedFeature struct {
-	// gated marks a feature the model excludes (Config.ExcludeFeatures):
-	// masking it to "?" would zero its block, so the fused path just skips
-	// it — which is why serving never needs the per-vector mask copy.
-	gated bool
-	// keys/vals form an open-addressed hash table (power-of-two size,
-	// linear probing). keys[h]==0 marks an empty slot — safe because
-	// packKey never returns 0 for a non-empty string and empty strings
-	// never reach lookup (gated features are skipped).
-	keys  []uint64
-	vals  [][]int32
-	mask  uint64
-	shift uint
-	// unseen is the contribution of an out-of-vocabulary value.
-	unseen []int32
-	// slow replaces keys/vals when some vocabulary value is unpackable.
-	slow map[string][]int32
+	vals []int32
 }
-
-// packKey packs a short string into a uint64: little-endian bytes with the
-// length in the top byte. Injective over strings of length 1..7, and never
-// zero for them (the length byte is non-zero), so 0 can mark empty slots.
-func packKey(s string) (uint64, bool) {
-	if len(s) == 0 || len(s) > 7 {
-		return 0, false
-	}
-	var k uint64
-	for i := 0; i < len(s); i++ {
-		k |= uint64(s[i]) << (8 * uint(i))
-	}
-	return k | uint64(len(s))<<56, true
-}
-
-// fusedHashMul is the Fibonacci-hashing multiplier (2^64/φ, odd).
-const fusedHashMul = 0x9E3779B97F4A7C15
 
 // newQuantFused quantizes every (feature, value) block of the float
 // encoder on qn's input grid and folds it against the quantized weight
-// matrix. Features in excluded are gated: forward treats them exactly as if
-// the vector had been masked to "?".
-func newQuantFused(qn *neural.QuantNet, enc *features.Encoder, excluded map[int]bool) *quantFused {
-	f := &quantFused{net: qn}
+// matrix. Features marked in gate are gated: forward treats them exactly as
+// if the vector had been masked to "?" — which is why serving never needs
+// the per-vector mask copy.
+func newQuantFused(qn *neural.QuantNet, enc *features.Encoder, gate *featureGate) *quantFused {
+	f := &quantFused{net: qn, enc: enc, gate: *gate}
 	d, step := qn.Inputs, 1/qn.XScale
 	// fold returns the contribution of feature block [off, off+width) with
 	// column off+hot set (hot < 0: an unseen value, no column set). Each
 	// column is normalized exactly as Encoder.Encode does and quantized
 	// with QuantizeSym; constant columns encode as zero.
-	fold := func(off, width, hot int) []int32 {
-		contrib := make([]int32, qn.Hidden)
+	fold := func(contrib []int32, off, width, hot int) {
 		for j := 0; j < width; j++ {
 			c := off + j
 			if enc.Std[c] == 0 {
@@ -91,108 +62,58 @@ func newQuantFused(qn *neural.QuantNet, enc *features.Encoder, excluded map[int]
 				contrib[i] += int32(qn.WQ[i*d+c]) * qx
 			}
 		}
-		return contrib
 	}
-	for ft := 0; ft < features.NumFeatures; ft++ {
-		ff := &f.feats[ft]
-		if excluded[ft] {
-			ff.gated = true
+	for ft := range f.feats {
+		if gate[ft] {
 			continue
 		}
-		off, vocab := enc.Offsets[ft], enc.Vocab[ft]
-		ff.unseen = fold(off, len(vocab), -1)
-		packable := true
-		for _, val := range vocab {
-			if _, ok := packKey(val); !ok {
-				packable = false
-				break
-			}
+		off, width, h := enc.Offsets[ft], len(enc.Vocab[ft]), qn.Hidden
+		vals := make([]int32, (width+1)*h)
+		for vi := 0; vi < width; vi++ {
+			fold(vals[vi*h:(vi+1)*h], off, width, vi)
 		}
-		if !packable {
-			ff.slow = make(map[string][]int32, len(vocab))
-			for vi, val := range vocab {
-				ff.slow[val] = fold(off, len(vocab), vi)
-			}
-			continue
-		}
-		size := 1
-		for size < 2*(len(vocab)+1) {
-			size <<= 1
-		}
-		ff.keys = make([]uint64, size)
-		ff.vals = make([][]int32, size)
-		ff.mask = uint64(size - 1)
-		ff.shift = 64 - uint(log2(size))
-		for vi, val := range vocab {
-			k, _ := packKey(val)
-			h := (k * fusedHashMul) >> ff.shift
-			for ff.keys[h] != 0 {
-				h = (h + 1) & ff.mask
-			}
-			ff.keys[h] = k
-			ff.vals[h] = fold(off, len(vocab), vi)
-		}
+		fold(vals[width*h:], off, width, -1)
+		f.feats[ft].vals = vals
 	}
 	return f
 }
 
-func log2(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
 // forward runs one vector through the fused path. v may be unmasked: the
-// model's excluded features are gated in the tables themselves. acc is the
-// caller's H-wide scratch. Allocates nothing.
+// model's excluded features are gated in the lookup. acc is the caller's
+// H-wide scratch. Allocates nothing.
 func (f *quantFused) forward(v *features.Vector, acc []int32) float64 {
 	for i := range acc {
 		acc[i] = 0
 	}
-	for ft := range v.Values {
-		ff := &f.feats[ft]
-		val := v.Values[ft]
-		if ff.gated || val == features.Unknown || val == "" {
-			// Masked or gated feature: the encoded block is all-zero,
-			// contribution 0.
+	var pos [features.NumFeatures]int32
+	f.enc.Positions(v, &f.gate, &pos)
+	h := len(acc)
+	for ft, p := range pos {
+		if p == features.Gated {
+			// The encoded block is all-zero: contribution 0.
 			continue
 		}
-		var contrib []int32
-		switch {
-		case ff.slow != nil:
-			c, ok := ff.slow[val]
-			if !ok {
-				c = ff.unseen
-			}
-			contrib = c
-		default:
-			k, ok := packKey(val)
-			if !ok {
-				// Unpackable query against an all-packable vocabulary:
-				// necessarily out of vocabulary.
-				contrib = ff.unseen
-				break
-			}
-			h := (k * fusedHashMul) >> ff.shift
-			for {
-				kk := ff.keys[h]
-				if kk == k {
-					contrib = ff.vals[h]
-					break
-				}
-				if kk == 0 {
-					contrib = ff.unseen
-					break
-				}
-				h = (h + 1) & ff.mask
-			}
+		if p == features.Unseen {
+			p = int32(len(f.enc.Vocab[ft])) // the trailing unseen entry
 		}
-		for i, c := range contrib {
-			acc[i] += c
-		}
+		addInt32(acc, f.feats[ft].vals[int(p)*h:int(p)*h+h])
 	}
 	return f.net.ForwardAcc(acc)
+}
+
+// addInt32 adds c into acc lane by lane (len(c) ≤ len(acc)), unrolled by
+// four: the adds are most of the fused pass, and the unrolled loop runs
+// them about twice as fast as the plain one.
+func addInt32(acc, c []int32) {
+	acc = acc[:len(c)]
+	i := 0
+	for ; i+4 <= len(c); i += 4 {
+		acc[i] += c[i]
+		acc[i+1] += c[i+1]
+		acc[i+2] += c[i+2]
+		acc[i+3] += c[i+3]
+	}
+	for ; i < len(c); i++ {
+		acc[i] += c[i]
+	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/features"
@@ -45,10 +44,10 @@ func TestQuantFusedMatchesKernelPath(t *testing.T) {
 		}
 		return v
 	}
-	// Feature 1 gets a >7-byte vocabulary value, forcing its fused table
-	// onto the slow-map fallback; the others stay on packed keys. "RARE"
-	// occurs once in 18 rows, so it normalizes to √17 ≈ 4.1 and saturates
-	// the ±4 input range.
+	// Feature 1 gets a >7-byte vocabulary value, forcing its value lookup
+	// onto the encoder's slow-map fallback; the others stay on packed
+	// keys. "RARE" occurs once in 18 rows, so it normalizes to √17 ≈ 4.1
+	// and saturates the ±4 input range.
 	train := []features.Vector{
 		mk("BEQ", "LONG-VOCAB-VALUE", "SLT"),
 		mk("BNE", "F", "SLT"),
@@ -83,19 +82,14 @@ func TestQuantFusedMatchesKernelPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused := newQuantFused(qn, m.Encoder, nil)
-		if fused.feats[1].slow == nil {
-			t.Fatal("feature 1 has an unpackable vocabulary value but no slow map")
-		}
-		if fused.feats[0].keys == nil {
-			t.Fatal("feature 0 has a short-string vocabulary but no packed table")
-		}
+		none := &featureGate{}
+		fused := newQuantFused(qn, m.Encoder, none)
 		// A gated table must equal the oracle on the masked vector.
-		excluded := map[int]bool{0: true}
+		excluded := &featureGate{0: true}
 		gated := newQuantFused(qn, m.Encoder, excluded)
 
 		acc := make([]int32, qn.Hidden)
-		check := func(kind string, pi int, f *quantFused, excl map[int]bool, v features.Vector) {
+		check := func(kind string, pi int, f *quantFused, excl *featureGate, v features.Vector) {
 			t.Helper()
 			want, wantAcc := kernelForward(qn, m.Encoder, maskVector(v, excl))
 			got := f.forward(&v, acc)
@@ -111,40 +105,8 @@ func TestQuantFusedMatchesKernelPath(t *testing.T) {
 			}
 		}
 		for pi := range probes {
-			check("fused", pi, fused, nil, probes[pi])
+			check("fused", pi, fused, none, probes[pi])
 			check("gated fused", pi, gated, excluded, probes[pi])
 		}
-	}
-}
-
-// TestPackKey pins the packed-key invariants the hash table's empty-slot
-// sentinel depends on: injectivity over packable strings and never-zero.
-func TestPackKey(t *testing.T) {
-	if _, ok := packKey(""); ok {
-		t.Error("empty string must be unpackable (0 marks empty slots)")
-	}
-	if _, ok := packKey("12345678"); ok {
-		t.Error("8-byte string must be unpackable")
-	}
-	seen := make(map[uint64]string)
-	var vals []string
-	for _, s := range []string{"a", "b", "ab", "ba", "aa", "A", "\x00", "\x00\x00", "BEQ", "BEQZ", "1234567"} {
-		vals = append(vals, s)
-	}
-	for i := 0; i < 200; i++ {
-		vals = append(vals, fmt.Sprintf("v%d", i))
-	}
-	for _, s := range vals {
-		k, ok := packKey(s)
-		if !ok {
-			t.Fatalf("packKey(%q) not packable", s)
-		}
-		if k == 0 {
-			t.Fatalf("packKey(%q) = 0, collides with the empty-slot sentinel", s)
-		}
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("packKey collision: %q and %q -> %#x", prev, s, k)
-		}
-		seen[k] = s
 	}
 }

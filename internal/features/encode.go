@@ -25,21 +25,106 @@ type Encoder struct {
 	Mean []float64
 	Std  []float64
 
-	index [NumFeatures]map[string]int
+	// index and rows are derived state (built by NewEncoder and Rebuild,
+	// never serialized): the value lookup and precomputed row tables per
+	// feature.
+	index [NumFeatures]valueIndex
+	rows  [NumFeatures]featureRows
+}
+
+// featureRows is one feature block's precomputed sparse encoding. A live
+// value encodes as every non-constant column of its block at its "cold" (0)
+// activity, except its own column, which is "hot" (1); constant columns
+// always encode as zero and carry no entry.
+type featureRows struct {
+	// cols lists the block's non-constant columns, ascending.
+	cols []int32
+	// cold and hot hold (0−Mean)/Std and (1−Mean)/Std per cols entry: the
+	// same float operations Encode performs, so the values are identical.
+	cold []float64
+	hot  []float64
+	// slot maps a vocabulary position to its index in cols (−1 for a
+	// constant column).
+	slot []int32
+}
+
+// valueIndex maps one feature's vocabulary values to their positions. When
+// every value packs into a uint64 (packKey) — values are short mnemonics, so
+// they essentially always do — lookups take an open-addressed table
+// (power-of-two size, linear probing, Fibonacci hashing); otherwise the
+// feature falls back to a Go map.
+type valueIndex struct {
+	// keys[h]==0 marks an empty slot: packKey never returns 0 for a
+	// non-empty string, and empty strings never reach lookup.
+	keys  []uint64
+	pos   []int32
+	mask  uint64
+	shift uint
+	// slow replaces keys/pos when some vocabulary value is unpackable.
+	slow map[string]int32
+}
+
+// packKey packs a short string into a uint64: little-endian bytes with the
+// length in the top byte. Injective over strings of length 1..7, and never
+// zero for them (the length byte is non-zero), so 0 can mark empty slots.
+func packKey(s string) (uint64, bool) {
+	if len(s) == 0 || len(s) > 7 {
+		return 0, false
+	}
+	var k uint64
+	for i := 0; i < len(s); i++ {
+		k |= uint64(s[i]) << (8 * uint(i))
+	}
+	return k | uint64(len(s))<<56, true
+}
+
+// hashMul is the Fibonacci-hashing multiplier (2^64/φ, odd).
+const hashMul = 0x9E3779B97F4A7C15
+
+func newValueIndex(vocab []string) valueIndex {
+	var x valueIndex
+	for _, val := range vocab {
+		if _, ok := packKey(val); !ok {
+			x.slow = make(map[string]int32, len(vocab))
+			for i, val := range vocab {
+				x.slow[val] = int32(i)
+			}
+			return x
+		}
+	}
+	size, bits := 2, uint(1)
+	for size < 2*(len(vocab)+1) {
+		size <<= 1
+		bits++
+	}
+	x.keys = make([]uint64, size)
+	x.pos = make([]int32, size)
+	x.mask = uint64(size - 1)
+	x.shift = 64 - bits
+	for i, val := range vocab {
+		k, _ := packKey(val)
+		h := (k * hashMul) >> x.shift
+		for x.keys[h] != 0 {
+			h = (h + 1) & x.mask
+		}
+		x.keys[h] = k
+		x.pos[h] = int32(i)
+	}
+	return x
 }
 
 // NewEncoder builds the vocabulary and normalization statistics from a
 // training set of feature vectors.
 func NewEncoder(train []Vector) *Encoder {
 	e := &Encoder{}
-	var seen [NumFeatures]map[string]bool
+	var seen [NumFeatures]map[string]int
 	for f := 0; f < NumFeatures; f++ {
-		seen[f] = make(map[string]bool)
+		seen[f] = make(map[string]int)
 	}
 	for _, v := range train {
 		for f, val := range v.Values {
 			if val != Unknown && val != "" {
-				seen[f][val] = true
+				seen[f][val]++
 			}
 		}
 	}
@@ -52,73 +137,120 @@ func NewEncoder(train []Vector) *Encoder {
 		sort.Strings(vals)
 		e.Vocab[f] = vals
 		e.Offsets[f] = dim
-		e.index[f] = make(map[string]int, len(vals))
-		for i, val := range vals {
-			e.index[f][val] = dim + i
-		}
 		dim += len(vals)
 	}
 	e.Dim = dim
 	e.Mean = make([]float64, dim)
 	e.Std = make([]float64, dim)
-	if len(train) == 0 {
-		for i := range e.Std {
-			e.Std[i] = 1
-		}
-		return e
-	}
-	raw := make([]float64, dim)
-	counts := make([]float64, dim)
-	for _, v := range train {
-		e.rawOneHot(v, raw)
-		for i, x := range raw {
-			counts[i] += x
-		}
-	}
 	n := float64(len(train))
-	for i := range e.Mean {
-		p := counts[i] / n
-		e.Mean[i] = p
-		// One-hot columns are Bernoulli(p): std = sqrt(p(1-p)).
-		s := math.Sqrt(p * (1 - p))
-		if s < 1e-9 {
-			s = 0 // constant column: encode as zero activity always
+	for f := 0; f < NumFeatures; f++ {
+		for i, val := range e.Vocab[f] {
+			c := e.Offsets[f] + i
+			p := float64(seen[f][val]) / n
+			e.Mean[c] = p
+			// One-hot columns are Bernoulli(p): std = sqrt(p(1-p)).
+			s := math.Sqrt(p * (1 - p))
+			if s < 1e-9 {
+				s = 0 // constant column: encode as zero activity always
+			}
+			e.Std[c] = s
 		}
-		e.Std[i] = s
 	}
+	e.derive()
 	return e
 }
 
-// Rebuild reconstructs the internal value-to-column index after the encoder
-// has been deserialized (the index is derived state and is not serialized).
-func (e *Encoder) Rebuild() {
-	for f := 0; f < NumFeatures; f++ {
-		e.index[f] = make(map[string]int, len(e.Vocab[f]))
-		for i, val := range e.Vocab[f] {
-			e.index[f][val] = e.Offsets[f] + i
+// Rebuild checks a deserialized encoder's shapes and reconstructs its
+// derived lookup and row tables, which are not serialized.
+func (e *Encoder) Rebuild() error {
+	if len(e.Mean) != e.Dim || len(e.Std) != e.Dim {
+		return fmt.Errorf("features: encoder has %d means and %d stds for %d columns",
+			len(e.Mean), len(e.Std), e.Dim)
+	}
+	off := 0
+	for f := range e.Vocab {
+		if e.Offsets[f] != off {
+			return fmt.Errorf("features: feature %d starts at column %d, want %d", f, e.Offsets[f], off)
 		}
+		off += len(e.Vocab[f])
+	}
+	if off != e.Dim {
+		return fmt.Errorf("features: vocabulary spans %d columns, encoder dimension is %d", off, e.Dim)
+	}
+	e.derive()
+	return nil
+}
+
+// derive builds the per-feature value lookup and row tables.
+func (e *Encoder) derive() {
+	for f := range e.rows {
+		vocab := e.Vocab[f]
+		e.index[f] = newValueIndex(vocab)
+		fr := featureRows{slot: make([]int32, len(vocab))}
+		for i := range vocab {
+			c := e.Offsets[f] + i
+			if e.Std[c] == 0 {
+				fr.slot[i] = -1
+				continue
+			}
+			fr.slot[i] = int32(len(fr.cols))
+			fr.cols = append(fr.cols, int32(c))
+			fr.cold = append(fr.cold, (0-e.Mean[c])/e.Std[c])
+			fr.hot = append(fr.hot, (1-e.Mean[c])/e.Std[c])
+		}
+		e.rows[f] = fr
 	}
 }
 
-// rawOneHot writes the unnormalized 0/1 encoding into dst (length Dim).
-func (e *Encoder) rawOneHot(v Vector, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for f, val := range v.Values {
-		if val == Unknown || val == "" {
+// The values Positions reports in place of a vocabulary position.
+const (
+	// Unseen marks a value outside its feature's vocabulary: the block
+	// encodes with every column cold.
+	Unseen = -1
+	// Gated marks a feature that encodes as all zeros: gated by the
+	// caller, Unknown, or empty.
+	Gated = -2
+)
+
+// Positions resolves every feature value of v in one pass: pos[f] is the
+// value's position in Vocab[f] (its column is Offsets[f]+pos[f]), Unseen,
+// or Gated when gate[f] is set or the value is Unknown or empty. Encode,
+// AppendRow and the int8 contribution tables all resolve values here.
+func (e *Encoder) Positions(v *Vector, gate *[NumFeatures]bool, pos *[NumFeatures]int32) {
+	for f := range v.Values {
+		s := v.Values[f]
+		if gate[f] || s == Unknown || s == "" {
+			pos[f] = Gated
 			continue
 		}
-		if col, ok := e.index[f][val]; ok {
-			dst[col] = 1
+		x := &e.index[f]
+		p := int32(Unseen)
+		if x.slow != nil {
+			if i, ok := x.slow[s]; ok {
+				p = i
+			}
+		} else if k, ok := packKey(s); ok {
+			// An unpackable value against an all-packable vocabulary is
+			// necessarily unseen.
+			for h := (k * hashMul) >> x.shift; ; h = (h + 1) & x.mask {
+				kk := x.keys[h]
+				if kk == k {
+					p = x.pos[h]
+				}
+				if kk == k || kk == 0 {
+					break
+				}
+			}
 		}
+		pos[f] = p
 	}
 }
 
 // Encode writes the normalized input vector for v into dst, which must have
 // length Dim. Unknown dependent features yield zero activity across their
 // columns; unseen values (possible for programs outside the training corpus)
-// likewise contribute nothing.
+// likewise contribute nothing. It is the dense reference form of AppendRow,
+// kept as the test oracle for the sparse prediction and training paths.
 func (e *Encoder) Encode(v Vector, dst []float64) {
 	if len(dst) != e.Dim {
 		panic(fmt.Sprintf("features: Encode dst length %d, want %d", len(dst), e.Dim))
@@ -126,21 +258,22 @@ func (e *Encoder) Encode(v Vector, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for f, val := range v.Values {
-		lo := e.Offsets[f]
-		hi := lo + len(e.Vocab[f])
-		if val == Unknown || val == "" {
-			// Gated: zero activity for the whole feature block.
+	var pos [NumFeatures]int32
+	e.Positions(&v, &[NumFeatures]bool{}, &pos)
+	for f, p := range pos {
+		if p == Gated {
+			// Zero activity for the whole feature block.
 			continue
 		}
-		col, known := e.index[f][val]
+		lo := e.Offsets[f]
+		hi := lo + len(e.Vocab[f])
 		for i := lo; i < hi; i++ {
 			if e.Std[i] == 0 {
 				dst[i] = 0
 				continue
 			}
 			x := 0.0
-			if known && i == col {
+			if i == lo+int(p) {
 				x = 1
 			}
 			dst[i] = (x - e.Mean[i]) / e.Std[i]
@@ -148,38 +281,42 @@ func (e *Encoder) Encode(v Vector, dst []float64) {
 	}
 }
 
-// EncodeAll encodes a batch into a freshly allocated matrix.
-func (e *Encoder) EncodeAll(vs []Vector) [][]float64 {
-	out := make([][]float64, len(vs))
-	backing := make([]float64, len(vs)*e.Dim)
-	for i, v := range vs {
-		out[i] = backing[i*e.Dim : (i+1)*e.Dim]
-		e.Encode(v, out[i])
-	}
-	return out
-}
-
-// EncodeAllSparse encodes a batch in compressed-sparse-row form, emitting
-// exactly the nonzero entries Encode would write (ascending column order):
-// gated ("?") feature blocks and constant (zero-std) columns produce no
-// entries at all. The training kernels consume this directly.
-func (e *Encoder) EncodeAllSparse(vs []Vector) *neural.CSR {
-	// Count the active columns per feature block once: a block contributes
-	// its non-constant columns whenever its feature has a value.
-	var blockNNZ [NumFeatures]int
-	for f := 0; f < NumFeatures; f++ {
-		lo := e.Offsets[f]
-		for i := 0; i < len(e.Vocab[f]); i++ {
-			if e.Std[lo+i] != 0 {
-				blockNNZ[f]++
+// AppendRow appends v's encoded row in sparse form to idx and val and
+// returns the extended slices: exactly the nonzero columns Encode writes,
+// ascending, with bit-identical values, read from the precomputed row
+// tables. A feature whose gate entry is set encodes as Unknown, so a model's
+// excluded features need no masked copy of v. With enough capacity in idx
+// and val (Dim entries suffice) it allocates nothing.
+func (e *Encoder) AppendRow(idx []int32, val []float64, v *Vector, gate *[NumFeatures]bool) ([]int32, []float64) {
+	var pos [NumFeatures]int32
+	e.Positions(v, gate, &pos)
+	for f, p := range pos {
+		if p == Gated {
+			continue
+		}
+		fr := &e.rows[f]
+		n := len(val)
+		idx = append(idx, fr.cols...)
+		val = append(val, fr.cold...)
+		if p >= 0 {
+			if k := fr.slot[p]; k >= 0 {
+				val[n+int(k)] = fr.hot[k]
 			}
 		}
 	}
+	return idx, val
+}
+
+// EncodeAllSparse encodes a batch in compressed-sparse-row form, one
+// AppendRow per vector: gated ("?") feature blocks and constant (zero-std)
+// columns produce no entries at all. The training kernels consume this
+// directly.
+func (e *Encoder) EncodeAllSparse(vs []Vector) *neural.CSR {
 	total := 0
-	for _, v := range vs {
-		for f, val := range v.Values {
+	for i := range vs {
+		for f, val := range vs[i].Values {
 			if val != Unknown && val != "" {
-				total += blockNNZ[f]
+				total += len(e.rows[f].cols)
 			}
 		}
 	}
@@ -189,26 +326,9 @@ func (e *Encoder) EncodeAllSparse(vs []Vector) *neural.CSR {
 		Index: make([]int32, 0, total),
 		Value: make([]float64, 0, total),
 	}
-	for _, v := range vs {
-		for f, val := range v.Values {
-			if val == Unknown || val == "" {
-				continue
-			}
-			lo := e.Offsets[f]
-			hi := lo + len(e.Vocab[f])
-			col, known := e.index[f][val]
-			for i := lo; i < hi; i++ {
-				if e.Std[i] == 0 {
-					continue
-				}
-				x := 0.0
-				if known && i == col {
-					x = 1
-				}
-				c.Index = append(c.Index, int32(i))
-				c.Value = append(c.Value, (x-e.Mean[i])/e.Std[i])
-			}
-		}
+	var none [NumFeatures]bool
+	for i := range vs {
+		c.Index, c.Value = e.AppendRow(c.Index, c.Value, &vs[i], &none)
 		c.Start = append(c.Start, len(c.Index))
 	}
 	return c

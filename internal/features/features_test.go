@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -248,7 +249,9 @@ func TestEncoderRebuildRoundtrip(t *testing.T) {
 	// Simulate deserialization: wipe the index, Rebuild, compare encodings.
 	clone := &Encoder{Vocab: enc.Vocab, Offsets: enc.Offsets, Dim: enc.Dim,
 		Mean: enc.Mean, Std: enc.Std}
-	clone.Rebuild()
+	if err := clone.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
 	a := make([]float64, enc.Dim)
 	b := make([]float64, enc.Dim)
 	for _, v := range vecs {
@@ -347,7 +350,11 @@ func TestEncodeAllSparseMatchesDense(t *testing.T) {
 	}
 	// Train the encoder on a subset so some values are out-of-vocabulary.
 	enc := NewEncoder(vecs[:10])
-	dense := enc.EncodeAll(vecs)
+	dense := make([][]float64, len(vecs))
+	for i, v := range vecs {
+		dense[i] = make([]float64, enc.Dim)
+		enc.Encode(v, dense[i])
+	}
 	sparse := enc.EncodeAllSparse(vecs)
 	if got, want := sparse.Rows(), len(vecs); got != want {
 		t.Fatalf("sparse rows = %d, want %d", got, want)
@@ -377,6 +384,89 @@ func TestEncodeAllSparseMatchesDense(t *testing.T) {
 		for q := 1; q < len(idx); q++ {
 			if idx[q] <= idx[q-1] {
 				t.Fatalf("row %d: columns not strictly ascending", k)
+			}
+		}
+	}
+}
+
+// TestPackKey pins the packed-key invariants the hash table's empty-slot
+// sentinel depends on: injectivity over packable strings and never-zero.
+func TestPackKey(t *testing.T) {
+	if _, ok := packKey(""); ok {
+		t.Error("empty string must be unpackable (0 marks empty slots)")
+	}
+	if _, ok := packKey("12345678"); ok {
+		t.Error("8-byte string must be unpackable")
+	}
+	seen := make(map[uint64]string)
+	var vals []string
+	for _, s := range []string{"a", "b", "ab", "ba", "aa", "A", "\x00", "\x00\x00", "BEQ", "BEQZ", "1234567"} {
+		vals = append(vals, s)
+	}
+	for i := 0; i < 200; i++ {
+		vals = append(vals, fmt.Sprintf("v%d", i))
+	}
+	for _, s := range vals {
+		k, ok := packKey(s)
+		if !ok {
+			t.Fatalf("packKey(%q) not packable", s)
+		}
+		if k == 0 {
+			t.Fatalf("packKey(%q) = 0, collides with the empty-slot sentinel", s)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("packKey collision: %q and %q -> %#x", prev, s, k)
+		}
+		seen[k] = s
+	}
+}
+
+// TestEncoderPositions checks the value lookup behind Encode, AppendRow and
+// the int8 tables on both of its forms — the packed-key table and, for a
+// feature with a >7-byte value, the map fallback: every vocabulary value
+// finds its own position, unseen and unpackable unseen values are Unseen,
+// and gated, Unknown and empty values are Gated.
+func TestEncoderPositions(t *testing.T) {
+	var vecs []Vector
+	for i := 0; i < 300; i++ {
+		var v Vector
+		v.Values[FBrOpcode] = fmt.Sprintf("op%d", i%97)
+		v.Values[FBrDirection] = []string{"F", "B", "LONG-VOCAB-VALUE"}[i%3]
+		vecs = append(vecs, v)
+	}
+	enc := NewEncoder(vecs)
+	if enc.index[FBrOpcode].keys == nil || enc.index[FBrOpcode].slow != nil {
+		t.Fatal("short-string vocabulary not on the packed table")
+	}
+	if enc.index[FBrDirection].slow == nil {
+		t.Fatal("vocabulary with an unpackable value not on the map fallback")
+	}
+	resolve := func(f int, val string, gated bool) int32 {
+		var v Vector
+		var gate [NumFeatures]bool
+		var pos [NumFeatures]int32
+		v.Values[f] = val
+		gate[f] = gated
+		enc.Positions(&v, &gate, &pos)
+		return pos[f]
+	}
+	for _, f := range []int{FBrOpcode, FBrDirection} {
+		for want, val := range enc.Vocab[f] {
+			if got := resolve(f, val, false); got != int32(want) {
+				t.Errorf("feature %d: %q at position %d, want %d", f, val, got, want)
+			}
+			if got := resolve(f, val, true); got != Gated {
+				t.Errorf("feature %d: gated %q resolved to %d", f, val, got)
+			}
+		}
+		for _, val := range []string{"op97", "NEVER-SEEN-AND-LONG", "X"} {
+			if got := resolve(f, val, false); got != Unseen {
+				t.Errorf("feature %d: unseen %q resolved to %d", f, val, got)
+			}
+		}
+		for _, val := range []string{Unknown, ""} {
+			if got := resolve(f, val, false); got != Gated {
+				t.Errorf("feature %d: %q resolved to %d, want Gated", f, val, got)
 			}
 		}
 	}

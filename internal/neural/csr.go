@@ -52,9 +52,14 @@ func NewCSRFromDense(xs [][]float64, cols int) *CSR {
 	return c
 }
 
-// forwardRow computes the hidden activations for one sparse row into h and
-// returns the network output.
-func (n *Net) forwardRow(h []float64, idx []int32, val []float64) float64 {
+// ForwardSparse computes the hidden activations for one sparse row (column
+// indices idx, ascending, and their values val) into h (length Hidden) and
+// returns the network output. It is the one float forward pass: training
+// runs it on every row, and serving on every encoded feature vector
+// (features.Encoder.AppendRow). Bit-identical to ForwardInto on the
+// equivalent dense row, which survives as its test oracle. Allocates
+// nothing.
+func (n *Net) ForwardSparse(h []float64, idx []int32, val []float64) float64 {
 	copy(h, n.B)
 	h = h[:n.Hidden]
 	csrGather(h, n.W, idx, val)
@@ -134,7 +139,7 @@ func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 		}
 		for k := 0; k < rows; k++ {
 			idx, val := data.Row(k)
-			y := n.forwardRow(h, idx, val)
+			y := n.ForwardSparse(h, idx, val)
 			loss += w[k] * (y*(1-t[k]) + t[k]*(1-y))
 			if y > 0.5 {
 				thr += w[k] * (1 - t[k])
@@ -190,7 +195,7 @@ func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 		var thr float64
 		for k := 0; k < rows; k++ {
 			idx, val := data.Row(k)
-			if n.forwardRow(h, idx, val) > 0.5 {
+			if n.ForwardSparse(h, idx, val) > 0.5 {
 				thr += w[k] * (1 - t[k])
 			} else {
 				thr += w[k] * t[k]

@@ -177,8 +177,8 @@ func TestForwardRowMatchesDense(t *testing.T) {
 	h := make([]float64, n.Hidden)
 	for k, x := range xs {
 		idx, val := data.Row(k)
-		if got, want := n.forwardRow(h, idx, val), n.Forward(x); got != want {
-			t.Fatalf("row %d: forwardRow = %g, Forward = %g", k, got, want)
+		if got, want := n.ForwardSparse(h, idx, val), n.Forward(x); got != want {
+			t.Fatalf("row %d: ForwardSparse = %g, Forward = %g", k, got, want)
 		}
 	}
 }
@@ -203,13 +203,20 @@ func TestHistoryGatedByConfig(t *testing.T) {
 }
 
 // TestKernelsMatchGeneric exercises the dispatching gather/scatter kernels
-// against the portable loops across awkward shapes: vector-width remainders
-// and single lanes.
+// against the portable loops across awkward shapes: every hidden width
+// around the gather's 16- and 4-lane register blocks (single lanes, exact
+// blocks, one past a block, and mixes of all three), empty rows, and rows
+// that repeat a column.
 func TestKernelsMatchGeneric(t *testing.T) {
 	r := newRNG(321)
-	for _, shape := range []struct{ n, cols, nnz int }{
-		{1, 3, 5}, {3, 4, 9}, {4, 6, 11}, {7, 10, 25}, {20, 80, 60}, {6, 9, 17},
-	} {
+	type shapeT struct{ n, cols, nnz int }
+	var shapes []shapeT
+	for _, n := range []int{1, 3, 4, 5, 6, 7, 15, 16, 17, 20, 33} {
+		for _, nnz := range []int{0, 1, 5, 25, 60} {
+			shapes = append(shapes, shapeT{n, 3 + n%11, nnz})
+		}
+	}
+	for _, shape := range shapes {
 		w := make([]float64, shape.cols*shape.n)
 		for i := range w {
 			w[i] = 2*r.uniform() - 1

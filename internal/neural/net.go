@@ -136,13 +136,14 @@ func (n *Net) HiddenActivations(x []float64, h []float64) {
 
 // Forward returns the network output for one input: the estimated
 // probability (in [0,1]) that the branch is taken. It allocates a hidden
-// scratch buffer per call; hot paths should use ForwardInto.
+// scratch buffer per call.
 func (n *Net) Forward(x []float64) float64 {
 	return n.ForwardInto(make([]float64, n.Hidden), x)
 }
 
 // ForwardInto is Forward with a caller-provided hidden scratch buffer
-// (length Hidden), avoiding the per-call allocation.
+// (length Hidden), avoiding the per-call allocation. It is the dense
+// reference of ForwardSparse, which production prediction runs.
 func (n *Net) ForwardInto(h []float64, x []float64) float64 {
 	n.HiddenActivations(x, h)
 	return n.output(h)
@@ -384,6 +385,13 @@ func (n *Net) UnmarshalJSON(data []byte) error {
 	}
 	if len(nj.W) != nj.Hidden {
 		return fmt.Errorf("neural: weight matrix has %d rows, want %d", len(nj.W), nj.Hidden)
+	}
+	if nj.Inputs < 0 {
+		return fmt.Errorf("neural: negative input count %d", nj.Inputs)
+	}
+	if len(nj.B) != nj.Hidden || len(nj.V) != nj.Hidden {
+		return fmt.Errorf("neural: %d hidden biases and %d output weights, want %d each",
+			len(nj.B), len(nj.V), nj.Hidden)
 	}
 	n.Inputs = nj.Inputs
 	n.Hidden = nj.Hidden

@@ -1,9 +1,6 @@
 package neural
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // tanhApprox is the quantized path's tanh: a 2048-bucket linear
 // interpolation over [0, 8), clamped to ±1 outside. Max error ≈ 1.5e-6 —
@@ -22,17 +19,17 @@ const (
 	tanhScale   = tanhBuckets / tanhMax
 )
 
-var (
-	tanhOnce  sync.Once
-	tanhTable [tanhBuckets + 1]float64
-)
+// tanhTable holds tanh at the bucket edges. It is built at package
+// initialization (2049 math.Tanh calls) so tanhApprox carries no
+// once-check and stays small enough to inline into ForwardAcc.
+var tanhTable = func() (t [tanhBuckets + 1]float64) {
+	for i := range t {
+		t[i] = math.Tanh(float64(i) / tanhScale)
+	}
+	return t
+}()
 
 func tanhApprox(x float64) float64 {
-	tanhOnce.Do(func() {
-		for i := range tanhTable {
-			tanhTable[i] = math.Tanh(float64(i) / tanhScale)
-		}
-	})
 	neg := false
 	if x < 0 {
 		neg = true

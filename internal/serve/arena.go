@@ -151,24 +151,37 @@ func (p *arenaParser) str() (string, bool) {
 	if !p.eat('"') {
 		return "", false
 	}
-	start := p.pos
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		switch {
-		case c == '"':
-			s := view(p.data[start:p.pos])
-			p.pos++
-			return s, true
-		case c == '\\':
-			return p.strSlow(start)
-		case c < 0x20:
-			return "", false
-		default:
-			p.pos++
-		}
+	// Scan with locals: p's fields would be reloaded and stored every byte.
+	data, start := p.data, p.pos
+	i := start
+	for i < len(data) && !strStop[data[i]] {
+		i++
 	}
-	return "", false
+	p.pos = i
+	if i == len(data) {
+		return "", false
+	}
+	switch data[i] {
+	case '"':
+		p.pos++
+		return view(data[start:i]), true
+	case '\\':
+		return p.strSlow(start)
+	default: // control character
+		return "", false
+	}
 }
+
+// strStop marks the bytes that end str's fast scan: the closing quote, a
+// backslash, and the control characters JSON forbids inside strings. One
+// table load per byte replaces three comparisons.
+var strStop = func() (t [256]bool) {
+	for c := 0; c < 0x20; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'] = true, true
+	return t
+}()
 
 func (p *arenaParser) strSlow(start int) (string, bool) {
 	sc := p.ar.scratch
@@ -390,18 +403,21 @@ func (ar *requestArena) encodeResponse(probs []float64) []byte {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		conf := p
-		if conf < 0.5 {
-			conf = 1 - conf
-		}
 		out = append(out, `{"branch":"#`...)
 		out = strconv.AppendInt(out, int64(i), 10)
 		out = append(out, `","taken":`...)
 		out = strconv.AppendBool(out, p > 0.5)
 		out = append(out, `,"probability":`...)
+		start := len(out)
 		out = strconv.AppendFloat(out, p, 'g', -1, 64)
+		end := len(out)
 		out = append(out, `,"confidence":`...)
-		out = strconv.AppendFloat(out, conf, 'g', -1, 64)
+		if p < 0.5 {
+			out = strconv.AppendFloat(out, 1-p, 'g', -1, 64)
+		} else {
+			// The confidence is p itself: reuse its digits.
+			out = append(out, out[start:end]...)
+		}
 		out = append(out, '}')
 	}
 	out = append(out, ']', '}', '\n')
