@@ -19,10 +19,11 @@ fmt-check:
 
 # race runs the data-race detector over the concurrent packages (parallel
 # cross-validation folds, the prediction scratch pool, the espserve batching
-# worker pool, and concurrent artifact-cache readers/writers). This target
-# is the one definition of the race gate: CI and scripts/check.sh call it.
+# worker pool, concurrent artifact-cache readers/writers, and concurrent
+# links against the shared runtime-library image). This target is the one
+# definition of the race gate: CI and scripts/check.sh call it.
 race:
-	$(GO) test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve ./internal/faultinject ./internal/artifact ./internal/experiments ./internal/obs ./internal/gencorpus ./internal/cluster ./internal/pgo ./internal/hwsim
+	$(GO) test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve ./internal/faultinject ./internal/artifact ./internal/experiments ./internal/obs ./internal/gencorpus ./internal/cluster ./internal/pgo ./internal/hwsim ./internal/corpus
 
 # gencorpus-check is the short generative soak CI runs on every push: the
 # generator property suite (~200 programs across the five mixes, each
@@ -53,6 +54,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEncode -fuzztime=20s ./internal/features
 	$(GO) test -run=NONE -fuzz=FuzzPredict -fuzztime=20s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzGenCorpus -fuzztime=20s ./internal/gencorpus
+	$(GO) test -run=NONE -fuzz=FuzzLink -fuzztime=20s ./internal/corpus
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=20s ./internal/artifact
 
 check: build vet fmt-check test race chaos cluster-chaos
 

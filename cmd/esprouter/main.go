@@ -10,15 +10,24 @@
 // error (5xx), or unreachable replica fails the request over to the next
 // distinct live replica on the ring, up to -failover attempts; responses
 // relay verbatim, so clients speak exactly the single-server protocol.
+//
+// SIGINT or SIGTERM drains the router like espserve: it stops accepting
+// connections and waits for in-flight requests to finish relaying, for at
+// most as long as one request may take (-failover attempts of -timeout
+// each), then exits.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -68,6 +77,37 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	httpSrv := &http.Server{Handler: router}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	// The resolved address goes to stdout so scripts (and tests) binding
+	// ":0" can find the port.
 	fmt.Printf("esprouter: routing %d replicas on %s\n", len(reps), ln.Addr())
-	return http.Serve(ln, router)
+
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+
+	fmt.Println("esprouter: draining")
+	attempts, perAttempt := *failover, *timeout
+	if attempts <= 0 {
+		attempts = 3
+	}
+	if perAttempt <= 0 {
+		perAttempt = 30 * time.Second
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), time.Duration(attempts)*perAttempt)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	fmt.Println("esprouter: drained, exiting")
+	return nil
 }

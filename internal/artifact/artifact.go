@@ -11,21 +11,22 @@
 //	format-version string   (length-prefixed; must equal FormatVersion)
 //	key hex string          (length-prefixed; must equal the file's name key)
 //	payload sha256          (32 bytes)
-//	payload                 (gob-encoded Record)
+//	payload                 (the Record; see record.go for its layout)
 //
 // Every field is verified on load and any mismatch — truncation, corruption,
 // a stale format version, a file renamed to the wrong key — is treated as a
 // cache miss, never an error: the caller recomputes and overwrites. Writes
-// go to a temp file in the cache directory which is synced and renamed into
-// place, so concurrent readers and a crash mid-write can observe only the
-// old entry, the new entry, or a miss — never a torn file.
+// go to a temp file in the cache directory which is renamed into place, so
+// concurrent readers observe only the old entry, the new entry, or a miss.
+// Entries are not fsynced: a crash may leave an empty, truncated or garbage
+// file under an entry's name, but the framing's checksum turns any such
+// file into a miss, so a torn entry is never accepted.
 package artifact
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -48,7 +49,7 @@ import (
 // interpreter or feature extractor, or the Record/Profile/Vector types
 // themselves. A bump invalidates every existing entry (old files fail the
 // version check and recompute); forgetting one serves stale results.
-const FormatVersion = "espa-3" // espa-3: feature vectors grew to 27 values (inter-branch correlation features)
+const FormatVersion = "espa-4" // espa-4: the payload is the record codec in record.go, not gob
 
 var magic = [4]byte{'E', 'S', 'P', 'A'}
 
@@ -159,14 +160,7 @@ func DecodeRecord(data []byte, key string) (*Record, bool) {
 	if !ok {
 		return nil, false
 	}
-	var rec Record
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return nil, false
-	}
-	if rec.Profile == nil {
-		return nil, false
-	}
-	return &rec, true
+	return decodeRecord(payload)
 }
 
 // LoadRaw returns the verified framed bytes of the entry under key — the
@@ -221,17 +215,20 @@ func (c *Cache) Store(key string, rec *Record) error {
 	if err := faultinject.Fire(siteStore); err != nil {
 		return err
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-		return fmt.Errorf("artifact: encode: %w", err)
+	payload, err := encodeRecord(rec)
+	if err != nil {
+		return err
 	}
-	if err := c.writeAtomic(key, encodeFile(key, payload.Bytes())); err != nil {
+	if err := c.writeAtomic(key, encodeFile(key, payload)); err != nil {
 		return err
 	}
 	c.gc()
 	return nil
 }
 
+// writeAtomic installs data under key by renaming a fully written temp file
+// into place. It does not fsync: the checksum, not durability, is what keeps
+// a crash-damaged file from being accepted (see the package doc).
 func (c *Cache) writeAtomic(key string, data []byte) error {
 	tmp, err := os.CreateTemp(c.dir, ".espa-*.tmp")
 	if err != nil {
@@ -239,10 +236,6 @@ func (c *Cache) writeAtomic(key string, data []byte) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}

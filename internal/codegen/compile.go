@@ -32,18 +32,34 @@ func CompileBounded(src *minic.Program, lang ir.Language, tgt Target, lim guard.
 // non-nil, receives the branch-origin side table.
 func compile(src *minic.Program, lang ir.Language, tgt Target, lim guard.Limits, plan *Plan, meta *Meta) (*ir.Program, error) {
 	prog := minic.CloneProgram(src)
-	if tgt.UnrollLoops > 1 {
-		allow := plan.unrollFilter()
-		for _, fn := range prog.Funcs {
-			fn.Body = unrollBlock(fn.Body, tgt.UnrollLoops, allow).(*minic.BlockStmt)
-		}
-	}
+	unrollProgram(prog, tgt, plan.unrollFilter())
 	if err := minic.Check(prog); err != nil {
 		return nil, fmt.Errorf("codegen: %s: %w", prog.Name, err)
 	}
+	return lower(prog, nil, lang, tgt, lim, plan, meta)
+}
+
+// unrollProgram applies the target's loop unrolling to every function body.
+func unrollProgram(prog *minic.Program, tgt Target, allow func(minic.Pos) bool) {
+	if tgt.UnrollLoops <= 1 {
+		return
+	}
+	for _, fn := range prog.Funcs {
+		fn.Body = unrollBlock(fn.Body, tgt.UnrollLoops, allow).(*minic.BlockStmt)
+	}
+}
+
+// lower emits IR for a checked program. A non-nil lib is a library image
+// lowered for the same language and target; copies of its globals follow
+// the program's own, and copies of its functions follow the program's own,
+// which is the order a compile of the concatenated source produces.
+func lower(prog *minic.Program, lib *libImage, lang ir.Language, tgt Target, lim guard.Limits, plan *Plan, meta *Meta) (*ir.Program, error) {
 	out := &ir.Program{Name: prog.Name}
 	for _, g := range prog.Globals {
 		out.Globals = append(out.Globals, lowerGlobal(g))
+	}
+	if lib != nil {
+		out.Globals = lib.appendGlobals(out.Globals)
 	}
 	if tgt.RegSaveStores {
 		// The register save area the MIPS-style calling convention spills
@@ -51,7 +67,7 @@ func compile(src *minic.Program, lang ir.Language, tgt Target, lim guard.Limits,
 		out.Globals = append(out.Globals, ir.Global{Name: regSaveGlobal, Size: 4})
 	}
 	for _, fn := range prog.Funcs {
-		g := &generator{prog: prog, tgt: tgt, lang: lang, plan: plan, meta: meta}
+		g := &generator{tgt: tgt, lang: lang, plan: plan, meta: meta}
 		irFn, err := g.lowerFunc(fn)
 		if err != nil {
 			return nil, fmt.Errorf("codegen: %s.%s: %w", prog.Name, fn.Name, err)
@@ -61,6 +77,9 @@ func compile(src *minic.Program, lang ir.Language, tgt Target, lim guard.Limits,
 				prog.Name, fn.Name, len(irFn.Blocks), lim.CFGBlocks, guard.ErrBudgetExceeded)
 		}
 		out.Funcs = append(out.Funcs, irFn)
+	}
+	if lib != nil {
+		out.Funcs = lib.appendFuncs(out.Funcs)
 	}
 	if err := out.Verify(); err != nil {
 		return nil, fmt.Errorf("codegen: generated invalid IR: %w", err)
@@ -90,7 +109,6 @@ func lowerGlobal(g *minic.VarDecl) ir.Global {
 
 // generator lowers one function.
 type generator struct {
-	prog *minic.Program
 	tgt  Target
 	lang ir.Language
 	plan *Plan

@@ -71,6 +71,10 @@ type Config struct {
 	IncludeCorrelationFeatures bool
 }
 
+// Defaulted returns c with every default that training applies filled in,
+// so a zero field and its explicit default give equal configurations.
+func (c Config) Defaulted() Config { return c.withDefaults() }
+
 func (c Config) withDefaults() Config {
 	if c.Hidden == 0 {
 		c.Hidden = 20

@@ -18,8 +18,10 @@ package corpus
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/codegen"
+	"repro/internal/guard"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
@@ -164,8 +166,14 @@ func (e Entry) Parse() (*minic.Program, error) {
 	return ast, nil
 }
 
-// Compile parses and compiles the entry for a target.
+// Compile compiles the entry for a target, linked against the runtime
+// library compiled once per process. The result is the IR a compile of
+// Parse's AST gives; on any failure the entry is compiled that way, so
+// errors are exactly those of the concatenated source.
 func (e Entry) Compile(tgt codegen.Target) (*ir.Program, error) {
+	if prog, ok := CompileLinked(e.Name, e.Source, e.Language, tgt, guard.Limits{}); ok {
+		return prog, nil
+	}
 	ast, err := e.Parse()
 	if err != nil {
 		return nil, err
@@ -175,6 +183,58 @@ func (e Entry) Compile(tgt codegen.Target) (*ir.Program, error) {
 		return nil, fmt.Errorf("corpus: %s: %w", e.Name, err)
 	}
 	return prog, nil
+}
+
+// stdlib is the runtime library (StdlibSource + Stdlib2Source), parsed on
+// first use and compiled once per (language, target).
+var stdlib = sync.OnceValue(func() *codegen.Library {
+	ast, err := minic.Parse("stdlib", StdlibSource+Stdlib2Source)
+	if err != nil {
+		panic("corpus: runtime library does not parse: " + err.Error())
+	}
+	return codegen.NewLibrary(ast)
+})
+
+// stdlibWithin caches, per parse-depth limit, whether the runtime library
+// parses within that limit.
+var stdlibWithin sync.Map // minic.Limits -> bool
+
+// CompileLinked compiles src linked against the runtime library: it parses
+// and checks only src, and copies in the library compiled for lang and tgt.
+// When ok is true the program is exactly what compiling
+// src+StdlibSource+Stdlib2Source returns when parsed under lim.ParseDepth
+// and compiled under lim.CFGBlocks. ok is false whenever that is not
+// guaranteed: src fails to parse or check on its own, defines a library
+// name, or a limit fails on src or on the library. The caller then compiles
+// the concatenated source, which yields the exact error, so error text
+// never depends on this path.
+func CompileLinked(name, src string, lang ir.Language, tgt codegen.Target, lim guard.Limits) (*ir.Program, bool) {
+	parse := minic.Limits{MaxDepth: lim.ParseDepth}
+	if parse.MaxDepth > 0 && !stdlibParsesWithin(parse) {
+		return nil, false
+	}
+	ast, err := minic.ParseWithLimits(name, src, parse)
+	if err != nil {
+		return nil, false
+	}
+	prog, err := stdlib().Compile(ast, lang, tgt, lim)
+	if err != nil {
+		return nil, false
+	}
+	return prog, true
+}
+
+// stdlibParsesWithin reports whether the runtime library parses under
+// parse. Each top-level declaration starts at depth zero, so the library
+// exceeds a depth limit inside the concatenated source exactly when it
+// exceeds it alone.
+func stdlibParsesWithin(parse minic.Limits) bool {
+	if ok, hit := stdlibWithin.Load(parse); hit {
+		return ok.(bool)
+	}
+	_, err := minic.ParseWithLimits("stdlib", StdlibSource+Stdlib2Source, parse)
+	stdlibWithin.Store(parse, err == nil)
+	return err == nil
 }
 
 // RunConfig is the standard interpreter configuration for the entry.

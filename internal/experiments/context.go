@@ -26,6 +26,9 @@ type Context struct {
 	mu    sync.Mutex
 	data  map[string]*entryState
 	cache *artifact.Cache
+	// loo memoizes pgoModels per defaulted ESP configuration, so the
+	// studies that share a context train the leave-one-out models once.
+	loo map[string]*looState
 }
 
 type entryState struct {
@@ -34,9 +37,17 @@ type entryState struct {
 	err  error
 }
 
+// looState is one memoized pgoModels result.
+type looState struct {
+	once   sync.Once
+	models map[string]*core.Model
+	cModel *core.Model
+	err    error
+}
+
 // NewContext returns an empty in-process cache with no persistent backing.
 func NewContext() *Context {
-	return &Context{data: make(map[string]*entryState)}
+	return &Context{data: make(map[string]*entryState), loo: make(map[string]*looState)}
 }
 
 // NewContextWithCache returns a context whose analyses are additionally

@@ -136,9 +136,25 @@ func PGOStudy(ctx *Context, espCfg core.Config, genN int) (*PGOStudyResult, erro
 	return res, nil
 }
 
-// pgoModels trains the leave-one-out ESP models for every real corpus
-// program, plus the full-C-group model used for generated programs.
+// pgoModels returns the leave-one-out ESP models for every real corpus
+// program, plus the full-C-group model used for generated programs. They
+// are trained once per context and defaulted configuration; callers only
+// predict with them, which is safe for concurrent use.
 func pgoModels(ctx *Context, espCfg core.Config) (map[string]*core.Model, *core.Model, error) {
+	key := fmt.Sprintf("%#v", espCfg.Defaulted())
+	ctx.mu.Lock()
+	st := ctx.loo[key]
+	if st == nil {
+		st = &looState{}
+		ctx.loo[key] = st
+	}
+	ctx.mu.Unlock()
+	st.once.Do(func() { st.models, st.cModel, st.err = trainPGOModels(ctx, espCfg) })
+	return st.models, st.cModel, st.err
+}
+
+// trainPGOModels trains pgoModels' models.
+func trainPGOModels(ctx *Context, espCfg core.Config) (map[string]*core.Model, *core.Model, error) {
 	models := make(map[string]*core.Model)
 	var cGroup []*core.ProgramData
 	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran} {

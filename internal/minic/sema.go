@@ -6,12 +6,35 @@ import "fmt"
 // place (expression types, resolved symbols, frame offsets, frame sizes).
 // It returns the first error found.
 func Check(prog *Program) error {
+	return check(prog, len(prog.Globals), len(prog.Funcs))
+}
+
+// CheckLinked checks a program whose last libGlobals globals and libFuncs
+// functions come from a library that has already been checked on its own.
+// Every declaration takes part in the declaration checks (duplicates,
+// builtin shadowing, global/function collisions, main), but only the
+// program's own globals and functions are checked and annotated: the
+// library's nodes are only read, so one checked library may be shared by
+// concurrent links.
+func CheckLinked(prog *Program, libGlobals, libFuncs int) error {
+	return check(prog, len(prog.Globals)-libGlobals, len(prog.Funcs)-libFuncs)
+}
+
+func check(prog *Program, ownGlobals, ownFuncs int) error {
 	c := &checker{
 		prog:    prog,
-		globals: make(map[string]*Symbol),
-		funcs:   make(map[string]*FuncDecl),
+		globals: make(map[string]*Symbol, len(prog.Globals)),
+		funcs:   make(map[string]*FuncDecl, len(prog.Funcs)),
 	}
-	return c.run()
+	if err := c.declareProgram(ownGlobals); err != nil {
+		return err
+	}
+	for _, fn := range prog.Funcs[:ownFuncs] {
+		if err := c.checkFunc(fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 type checker struct {
@@ -26,15 +49,18 @@ type checker struct {
 	loopDepth int
 }
 
-func (c *checker) run() error {
-	for _, g := range c.prog.Globals {
+// declareProgram enters every global and function into the program scope and
+// checks the declarations themselves. Only the first ownGlobals globals have
+// their initializers checked (and annotated).
+func (c *checker) declareProgram(ownGlobals int) error {
+	for i, g := range c.prog.Globals {
 		if c.globals[g.Name] != nil {
 			return errf(g.Pos, "duplicate global %q", g.Name)
 		}
 		if g.Type.IsVoid() {
 			return errf(g.Pos, "global %q has void type", g.Name)
 		}
-		if g.Init != nil {
+		if g.Init != nil && i < ownGlobals {
 			if err := c.checkGlobalInit(g); err != nil {
 				return err
 			}
@@ -59,11 +85,6 @@ func (c *checker) run() error {
 	}
 	if len(main.Params) != 0 || !main.Ret.IsInt() {
 		return errf(main.Pos, "main must be declared as: int main()")
-	}
-	for _, fn := range c.prog.Funcs {
-		if err := c.checkFunc(fn); err != nil {
-			return err
-		}
 	}
 	return nil
 }

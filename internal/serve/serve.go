@@ -709,18 +709,9 @@ func (s *Server) compile(tr *obs.Trace, req *PredictRequest) (*programImage, boo
 	if name == "" {
 		name = "query"
 	}
-	src := req.Source
-	if req.LinkStdlib {
-		src += corpus.StdlibSource + corpus.Stdlib2Source
-	}
-	ast, err := minic.ParseWithLimits(name, src, minic.Limits{MaxDepth: s.cfg.parseDepth()})
+	prog, err := s.compileSource(name, lang, req)
 	if err != nil {
-		return nil, false, fmt.Errorf("parse: %w", err)
-	}
-	prog, err := codegen.CompileBounded(ast, lang, codegen.Default,
-		guard.Limits{CFGBlocks: s.cfg.cfgBlocks()})
-	if err != nil {
-		return nil, false, fmt.Errorf("compile: %w", err)
+		return nil, false, err
 	}
 	endCompile()
 	endFeaturize := tr.StartSpan(obs.StageFeaturize)
@@ -737,6 +728,30 @@ func (s *Server) compile(tr *obs.Trace, req *PredictRequest) (*programImage, boo
 	endFeaturize()
 	s.cache.add(key, img)
 	return img, false, nil
+}
+
+// compileSource compiles a submission under the server's limits. A
+// link_stdlib request links the precompiled runtime library when it can;
+// otherwise, and on any failure, it compiles the concatenated source, so
+// the program and every error are exactly the concatenated compile's.
+func (s *Server) compileSource(name string, lang ir.Language, req *PredictRequest) (*ir.Program, error) {
+	lim := guard.Limits{ParseDepth: s.cfg.parseDepth(), CFGBlocks: s.cfg.cfgBlocks()}
+	src := req.Source
+	if req.LinkStdlib {
+		if prog, ok := corpus.CompileLinked(name, src, lang, codegen.Default, lim); ok {
+			return prog, nil
+		}
+		src += corpus.StdlibSource + corpus.Stdlib2Source
+	}
+	ast, err := minic.ParseWithLimits(name, src, minic.Limits{MaxDepth: lim.ParseDepth})
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	prog, err := codegen.CompileBounded(ast, lang, codegen.Default, lim)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	return prog, nil
 }
 
 // healthzResponse is the /healthz body.
