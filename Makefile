@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzGenCorpus -fuzztime=20s ./internal/gencorpus
 	$(GO) test -run=NONE -fuzz=FuzzLink -fuzztime=20s ./internal/corpus
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=20s ./internal/artifact
+	$(GO) test -run=NONE -fuzz=FuzzAnalysis -fuzztime=20s ./internal/cfg
 
 check: build vet fmt-check test race chaos cluster-chaos
 

@@ -49,7 +49,7 @@ import (
 // interpreter or feature extractor, or the Record/Profile/Vector types
 // themselves. A bump invalidates every existing entry (old files fail the
 // version check and recompute); forgetting one serves stale results.
-const FormatVersion = "espa-4" // espa-4: the payload is the record codec in record.go, not gob
+const FormatVersion = "espa-5" // espa-5: a branch to its own block is backward (feature 2)
 
 var magic = [4]byte{'E', 'S', 'P', 'A'}
 

@@ -304,8 +304,8 @@ func TestPointerAnalysisBasics(t *testing.T) {
 	fb.Ret()
 	fn := fb.Func()
 	fn.FrameSize = 1
-	g := New(fn)
-	pi := g.Pointers()
+	prog := &ir.Program{Name: "t", Funcs: []*ir.Func{fn}, Globals: []ir.Global{{Name: "g", Size: 1}}}
+	pi := ProgramPointers(prog, map[string]*Graph{"main": New(fn)})["main"]
 	// The branch is instruction 3 of block 0; operand A must be a pointer.
 	if !pi.OperandIsPointer(0, 3, 0) {
 		t.Error("loaded pointer not detected at the branch")

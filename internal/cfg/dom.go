@@ -11,7 +11,7 @@ package cfg
 // unreachable from the entry.
 func (g *Graph) Idom() []int {
 	if g.idom == nil {
-		g.idom = computeIdom(g.N(), g.Entry(), g.reversePostorder(), g.Pred)
+		g.idom = computeIdom(g.N(), g.Entry(), reversePostorder(g.Succ, g.Entry()), g.Pred)
 	}
 	return g.idom
 }
@@ -110,49 +110,33 @@ func computeIdom(n, entry int, rpo []int, pred [][]int) []int {
 }
 
 // computeIpdom computes post-dominators by running the same algorithm on the
-// reverse graph extended with a virtual exit node.
+// reverse graph extended with a virtual exit node. The reverse graph's
+// successor lists are the forward predecessor lists and its predecessor
+// lists the forward successor lists, so only the virtual exit's edges are
+// new.
 func (g *Graph) computeIpdom() []int {
 	n := g.N()
 	exit := n // virtual exit node index
-	// Reverse graph: preds of the reverse graph are the succs of the forward
-	// graph; the virtual exit has an edge from every block with no forward
+	// The virtual exit has an edge from every block with no forward
 	// successors.
-	rsucc := make([][]int, n+1) // successors in the reverse graph
-	rpred := make([][]int, n+1) // predecessors in the reverse graph
+	lists := make([][]int, 2*(n+1))
+	rsucc := lists[: n+1 : n+1] // successors in the reverse graph
+	rpred := lists[n+1:]        // predecessors in the reverse graph
+	copy(rsucc, g.Pred)
+	toExit := []int{exit}
 	for i := 0; i < n; i++ {
 		if len(g.Succ[i]) == 0 {
 			rsucc[exit] = append(rsucc[exit], i)
-			rpred[i] = append(rpred[i], exit)
-		}
-		for _, s := range g.Succ[i] {
-			rsucc[s] = append(rsucc[s], i)
-			rpred[i] = append(rpred[i], s)
-		}
-	}
-	// Reverse postorder of the reverse graph from the virtual exit.
-	seen := make([]bool, n+1)
-	var order []int
-	var dfs func(int)
-	dfs = func(u int) {
-		seen[u] = true
-		for _, v := range rsucc[u] {
-			if !seen[v] {
-				dfs(v)
-			}
-		}
-		order = append(order, u)
-	}
-	dfs(exit)
-	for l, r := 0, len(order)-1; l < r; l, r = l+1, r-1 {
-		order[l], order[r] = order[r], order[l]
-	}
-	ipdomExt := computeIdom(n+1, exit, order, rpred)
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		if ipdomExt[i] == exit || ipdomExt[i] < 0 {
-			out[i] = -1
+			rpred[i] = toExit
 		} else {
-			out[i] = ipdomExt[i]
+			rpred[i] = g.Succ[i]
+		}
+	}
+	ipdomExt := computeIdom(n+1, exit, reversePostorder(rsucc, exit), rpred)
+	out := ipdomExt[:n]
+	for i, d := range out {
+		if d == exit {
+			out[i] = -1
 		}
 	}
 	return out

@@ -7,6 +7,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -20,38 +21,83 @@ type Graph struct {
 	Succ   [][]int     // dense successor indices, taken successor first
 	Pred   [][]int     // dense predecessor indices
 
-	idToIdx map[int]int
+	layout ir.Layout
 
 	// Lazily computed analyses.
 	idom  []int
 	ipdom []int
 	loops *LoopInfo
-	ptrs  *PointerInfo
 }
 
-// New builds the CFG for fn.
+// New builds the CFG for fn in time linear in its blocks and edges. The
+// fall-through successor of dense block i is block i+1; every other
+// successor comes from the terminator's targets. Successor and predecessor
+// lists are carved out of one backing array each.
 func New(fn *ir.Func) *Graph {
+	n := len(fn.Blocks)
+	lists := make([][]int, 2*n)
 	g := &Graph{
-		Fn:      fn,
-		Blocks:  append([]*ir.Block(nil), fn.Blocks...),
-		idToIdx: make(map[int]int, len(fn.Blocks)),
+		Fn:     fn,
+		Blocks: append([]*ir.Block(nil), fn.Blocks...),
+		layout: fn.Layout(),
+		Succ:   lists[:n:n],
+		Pred:   lists[n:],
 	}
+	succ := make([]int, 0, 2*n)
+	counts := make([]int, 2*n)
+	end := counts[:n] // block i's successors are succ[end[i-1]:end[i]]
 	for i, b := range g.Blocks {
-		g.idToIdx[b.ID] = i
-	}
-	g.Succ = make([][]int, len(g.Blocks))
-	g.Pred = make([][]int, len(g.Blocks))
-	for i, b := range g.Blocks {
-		for _, sid := range fn.Succs(b) {
-			j, ok := g.idToIdx[sid]
-			if !ok {
-				panic(fmt.Sprintf("cfg: %s b%d: successor b%d missing", fn.Name, b.ID, sid))
+		t := b.Terminator()
+		if t != nil {
+			switch t.Op.Class() {
+			case ir.ClassCondBranch, ir.ClassUncondBranch:
+				succ = g.appendTarget(succ, b, t.Target)
+			case ir.ClassIndirectJump:
+				for _, id := range t.Targets {
+					succ = g.appendTarget(succ, b, id)
+				}
 			}
-			g.Succ[i] = append(g.Succ[i], j)
-			g.Pred[j] = append(g.Pred[j], i)
+		}
+		if (t == nil || t.Op.Class() == ir.ClassCondBranch) && i+1 < n {
+			succ = append(succ, i+1)
+		}
+		end[i] = len(succ)
+	}
+	// Block j's predecessors get inDeg[j] consecutive slots of pred, filled
+	// in increasing block order.
+	inDeg := counts[n:]
+	for _, j := range succ {
+		inDeg[j]++
+	}
+	pred := make([]int, len(succ))
+	off := 0
+	for j, d := range inDeg {
+		if d > 0 {
+			g.Pred[j] = pred[off : off : off+d]
+			off += d
 		}
 	}
+	start := 0
+	for i := range g.Blocks {
+		if end[i] > start {
+			g.Succ[i] = succ[start:end[i]:end[i]]
+			for _, j := range g.Succ[i] {
+				g.Pred[j] = append(g.Pred[j], i)
+			}
+		}
+		start = end[i]
+	}
 	return g
+}
+
+// appendTarget appends the dense index of branch target id, taken from
+// block b, to succ.
+func (g *Graph) appendTarget(succ []int, b *ir.Block, id int) []int {
+	j := g.layout.Index(id)
+	if j < 0 {
+		panic(fmt.Sprintf("cfg: %s b%d: successor b%d missing", g.Fn.Name, b.ID, id))
+	}
+	return append(succ, j)
 }
 
 // N returns the number of blocks.
@@ -59,8 +105,8 @@ func (g *Graph) N() int { return len(g.Blocks) }
 
 // Index returns the dense index for an ir block ID.
 func (g *Graph) Index(blockID int) int {
-	i, ok := g.idToIdx[blockID]
-	if !ok {
+	i := g.layout.Index(blockID)
+	if i < 0 {
 		panic(fmt.Sprintf("cfg: unknown block id b%d in %s", blockID, g.Fn.Name))
 	}
 	return i
@@ -90,27 +136,24 @@ func (g *Graph) IsBranchBlock(i int) bool {
 	return g.Blocks[i].Branch() != nil && len(g.Succ[i]) == 2 && g.Succ[i][0] != g.Succ[i][1]
 }
 
-// reversePostorder returns the blocks reachable from entry in reverse
-// postorder of the forward CFG.
-func (g *Graph) reversePostorder() []int {
-	seen := make([]bool, g.N())
-	var order []int
-	var dfs func(int)
-	dfs = func(u int) {
-		seen[u] = true
-		for _, v := range g.Succ[u] {
-			if !seen[v] {
-				dfs(v)
-			}
-		}
-		order = append(order, u)
-	}
-	dfs(g.Entry())
-	// Reverse into RPO.
-	for l, r := 0, len(order)-1; l < r; l, r = l+1, r-1 {
-		order[l], order[r] = order[r], order[l]
-	}
+// reversePostorder returns the nodes reachable from root in reverse
+// postorder of the graph with successor lists succ.
+func reversePostorder(succ [][]int, root int) []int {
+	order := postorder(succ, root, make([]bool, len(succ)), make([]int, 0, len(succ)))
+	slices.Reverse(order)
 	return order
+}
+
+// postorder appends the nodes reachable from u and not yet seen to order,
+// in depth-first postorder.
+func postorder(succ [][]int, u int, seen []bool, order []int) []int {
+	seen[u] = true
+	for _, v := range succ[u] {
+		if !seen[v] {
+			order = postorder(succ, v, seen, order)
+		}
+	}
+	return append(order, u)
 }
 
 // Reachable reports whether block i is reachable from the entry block.

@@ -1,7 +1,8 @@
 package cfg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -24,7 +25,7 @@ func (l *Loop) Contains(i int) bool { return l.Blocks[i] }
 // LoopInfo holds all natural loops of a function.
 type LoopInfo struct {
 	Loops     []*Loop
-	byHeader  map[int]*Loop
+	byHeader  []*Loop // the loop headed by each block, or nil
 	innermost []*Loop // innermost loop containing each block, or nil
 }
 
@@ -37,7 +38,10 @@ func (g *Graph) Loops() *LoopInfo {
 }
 
 func (g *Graph) computeLoops() *LoopInfo {
-	li := &LoopInfo{byHeader: make(map[int]*Loop)}
+	// A function without loops allocates only li; the per-block tables
+	// stay nil and the accessors read them as empty.
+	li := &LoopInfo{}
+	var stack []int
 	// Find back edges: u -> h where h dominates u (and both reachable).
 	for u := 0; u < g.N(); u++ {
 		if !g.Reachable(u) {
@@ -45,6 +49,9 @@ func (g *Graph) computeLoops() *LoopInfo {
 		}
 		for _, h := range g.Succ[u] {
 			if g.Dominates(h, u) {
+				if li.byHeader == nil {
+					li.byHeader = make([]*Loop, g.N())
+				}
 				loop := li.byHeader[h]
 				if loop == nil {
 					loop = &Loop{Header: h, Blocks: map[int]bool{h: true}}
@@ -53,7 +60,7 @@ func (g *Graph) computeLoops() *LoopInfo {
 				}
 				loop.Latches = append(loop.Latches, u)
 				// Natural-loop body: backward reachability from u to h.
-				stack := []int{u}
+				stack = append(stack[:0], u)
 				for len(stack) > 0 {
 					b := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -73,11 +80,11 @@ func (g *Graph) computeLoops() *LoopInfo {
 	// Deterministic order: by header index, inner (smaller) loops after the
 	// outer loops that contain them; sorting by size descending then header
 	// gives a stable parent-assignment order.
-	sort.Slice(li.Loops, func(i, j int) bool {
-		if len(li.Loops[i].Blocks) != len(li.Loops[j].Blocks) {
-			return len(li.Loops[i].Blocks) > len(li.Loops[j].Blocks)
+	slices.SortFunc(li.Loops, func(a, b *Loop) int {
+		if c := cmp.Compare(len(b.Blocks), len(a.Blocks)); c != 0 {
+			return c
 		}
-		return li.Loops[i].Header < li.Loops[j].Header
+		return cmp.Compare(a.Header, b.Header)
 	})
 	// Parent links: the smallest strictly-larger loop containing the header.
 	// Loops are sorted largest-first, so scanning backward from i finds the
@@ -96,6 +103,9 @@ func (g *Graph) computeLoops() *LoopInfo {
 		}
 	}
 	// Innermost loop per block: the smallest loop containing it.
+	if len(li.Loops) == 0 {
+		return li
+	}
 	li.innermost = make([]*Loop, g.N())
 	for _, l := range li.Loops { // largest first, so later (smaller) wins
 		for b := range l.Blocks {
@@ -106,10 +116,15 @@ func (g *Graph) computeLoops() *LoopInfo {
 }
 
 // IsHeader reports whether block i is a loop header.
-func (li *LoopInfo) IsHeader(i int) bool { return li.byHeader[i] != nil }
+func (li *LoopInfo) IsHeader(i int) bool { return li.HeaderLoop(i) != nil }
 
 // HeaderLoop returns the loop headed by block i, or nil.
-func (li *LoopInfo) HeaderLoop(i int) *Loop { return li.byHeader[i] }
+func (li *LoopInfo) HeaderLoop(i int) *Loop {
+	if i < 0 || i >= len(li.byHeader) {
+		return nil
+	}
+	return li.byHeader[i]
+}
 
 // Innermost returns the innermost loop containing block i, or nil.
 func (li *LoopInfo) Innermost(i int) *Loop {

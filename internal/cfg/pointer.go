@@ -23,19 +23,14 @@ type PointerInfo struct {
 	g *Graph
 	// ptrAt[b][i] records, for instruction i of dense block b, which of its
 	// register operands were pointer-valued at that point: bit 0 for A,
-	// bit 1 for B.
+	// bit 1 for B. All rows share one slab.
 	ptrAt [][]uint8
-	// callPtrArgs records, per direct callee, which argument registers were
-	// observed pointer-valued at any call site in this function.
-	callPtrArgs map[string]map[ir.Reg]bool
+	// callArgs[k] is the mask of argument registers A0..A5 (bit n for An)
+	// that held a pointer at the k-th direct call of the function, counting
+	// calls in layout order.
+	callArgs []uint8
 	// returnsPtr records whether any return site had a pointer-valued V0.
 	returnsPtr bool
-}
-
-// ptrFacts carries the interprocedural facts ProgramPointers iterates on.
-type ptrFacts struct {
-	args map[string]map[ir.Reg]bool
-	rets map[string]bool
 }
 
 const (
@@ -43,107 +38,100 @@ const (
 	ptrOperandB = 1 << 1
 )
 
+// numArgRegs is the number of integer argument registers, A0..A5.
+const numArgRegs = 6
+
 type slotKey struct {
 	base string // "" for stack-relative (SP), else global symbol
 	off  int64
 }
 
-// Pointers computes (once) and returns the pointer inference for the graph.
-// entryPtrArgs marks which incoming integer-argument registers are known to
-// carry pointers (nil means none); the program-level analysis in
-// ProgramPointers supplies this interprocedurally.
-func (g *Graph) Pointers() *PointerInfo { return g.PointersWithArgs(nil) }
+// regBit is r's bit in a register set. Verify keeps registers below
+// ir.NumRegs (64), so a set fits one word.
+func regBit(r ir.Reg) uint64 { return 1 << (r & (ir.NumRegs - 1)) }
 
-// PointersWithArgs is Pointers with explicit pointer-valued argument
-// registers for the function entry.
-func (g *Graph) PointersWithArgs(entryPtrArgs map[ir.Reg]bool) *PointerInfo {
-	return g.pointersWithFacts(entryPtrArgs, nil)
-}
-
-func (g *Graph) pointersWithFacts(entryPtrArgs map[ir.Reg]bool, retFacts map[string]bool) *PointerInfo {
-	if g.ptrs != nil && entryPtrArgs == nil && retFacts == nil {
-		return g.ptrs
-	}
-	pi := computePointers(g, entryPtrArgs, retFacts)
-	if entryPtrArgs == nil && retFacts == nil {
-		g.ptrs = pi
-	}
-	return pi
-}
-
-func computePointers(g *Graph, entryPtrArgs map[ir.Reg]bool, retFacts map[string]bool) *PointerInfo {
-	pi := &PointerInfo{g: g, ptrAt: make([][]uint8, g.N())}
-	for b := 0; b < g.N(); b++ {
-		pi.ptrAt[b] = make([]uint8, len(g.Blocks[b].Insns))
-	}
-	ptrSlots := make(map[slotKey]bool)
+// compute runs the inference into pi. entryArgs is the mask of argument
+// registers (bit n for An) that carry pointers into the function; retPtr
+// reports, for the k-th direct call, whether its callee returns a pointer.
+// The result depends on nothing else.
+func (pi *PointerInfo) compute(entryArgs uint8, retPtr func(k int) bool) {
+	g := pi.g
+	pi.returnsPtr = false
+	var ptrSlots map[slotKey]bool
 	// Iterate to a fixed point on the slot set; register state is tracked
 	// within each block only (the code generator stores locals to the frame
 	// between statements, so block-local tracking plus slot typing recovers
 	// essentially all pointer flow).
 	for pass := 0; pass < 6; pass++ {
 		changed := false
-		pi.callPtrArgs = make(map[string]map[ir.Reg]bool)
+		call := 0
 		for b := 0; b < g.N(); b++ {
-			regPtr := make(map[ir.Reg]bool)
+			var regs uint64 // pointer-valued registers
 			if b == g.Entry() {
-				for r, isPtr := range entryPtrArgs {
-					if isPtr {
-						regPtr[r] = true
-					}
+				regs = uint64(entryArgs) << ir.RegA0
+			}
+			set := func(r ir.Reg, isPtr bool) {
+				if isPtr {
+					regs |= regBit(r)
+				} else {
+					regs &^= regBit(r)
 				}
 			}
+			row := pi.ptrAt[b]
 			for i := range g.Blocks[b].Insns {
 				in := &g.Blocks[b].Insns[i]
+				aPtr := regs&regBit(in.A) != 0
+				bPtr := !in.UseImm && regs&regBit(in.B) != 0
 				var mark uint8
-				if regPtr[in.A] {
+				if aPtr {
 					mark |= ptrOperandA
 				}
-				if !in.UseImm && regPtr[in.B] {
+				if bPtr {
 					mark |= ptrOperandB
 				}
-				pi.ptrAt[b][i] = mark
+				row[i] = mark
 				switch in.Op {
 				case ir.OpLda:
-					regPtr[in.Dst] = true
+					set(in.Dst, true)
 				case ir.OpAddQ, ir.OpSubQ:
-					regPtr[in.Dst] = regPtr[in.A] || (!in.UseImm && regPtr[in.B])
+					set(in.Dst, aPtr || bPtr)
 				case ir.OpMov:
-					regPtr[in.Dst] = regPtr[in.A]
+					set(in.Dst, aPtr)
 				case ir.OpLdq:
-					key, ok := pi.slotOf(b, i, in)
-					isPtr := ok && ptrSlots[key]
-					regPtr[in.Dst] = isPtr
+					// Until some store marks a slot, every load is a
+					// non-pointer; skip the address walk.
+					isPtr := false
+					if len(ptrSlots) > 0 {
+						key, ok := pi.slotOf(b, i, in)
+						isPtr = ok && ptrSlots[key]
+					}
+					set(in.Dst, isPtr)
 				case ir.OpStq:
-					if regPtr[in.B] {
+					if regs&regBit(in.B) != 0 {
 						if key, ok := pi.slotOf(b, i, in); ok && !ptrSlots[key] {
+							if ptrSlots == nil {
+								ptrSlots = make(map[slotKey]bool)
+							}
 							ptrSlots[key] = true
 							changed = true
 						}
 					}
 				case ir.OpBsr:
-					for argIdx := 0; argIdx < 6; argIdx++ {
-						r := ir.Reg(int(ir.RegA0) + argIdx)
-						if regPtr[r] {
-							if pi.callPtrArgs[in.Sym] == nil {
-								pi.callPtrArgs[in.Sym] = make(map[ir.Reg]bool)
-							}
-							pi.callPtrArgs[in.Sym][r] = true
-						}
-					}
+					pi.callArgs[call] = uint8(regs>>ir.RegA0) & (1<<numArgRegs - 1)
 					// The return register carries a pointer when the callee
 					// is known (interprocedurally) to return one.
-					regPtr[ir.RegV0] = retFacts[in.Sym]
+					set(ir.RegV0, retPtr(call))
+					call++
 				case ir.OpRtcall:
 					// The allocator intrinsic returns a fresh heap pointer.
-					regPtr[ir.RegV0] = in.Imm == ir.RtAlloc
+					set(ir.RegV0, in.Imm == ir.RtAlloc)
 				case ir.OpRet:
-					if regPtr[ir.RegV0] {
+					if regs&regBit(ir.RegV0) != 0 {
 						pi.returnsPtr = true
 					}
 				default:
 					if d, ok := in.Def(); ok {
-						regPtr[d] = false
+						set(d, false)
 					}
 				}
 			}
@@ -152,7 +140,6 @@ func computePointers(g *Graph, entryPtrArgs map[ir.Reg]bool, retFacts map[string
 			break
 		}
 	}
-	return pi
 }
 
 // slotOf identifies the abstract memory slot addressed by a load/store when
@@ -195,40 +182,133 @@ func (pi *PointerInfo) OperandIsPointer(b, i, operand int) bool {
 // pointer in An makes the callee's entry treat An as pointer-valued) and
 // pointer-returning functions (a callee observed returning a pointer makes
 // V0 pointer-valued after calls to it).
+//
+// Each round visits the functions in program order and merges a function's
+// facts as soon as it is analyzed, for at most six rounds. A function's
+// result depends only on its graph, its own argument facts and its callees'
+// return facts, so a function is analyzed again only when one of those
+// facts has changed since its last analysis; otherwise its result, and so
+// every fact it would merge, is the one it already has.
 func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*PointerInfo {
-	facts := ptrFacts{
-		args: make(map[string]map[ir.Reg]bool),
-		rets: make(map[string]bool),
+	// One state per distinct function name with a graph.
+	type fnState struct {
+		pi      *PointerInfo
+		callees []int // state index of each direct call's callee, or -1
+		args    uint8 // argument registers some caller passes a pointer in
+		ret     bool  // the function returns a pointer
+		// Fact-change times on the clock below; doneAt is when pi was last
+		// computed, -1 before the first time.
+		argsAt, retAt, doneAt int
 	}
-	infos := make(map[string]*PointerInfo)
+	byName := make(map[string]int, len(p.Funcs))
+	var names []string                // state index -> function name
+	slot := make([]int, len(p.Funcs)) // p.Funcs index -> state index, or -1
+	blocks, insns, calls := 0, 0, 0
+	for fi, f := range p.Funcs {
+		slot[fi] = -1
+		g := graphs[f.Name]
+		if g == nil {
+			continue
+		}
+		if si, ok := byName[f.Name]; ok {
+			slot[fi] = si
+			continue
+		}
+		byName[f.Name] = len(names)
+		slot[fi] = len(names)
+		names = append(names, f.Name)
+		blocks += g.N()
+		for _, b := range g.Blocks {
+			insns += len(b.Insns)
+			for i := range b.Insns {
+				if b.Insns[i].Op == ir.OpBsr {
+					calls++
+				}
+			}
+		}
+	}
+	// Every function's results are carved out of shared slabs.
+	states := make([]fnState, len(names))
+	pis := make([]PointerInfo, len(names))
+	rows := make([][]uint8, blocks)
+	marks := make([]uint8, insns)
+	callArgs := make([]uint8, calls)
+	callees := make([]int, 0, calls)
+	for si, name := range names {
+		g := graphs[name]
+		pi := &pis[si]
+		pi.g = g
+		pi.ptrAt, rows = rows[:g.N():g.N()], rows[g.N():]
+		start := len(callees)
+		for b, blk := range g.Blocks {
+			n := len(blk.Insns)
+			pi.ptrAt[b], marks = marks[:n:n], marks[n:]
+			for i := range blk.Insns {
+				if in := &blk.Insns[i]; in.Op == ir.OpBsr {
+					c, ok := byName[in.Sym]
+					if !ok {
+						c = -1
+					}
+					callees = append(callees, c)
+				}
+			}
+		}
+		n := len(callees) - start
+		pi.callArgs, callArgs = callArgs[:n:n], callArgs[n:]
+		states[si] = fnState{pi: pi, callees: callees[start:len(callees):len(callees)], doneAt: -1}
+	}
+
+	clock := 0
+	stale := func(st *fnState) bool {
+		if st.argsAt > st.doneAt {
+			return true
+		}
+		for _, c := range st.callees {
+			if c >= 0 && states[c].retAt > st.doneAt {
+				return true
+			}
+		}
+		return false
+	}
 	for round := 0; round < 6; round++ {
 		changed := false
-		for _, f := range p.Funcs {
-			g := graphs[f.Name]
-			if g == nil {
+		for fi := range p.Funcs {
+			si := slot[fi]
+			if si < 0 {
 				continue
 			}
-			pi := g.pointersWithFacts(facts.args[f.Name], facts.rets)
-			infos[f.Name] = pi
-			if pi.returnsPtr && !facts.rets[f.Name] {
-				facts.rets[f.Name] = true
+			st := &states[si]
+			if !stale(st) {
+				continue
+			}
+			st.pi.compute(st.args, func(k int) bool {
+				c := st.callees[k]
+				return c >= 0 && states[c].ret
+			})
+			st.doneAt = clock
+			if st.pi.returnsPtr && !st.ret {
+				clock++
+				st.ret, st.retAt = true, clock
 				changed = true
 			}
-			for callee, regs := range pi.callPtrArgs {
-				if facts.args[callee] == nil {
-					facts.args[callee] = make(map[ir.Reg]bool)
+			for k, mask := range st.pi.callArgs {
+				c := st.callees[k]
+				if c < 0 || states[c].args|mask == states[c].args {
+					continue
 				}
-				for r := range regs {
-					if !facts.args[callee][r] {
-						facts.args[callee][r] = true
-						changed = true
-					}
-				}
+				clock++
+				states[c].args |= mask
+				states[c].argsAt = clock
+				changed = true
 			}
 		}
 		if !changed && round > 0 {
 			break
 		}
+	}
+	infos := make(map[string]*PointerInfo, len(names))
+	for si, name := range names {
+		infos[name] = states[si].pi
 	}
 	return infos
 }

@@ -126,7 +126,7 @@ func Of(s *Site) Vector {
 	g := s.G
 
 	v.Values[FBrOpcode] = s.Branch.Op.String()
-	if g.Fn.LayoutIndex(s.Branch.Target) < g.Fn.LayoutIndex(s.Ref.Block) {
+	if s.Backward() {
 		v.Values[FBrDirection] = "B"
 	} else {
 		v.Values[FBrDirection] = "F"
@@ -136,7 +136,8 @@ func Of(s *Site) Vector {
 	v.Values[FRBOpcode] = Unknown
 	if def := s.DefInstr; def != nil {
 		v.Values[FBrOperandOpcode] = def.Op.String()
-		uses := def.Uses()
+		var buf [3]ir.Reg
+		uses := def.AppendUses(buf[:0])
 		blk := g.Block(s.BlockIdx)
 		if len(uses) > 0 {
 			if d, _ := defInstr(blk, s.DefIdx, uses[0]); d != nil {
@@ -259,14 +260,19 @@ func succEnds(g *cfg.Graph, succIdx int) string {
 // (FCorrSharedCond, FCorrDomCond) filled in.
 func ExtractAll(ps *ProgramSites) []Vector {
 	out := make([]Vector, 0, len(ps.Sites))
-	byFunc := make(map[string][]*Site)
-	for _, s := range ps.Sites {
-		byFunc[s.Ref.Func] = append(byFunc[s.Ref.Func], s)
-	}
-	for _, s := range ps.Sites {
-		v := Of(s)
-		fillCorrelation(&v, s, byFunc[s.Ref.Func])
-		out = append(out, v)
+	// Collect sorts sites by function, so each function's sites are one run.
+	for start := 0; start < len(ps.Sites); {
+		end := start + 1
+		for end < len(ps.Sites) && ps.Sites[end].Ref.Func == ps.Sites[start].Ref.Func {
+			end++
+		}
+		fnSites := ps.Sites[start:end]
+		for _, s := range fnSites {
+			v := Of(s)
+			fillCorrelation(&v, s, fnSites)
+			out = append(out, v)
+		}
+		start = end
 	}
 	return out
 }

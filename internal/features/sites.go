@@ -8,7 +8,8 @@
 package features
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -43,6 +44,11 @@ type Site struct {
 	// 15 test whether a successor reads one of them before writing it.
 	SourceLocs []MemLoc
 }
+
+// Backward reports whether the branch is a backward branch: its target does
+// not come after its own block in layout order. The branch ends its block,
+// so a branch to the start of its own block jumps backward.
+func (s *Site) Backward() bool { return s.TakenIdx <= s.BlockIdx }
 
 // MemLoc is an abstract memory location: a stack-frame word (Base == "") or
 // a word of a named global.
@@ -139,40 +145,60 @@ func Collect(prog *ir.Program) *ProgramSites {
 	ps := &ProgramSites{
 		Prog:   prog,
 		Graphs: make(map[string]*cfg.Graph, len(prog.Funcs)),
-		byRef:  make(map[ir.BranchRef]*Site),
 	}
+	n := 0
 	for _, fn := range prog.Funcs {
-		ps.Graphs[fn.Name] = cfg.New(fn)
+		g := cfg.New(fn)
+		ps.Graphs[fn.Name] = g
+		for i := 0; i < g.N(); i++ {
+			if g.IsBranchBlock(i) {
+				n++
+			}
+		}
 	}
 	ps.Ptrs = cfg.ProgramPointers(prog, ps.Graphs)
-	for _, fn := range prog.Funcs {
+	// Sites are ordered by (function name, block ID): visit the functions
+	// by name and sort each function's sites by block.
+	fns := slices.Clone(prog.Funcs)
+	slices.SortStableFunc(fns, func(a, b *ir.Func) int { return cmp.Compare(a.Name, b.Name) })
+	slab := make([]Site, 0, n)
+	// Sites' SourceLocs rows are cut from one shared array; corpus sites
+	// average 1.2 locations. Should append ever move the array, rows already
+	// cut keep the old one, which nothing writes again.
+	locs := make([]MemLoc, 0, 2*n)
+	for _, fn := range fns {
 		g := ps.Graphs[fn.Name]
 		procType := procedureType(fn)
+		start := len(slab)
 		for i := 0; i < g.N(); i++ {
 			if !g.IsBranchBlock(i) {
 				continue
 			}
-			s := &Site{
+			slab = append(slab, Site{
 				Ref:      ir.BranchRef{Func: fn.Name, Block: g.Block(i).ID},
 				Fn:       fn,
 				G:        g,
 				BlockIdx: i,
 				Branch:   g.Block(i).Branch(),
 				ProcType: procType,
-			}
+			})
+			s := &slab[len(slab)-1]
 			s.TakenIdx, s.FallIdx = g.TakenSucc(i)
 			s.DefInstr, s.DefIdx = defInstr(g.Block(i), len(g.Block(i).Insns)-1, s.Branch.A)
 			s.Cond = condInfo(ps.Ptrs[fn.Name], g, i, s)
-			s.SourceLocs = sourceLocs(g.Block(i), s)
-			ps.Sites = append(ps.Sites, s)
+			first := len(locs)
+			locs = appendSourceLocs(locs, g.Block(i), s)
+			if len(locs) > first {
+				s.SourceLocs = locs[first:len(locs):len(locs)]
+			}
 		}
+		slices.SortFunc(slab[start:], func(a, b Site) int { return cmp.Compare(a.Ref.Block, b.Ref.Block) })
 	}
-	sort.Slice(ps.Sites, func(a, b int) bool {
-		if ps.Sites[a].Ref.Func != ps.Sites[b].Ref.Func {
-			return ps.Sites[a].Ref.Func < ps.Sites[b].Ref.Func
-		}
-		return ps.Sites[a].Ref.Block < ps.Sites[b].Ref.Block
-	})
+	ps.Sites = make([]*Site, len(slab))
+	for i := range slab {
+		ps.Sites[i] = &slab[i]
+	}
+	ps.byRef = make(map[ir.BranchRef]*Site, len(ps.Sites))
 	for _, s := range ps.Sites {
 		ps.byRef[s.Ref] = s
 	}
@@ -303,39 +329,37 @@ func branchRelation(op ir.Op) CmpKind {
 	return CmpNone
 }
 
-// sourceLocs recovers the memory locations whose loads fed the branch: the
-// branch's tested register(s) and, when the branch tests a compare result,
-// the compare's operands, each traced back to an in-block load from a frame
-// slot or a global.
-func sourceLocs(b *ir.Block, s *Site) []MemLoc {
-	var locs []MemLoc
-	add := func(loc MemLoc) {
-		for _, have := range locs {
-			if have == loc {
-				return
-			}
-		}
-		locs = append(locs, loc)
-	}
-	trace := func(before int, r ir.Reg) {
-		def, idx := defInstr(b, before, r)
-		if def == nil {
-			return
-		}
-		if loc, ok := loadLoc(b, idx, def); ok {
-			add(loc)
-		}
-	}
-	branchIdx := len(b.Insns) - 1
-	for _, r := range s.Branch.Uses() {
-		trace(branchIdx, r)
+// appendSourceLocs appends the site's source locations to locs: the memory
+// locations whose loads fed the branch, found by tracing the branch's tested
+// register(s) and, when the branch tests a compare result, the compare's
+// operands, each back to an in-block load from a frame slot or a global.
+func appendSourceLocs(locs []MemLoc, b *ir.Block, s *Site) []MemLoc {
+	first := len(locs)
+	var buf [3]ir.Reg
+	for _, r := range s.Branch.AppendUses(buf[:0]) {
+		locs = appendSourceLoc(locs, first, b, len(b.Insns)-1, r)
 	}
 	if s.DefInstr != nil && s.DefInstr.Op.IsCompare() {
-		for _, r := range s.DefInstr.Uses() {
-			trace(s.DefIdx, r)
+		for _, r := range s.DefInstr.AppendUses(buf[:0]) {
+			locs = appendSourceLoc(locs, first, b, s.DefIdx, r)
 		}
 	}
 	return locs
+}
+
+// appendSourceLoc traces register r, read by instruction before of block b,
+// to an in-block load and appends the load's location to locs unless
+// locs[first:] already holds it.
+func appendSourceLoc(locs []MemLoc, first int, b *ir.Block, before int, r ir.Reg) []MemLoc {
+	def, idx := defInstr(b, before, r)
+	if def == nil {
+		return locs
+	}
+	loc, ok := loadLoc(b, idx, def)
+	if !ok || slices.Contains(locs[first:], loc) {
+		return locs
+	}
+	return append(locs, loc)
 }
 
 // loadLoc resolves a load instruction's address to an abstract location:

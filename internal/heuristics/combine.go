@@ -25,7 +25,7 @@ func (BTFNT) Name() string { return "BTFNT" }
 
 // PredictSite implements Predictor.
 func (BTFNT) PredictSite(s *features.Site) (Prediction, bool) {
-	if s.Fn.LayoutIndex(s.Branch.Target) < s.Fn.LayoutIndex(s.Ref.Block) {
+	if s.Backward() {
 		return Taken, true
 	}
 	return NotTaken, true

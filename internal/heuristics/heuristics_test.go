@@ -294,7 +294,10 @@ int main() {
 		if !ok {
 			t.Fatal("BTFNT must always predict")
 		}
-		backward := s.Fn.LayoutIndex(s.Branch.Target) < s.Fn.LayoutIndex(s.Ref.Block)
+		// A branch to its own block is backward: it ends the block and
+		// jumps to the block's start.
+		layout := s.Fn.Layout()
+		backward := layout.Index(s.Branch.Target) <= layout.Index(s.Ref.Block)
 		if backward {
 			back++
 			if p != Taken {

@@ -17,7 +17,7 @@ func (BTFNT) Name() string { return "btfnt" }
 
 // Prob implements pgo.ProbSource.
 func (BTFNT) Prob(s *features.Site) float64 {
-	if s.TakenIdx <= s.BlockIdx {
+	if s.Backward() {
 		return 1
 	}
 	return 0

@@ -131,6 +131,7 @@ func CycleCountModel(p *ir.Program, prof *Profile, cm CostModel) (int64, error) 
 	var cycles, insns int64
 	for _, f := range p.Funcs {
 		in := incoming[f.Name]
+		layout := f.Layout()
 		for i, b := range f.Blocks {
 			dyn := in[b.ID]
 			if i == 0 {
@@ -162,7 +163,9 @@ func CycleCountModel(p *ir.Program, prof *Profile, cm CostModel) (int64, error) 
 				}
 				notTaken := c.Executed - c.Taken
 				cycles += c.Taken * cm.TakenRedirect
-				if backward := f.LayoutIndex(br.Target) <= i; backward {
+				// A branch ends its block, so a branch to its own block
+				// jumps backward.
+				if backward := layout.Index(br.Target) <= i; backward {
 					cycles += notTaken * cm.Mispredict // predicted taken, fell through
 				} else {
 					cycles += c.Taken * cm.Mispredict // predicted not-taken, taken

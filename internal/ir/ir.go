@@ -87,33 +87,36 @@ type Instr struct {
 }
 
 // Uses returns the registers read by the instruction.
-func (in *Instr) Uses() []Reg {
+func (in *Instr) Uses() []Reg { return in.AppendUses(nil) }
+
+// AppendUses appends the registers read by the instruction to dst.
+func (in *Instr) AppendUses(dst []Reg) []Reg {
 	switch in.Op.Class() {
 	case ClassIntALU, ClassFloatALU, ClassIntCmp, ClassFloatCmp:
 		if in.Op == OpFAbs || in.Op == OpFNeg || in.Op == OpCvtQT || in.Op == OpCvtTQ {
-			return []Reg{in.A}
+			return append(dst, in.A)
 		}
 		if in.UseImm {
-			return []Reg{in.A}
+			return append(dst, in.A)
 		}
-		return []Reg{in.A, in.B}
+		return append(dst, in.A, in.B)
 	case ClassMove:
-		return []Reg{in.A}
+		return append(dst, in.A)
 	case ClassCmov:
-		return []Reg{in.A, in.B, in.Dst}
+		return append(dst, in.A, in.B, in.Dst)
 	case ClassLoad:
-		return []Reg{in.A}
+		return append(dst, in.A)
 	case ClassStore:
-		return []Reg{in.A, in.B}
+		return append(dst, in.A, in.B)
 	case ClassCondBranch:
 		if in.Op.IsTwoRegBranch() {
-			return []Reg{in.A, in.B}
+			return append(dst, in.A, in.B)
 		}
-		return []Reg{in.A}
+		return append(dst, in.A)
 	case ClassIndirectJump, ClassIndirectCall:
-		return []Reg{in.A}
+		return append(dst, in.A)
 	}
-	return nil
+	return dst
 }
 
 // Def returns the register written by the instruction and whether it writes
@@ -236,8 +239,8 @@ const (
 )
 
 // Func is a procedure: an ordered list of basic blocks. Blocks[0] is the
-// entry block and block layout order defines branch direction (a branch to a
-// lower-indexed block is a backward branch).
+// entry block and block layout order defines branch direction (a branch to
+// its own block or a lower-indexed one is a backward branch).
 type Func struct {
 	Name      string
 	Blocks    []*Block
@@ -299,14 +302,41 @@ func (f *Func) BlockByID(id int) *Block {
 	return nil
 }
 
-// LayoutIndex returns the position of block id in layout order, or -1.
-func (f *Func) LayoutIndex(id int) int {
-	for i, b := range f.Blocks {
-		if b.ID == id {
-			return i
-		}
+// Layout maps block IDs to layout positions in constant time. Block IDs
+// come from a FuncBuilder counter, so they are dense and the table holds
+// about one entry per block.
+type Layout struct {
+	lo  int
+	pos []int32 // pos[id-lo] is the layout index of block id, or -1
+}
+
+// Layout indexes the function's blocks by ID. When an ID repeats, the first
+// block with it wins; Verify rejects such functions.
+func (f *Func) Layout() Layout {
+	if len(f.Blocks) == 0 {
+		return Layout{}
 	}
-	return -1
+	lo, hi := f.Blocks[0].ID, f.Blocks[0].ID
+	for _, b := range f.Blocks[1:] {
+		lo = min(lo, b.ID)
+		hi = max(hi, b.ID)
+	}
+	l := Layout{lo: lo, pos: make([]int32, hi-lo+1)}
+	for i := range l.pos {
+		l.pos[i] = -1
+	}
+	for i := len(f.Blocks) - 1; i >= 0; i-- {
+		l.pos[f.Blocks[i].ID-lo] = int32(i)
+	}
+	return l
+}
+
+// Index returns the layout position of block id, or -1 if there is none.
+func (l Layout) Index(id int) int {
+	if id < l.lo || id-l.lo >= len(l.pos) {
+		return -1
+	}
+	return int(l.pos[id-l.lo])
 }
 
 // NumInsns returns the static instruction count of the function.

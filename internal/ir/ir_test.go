@@ -234,6 +234,9 @@ func TestVerifyCatchesErrors(t *testing.T) {
 		build(fb)
 		return &Program{Name: "t", Funcs: []*Func{fb.Func()}}
 	}
+	helper := NewFuncBuilder("helper", LangC)
+	helper.Ret()
+	// Each error class keeps its exact text.
 	cases := []struct {
 		name string
 		prog *Program
@@ -247,12 +250,22 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				fb.SetBlock(nb)
 				fb.Ret()
 			}),
-			"successor b99 does not exist",
+			"func main: b0: successor b99 does not exist",
+		},
+		{
+			"bad indirect-jump target",
+			mk(func(fb *FuncBuilder) {
+				nb := fb.NewBlock()
+				fb.Emit(Instr{Op: OpJmp, A: R(1), Targets: []int{nb.ID, 77}})
+				fb.SetBlock(nb)
+				fb.Ret()
+			}),
+			"func main: b0: successor b77 does not exist",
 		},
 		{
 			"falls off end",
 			mk(func(fb *FuncBuilder) { fb.LoadInt(R(1), 1) }),
-			"falls off the end",
+			"func main: b0: last block falls off the end of the function",
 		},
 		{
 			"undefined callee",
@@ -260,7 +273,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				fb.Call("nowhere")
 				fb.Ret()
 			}),
-			"undefined function",
+			`func main: b0: bsr nowhere: call to undefined function "nowhere"`,
 		},
 		{
 			"undefined global",
@@ -268,7 +281,30 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				fb.Lda(R(1), "ghost", 0)
 				fb.Ret()
 			}),
-			"undefined global",
+			`func main: b0: lda R1, ghost+0: lda of undefined global "ghost"`,
+		},
+		{
+			"duplicate block id",
+			mk(func(fb *FuncBuilder) {
+				fb.Ret()
+				fn := fb.Func()
+				fn.Blocks = append(fn.Blocks, &Block{ID: fn.Blocks[0].ID, Insns: []Instr{{Op: OpRet}}})
+			}),
+			"func main: duplicate block id b0",
+		},
+		{
+			"terminator before end of block",
+			mk(func(fb *FuncBuilder) {
+				fb.Ret()
+				b := fb.Block()
+				b.Insns = append(b.Insns, Instr{Op: OpLdiQ, Dst: R(1), Imm: 1})
+			}),
+			"func main: b0: terminator ret not at end of block",
+		},
+		{
+			"no main",
+			&Program{Name: "t", Funcs: []*Func{helper.Func()}},
+			"program t: no main function",
 		},
 		{
 			"wrong register class",
@@ -276,7 +312,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				fb.Emit(Instr{Op: OpAddT, Dst: R(1), A: F(1), B: F(2)})
 				fb.Ret()
 			}),
-			"wrong register class",
+			"func main: b0: addt R1, F1, F2: destination R1 has wrong register class for addt",
 		},
 		{
 			"bad runtime intrinsic",
@@ -284,7 +320,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				fb.Emit(Instr{Op: OpRtcall, Imm: 999})
 				fb.Ret()
 			}),
-			"unknown runtime intrinsic",
+			"func main: b0: rtcall #999: unknown runtime intrinsic 999",
 		},
 	}
 	for _, c := range cases {
@@ -293,8 +329,8 @@ func TestVerifyCatchesErrors(t *testing.T) {
 			t.Errorf("%s: Verify accepted invalid IR", c.name)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
 		}
 	}
 }

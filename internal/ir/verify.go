@@ -15,27 +15,43 @@ import (
 //
 // It returns the first violation found, or nil.
 func (p *Program) Verify() error {
+	v := verifier{
+		funcs:   make(map[string]bool, len(p.Funcs)),
+		globals: make(map[string]bool, len(p.Globals)),
+	}
 	for _, f := range p.Funcs {
-		if err := p.verifyFunc(f); err != nil {
+		v.funcs[f.Name] = true
+	}
+	for _, g := range p.Globals {
+		v.globals[g.Name] = true
+	}
+	for _, f := range p.Funcs {
+		if err := v.verifyFunc(f); err != nil {
 			return fmt.Errorf("func %s: %w", f.Name, err)
 		}
 	}
-	if p.FuncByName("main") == nil {
+	if !v.funcs["main"] {
 		return fmt.Errorf("program %s: no main function", p.Name)
 	}
 	return nil
 }
 
-func (p *Program) verifyFunc(f *Func) error {
+// verifier holds the program's function and global names, collected once
+// per Verify so that checking a call or an LDA is a set lookup.
+type verifier struct {
+	funcs   map[string]bool
+	globals map[string]bool
+}
+
+func (v *verifier) verifyFunc(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	ids := make(map[int]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		if ids[b.ID] {
+	layout := f.Layout()
+	for i, b := range f.Blocks {
+		if layout.Index(b.ID) != i {
 			return fmt.Errorf("duplicate block id b%d", b.ID)
 		}
-		ids[b.ID] = true
 	}
 	for li, b := range f.Blocks {
 		for i := range b.Insns {
@@ -43,27 +59,41 @@ func (p *Program) verifyFunc(f *Func) error {
 			if in.Op.IsTerminator() && i != len(b.Insns)-1 {
 				return fmt.Errorf("b%d: terminator %s not at end of block", b.ID, in.String())
 			}
-			if err := p.verifyInstr(f, in); err != nil {
+			if err := v.verifyInstr(in); err != nil {
 				return fmt.Errorf("b%d: %s: %w", b.ID, in.String(), err)
 			}
 		}
-		if b.Terminator() == nil && li == len(f.Blocks)-1 {
-			return fmt.Errorf("b%d: last block falls off the end of the function", b.ID)
+		t := b.Terminator()
+		if t == nil {
+			if li == len(f.Blocks)-1 {
+				return fmt.Errorf("b%d: last block falls off the end of the function", b.ID)
+			}
+			continue
 		}
-		for _, s := range f.Succs(b) {
-			if !ids[s] {
-				return fmt.Errorf("b%d: successor b%d does not exist", b.ID, s)
+		// The fall-through successor is the next block, which exists; only
+		// explicit targets can be missing.
+		switch t.Op.Class() {
+		case ClassCondBranch, ClassUncondBranch:
+			if layout.Index(t.Target) < 0 {
+				return fmt.Errorf("b%d: successor b%d does not exist", b.ID, t.Target)
+			}
+		case ClassIndirectJump:
+			for _, s := range t.Targets {
+				if layout.Index(s) < 0 {
+					return fmt.Errorf("b%d: successor b%d does not exist", b.ID, s)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-func (p *Program) verifyInstr(f *Func, in *Instr) error {
+func (v *verifier) verifyInstr(in *Instr) error {
 	if !in.Op.valid() {
 		return fmt.Errorf("invalid opcode")
 	}
-	for _, r := range in.Uses() {
+	var buf [3]Reg
+	for _, r := range in.AppendUses(buf[:0]) {
 		if int(r) >= NumRegs {
 			return fmt.Errorf("register %d out of range", r)
 		}
@@ -90,11 +120,11 @@ func (p *Program) verifyInstr(f *Func, in *Instr) error {
 			return fmt.Errorf("branch tests %s with wrong register class", in.A)
 		}
 	case ClassCall:
-		if p.FuncByName(in.Sym) == nil {
+		if !v.funcs[in.Sym] {
 			return fmt.Errorf("call to undefined function %q", in.Sym)
 		}
 	case ClassConst:
-		if in.Op == OpLda && p.GlobalByName(in.Sym) == nil {
+		if in.Op == OpLda && !v.globals[in.Sym] {
 			return fmt.Errorf("lda of undefined global %q", in.Sym)
 		}
 	case ClassRuntime:
