@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check check bench bench-hot bench-serve bench-gencorpus bench-pgo bench-hwsim race fuzz chaos cluster-chaos gencorpus-check
+.PHONY: all build test vet fmt-check check bench bench-hot bench-gencorpus bench-pgo bench-hwsim race fuzz chaos cluster-chaos gencorpus-check perfbench-check
 
 all: check
 
@@ -32,6 +32,11 @@ race:
 gencorpus-check:
 	$(GO) test -race -short ./internal/gencorpus
 
+# perfbench-check runs the benchmark harness's self-tests. perfbench is its
+# own module (replace repro => ../), so `go test ./...` never reaches it.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # chaos runs the fault-injection suite under the race detector: seeded
 # error/latency/panic faults at every registered site while concurrent
 # clients verify bit-identical or correctly-degraded answers, drain
@@ -58,7 +63,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=20s ./internal/artifact
 	$(GO) test -run=NONE -fuzz=FuzzAnalysis -fuzztime=20s ./internal/cfg
 
-check: build vet fmt-check test race chaos cluster-chaos
+check: build vet fmt-check test race gencorpus-check chaos cluster-chaos perfbench-check
 
 # bench runs the full benchmark suite (every table/figure plus the component
 # micro-benchmarks). Expect several minutes.
@@ -77,13 +82,6 @@ bench-hot:
 # baseline for the profiling hot path.
 bench-json:
 	$(GO) run ./cmd/espbench -bench all -benchout .
-
-# bench-serve measures the serving request path — the committed float
-# pipeline (encoding/json + float64 forward) against the quantized
-# zero-allocation arena pipeline — and regenerates BENCH_serve.json,
-# committed as the baseline the >=5x acceptance test guards.
-bench-serve:
-	$(GO) run ./cmd/espbench -serve -benchout .
 
 # bench-gencorpus measures the generative-corpus pipeline (generation,
 # cold/warm analysis through the artifact cache, streaming training) and

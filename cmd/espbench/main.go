@@ -15,12 +15,6 @@
 //	espbench -bench all -benchout .
 //	espbench -bench parse,forward -benchout bench/
 //
-// With -serve it benchmarks the serving request path — the committed float
-// pipeline against the quantized zero-allocation arena pipeline — and
-// writes BENCH_serve.json:
-//
-//	espbench -serve -benchout .
-//
 // With -pgo it runs the ESP-guided optimization study (simulated cycles of
 // unguided vs ESP/heuristic/perfect-guided binaries) and writes
 // BENCH_pgo.json:
@@ -65,7 +59,6 @@ func main() {
 	hidden := flag.Int("hidden", 0, "override ESP hidden-layer width")
 	seed := flag.Uint64("seed", 0, "override ESP training seed")
 	bench := flag.String("bench", "", "run micro-benchmarks (comma-separated names or \"all\") instead of experiments")
-	serveBench := flag.Bool("serve", false, "benchmark the serving request path (float baseline vs quantized arena pipeline) and write BENCH_serve.json")
 	stages := flag.Bool("stages", false, "time the analysis pipeline per stage (compile/trace/featurize/train) and write BENCH_stages.json")
 	benchout := flag.String("benchout", ".", "directory for BENCH_<name>.json files")
 	cacheDir := flag.String("cache-dir", "", "artifact cache directory (default $ESPCACHE_DIR, else .espcache)")
@@ -103,13 +96,6 @@ func main() {
 
 	if *bench != "" {
 		if err := runBenchSuite(*bench, *benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveBench {
-		if err := runServeBench(*benchout, core.Config{Hidden: *hidden, Seed: *seed}); err != nil {
 			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -62,8 +62,6 @@ func run(args []string) error {
 		"disable the heuristic fallback: model-path failures return 5xx instead of degraded predictions")
 	train := fs.Bool("train", false,
 		"train the model from the corpus at startup instead of loading -model (uses the artifact cache)")
-	quant := fs.Bool("quant", false,
-		"serve the int8 quantized forward path (requires a calibrated model: esptool calibrate, or -train which calibrates in-process)")
 	cacheDir := fs.String("cache-dir", "",
 		"artifact cache directory for -train (default $ESPCACHE_DIR, else .espcache)")
 	noCache := fs.Bool("no-cache", false, "disable the persistent analysis cache for -train")
@@ -128,34 +126,15 @@ func run(args []string) error {
 	// the corpus (-train, warmed by the artifact/peer cache) or the -model
 	// file — both at startup and on each SIGHUP hot reload.
 	loadModel := func() (*core.Model, error) {
-		var model *core.Model
 		if *train {
-			var err error
-			if model, err = trainStartupModel(analysis, *quant); err != nil {
-				return nil, err
-			}
-		} else {
-			f, err := os.Open(*modelPath)
-			if err != nil {
-				return nil, err
-			}
-			model, err = core.Load(f)
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-			if *quant && model.QuantCalib == nil {
-				return nil, fmt.Errorf("-quant needs a calibrated model: run `esptool calibrate -model %s` first (or use -train)", *modelPath)
-			}
+			return trainStartupModel(analysis)
 		}
-		if *quant {
-			if err := model.EnableQuant(); err != nil {
-				return nil, err
-			}
-			fmt.Printf("espserve: int8 quantized path enabled (xscale %.4f, guard %.6f)\n",
-				model.QuantCalib.XScale, model.QuantCalib.Guard)
+		f, err := os.Open(*modelPath)
+		if err != nil {
+			return nil, err
 		}
-		return model, nil
+		defer f.Close()
+		return core.Load(f)
 	}
 	model, err := loadModel()
 	if err != nil {
@@ -271,9 +250,8 @@ func run(args []string) error {
 // from the analysis cache when warm (the local artifact cache, or a peer
 // replica's via the cluster peer protocol), so a restart with a populated
 // cache — or a cold replica joining a warm cluster — reaches serving
-// without a single interpreter trace. With quant set, the freshly analyzed
-// corpus doubles as the quantization calibration set.
-func trainStartupModel(cache core.AnalysisCache, quant bool) (*core.Model, error) {
+// without a single interpreter trace.
+func trainStartupModel(cache core.AnalysisCache) (*core.Model, error) {
 	start := time.Now()
 	var data []*core.ProgramData
 	for _, e := range corpus.Study() {
@@ -289,13 +267,5 @@ func trainStartupModel(cache core.AnalysisCache, quant bool) (*core.Model, error
 	}
 	model := core.Train(data, core.Config{})
 	fmt.Printf("espserve: trained on %d programs in %v\n", len(data), time.Since(start).Round(time.Millisecond))
-	if quant {
-		rep, err := core.CalibrateQuant(model, data, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("espserve: quantization calibrated (margin %.4f, %.2f%% float fallback)\n",
-			rep.Chosen.Margin, 100*rep.Chosen.FallbackFraction())
-	}
 	return model, nil
 }

@@ -6,7 +6,6 @@
 //	esptool predict -model model.json -program gzip
 //	esptool rules -model model.json            # print decision-tree rules
 //	esptool eval                               # all predictors on the corpus
-//	esptool calibrate -model model.json        # decision-pinned int8 calibration
 //	esptool gencorpus -seed 1 -n 5             # emit generated MinC workloads
 //	esptool train -gen 1000 -shard 64 -stream-dir ckpt -out model.json
 package main
@@ -40,8 +39,6 @@ func main() {
 		cmdRules(os.Args[2:])
 	case "eval":
 		cmdEval(os.Args[2:])
-	case "calibrate":
-		cmdCalibrate(os.Args[2:])
 	case "gencorpus":
 		cmdGencorpus(os.Args[2:])
 	default:
@@ -50,7 +47,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: esptool {train|predict|rules|eval|calibrate|gencorpus} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: esptool {train|predict|rules|eval|gencorpus} [flags]")
 	os.Exit(2)
 }
 
@@ -273,39 +270,6 @@ func cmdEval(args []string) {
 			stats.Pct(heuristics.MissRate(pd.Sites, pd.Profile, &heuristics.Perfect{Prof: pd.Profile})))
 	}
 	fmt.Print(t.String())
-}
-
-// cmdCalibrate sweeps the int8 quantization scale over the full corpus,
-// pins every decision to the float reference via the guard band, and writes
-// the calibration into the model file so espserve -quant can use it.
-func cmdCalibrate(args []string) {
-	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
-	modelPath := fs.String("model", "esp-model.json", "model file to calibrate")
-	out := fs.String("out", "", "output model file (default: overwrite -model)")
-	cache := cacheFlags(fs)
-	mustParse(fs, args)
-
-	model := loadModel(*modelPath)
-	data := analyzeCorpus(corpus.Study(), cache())
-	rep, err := core.CalibrateQuant(model, data, nil)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(rep.Render())
-
-	dst := *out
-	if dst == "" {
-		dst = *modelPath
-	}
-	f, err := os.Create(dst)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := model.Save(f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("calibrated model -> %s\n", dst)
 }
 
 func mustParse(fs *flag.FlagSet, args []string) {

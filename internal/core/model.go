@@ -108,16 +108,6 @@ type Model struct {
 	MBR     *mbr.Model
 	// TrainStats records the neural training run (empty for trees).
 	TrainStats neural.TrainResult
-	// QuantCalib carries the decision-pinned quantization calibration
-	// (CalibrateQuant), inert until EnableQuant builds the int8 path from
-	// it. It round-trips through Save/Load so a calibrated model file can
-	// serve quantized without re-sweeping the corpus.
-	QuantCalib *QuantCalibration
-
-	// quant, when non-nil, routes TakenProbability/TakenProbabilities
-	// through the int8 forward pass.
-	quant *quantFused
-
 	// gate marks the features the model excludes (Cfg.ExcludeFeatures):
 	// prediction encodes them as Unknown, so it never copies the vector.
 	gate featureGate
@@ -129,61 +119,13 @@ type Model struct {
 // featureGate marks, per feature, whether the model hides it.
 type featureGate = [features.NumFeatures]bool
 
-// QuantCalibration is the serialized outcome of the decision-pinning sweep:
-// everything needed to rebuild the int8 path deterministically from the
-// float weights.
-type QuantCalibration struct {
-	// XScale quantizes inputs: qx = clamp(round(x·XScale), ±127).
-	XScale float64 `json:"xscale"`
-	// Guard is the half-width of the float-fallback band around 0.5: a
-	// quantized probability within Guard of 0.5 is recomputed in float64.
-	// Chosen by CalibrateQuant as the largest quantized decision margin of
-	// any corpus branch whose quantized decision disagrees with the float
-	// reference — so every corpus decision is pinned by construction.
-	Guard float64 `json:"guard"`
-	// Margin records the clip margin the sweep selected (the fraction of
-	// the corpus's maximum activation magnitude kept representable).
-	Margin float64 `json:"margin,omitempty"`
-}
-
 // predictBuf is the reusable per-prediction scratch: the sparse input row
-// (capacity Dim, so appending never grows it), the hidden activations, and
-// — when quantization is enabled — the int32 hidden accumulators.
+// (capacity Dim, so appending never grows it) and the hidden activations.
 type predictBuf struct {
 	idx []int32
 	val []float64
 	h   []float64
-	acc []int32
 }
-
-// EnableQuant builds the int8 inference path from the stored calibration.
-// Requires the neural classifier and a QuantCalib (from CalibrateQuant or a
-// calibrated model file). Concurrent predictions must not be in flight.
-func (m *Model) EnableQuant() error {
-	if m.Net == nil {
-		return fmt.Errorf("core: quantized inference requires the neural classifier (have %s)", m.Cfg.Classifier)
-	}
-	if m.QuantCalib == nil {
-		return fmt.Errorf("core: model has no quantization calibration; run esptool calibrate (or CalibrateQuant)")
-	}
-	if g := m.QuantCalib.Guard; !(g >= 0) {
-		// A negative (or NaN) band never holds, so the float fallback would
-		// never run and decisions would silently go unpinned.
-		return fmt.Errorf("core: bad quantization guard band %v", g)
-	}
-	qn, err := neural.Quantize(m.Net, m.QuantCalib.XScale)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	m.quant = newQuantFused(qn, m.Encoder, &m.gate)
-	return nil
-}
-
-// DisableQuant routes predictions back through the float64 reference path.
-func (m *Model) DisableQuant() { m.quant = nil }
-
-// QuantEnabled reports whether predictions run through the int8 path.
-func (m *Model) QuantEnabled() bool { return m.quant != nil }
 
 // Train fits an ESP model on the pooled examples of a corpus of programs.
 func Train(corpus []*ProgramData, cfg Config) *Model {
@@ -295,12 +237,7 @@ func (m *Model) TakenProbability(v features.Vector) float64 {
 		return m.MBR.Predict(v.Values)
 	}
 	buf := m.getBuf()
-	var y float64
-	if m.quant != nil {
-		y = m.quantForward(&v, buf)
-	} else {
-		y = m.forwardFloat(&v, buf)
-	}
+	y := m.forwardFloat(&v, buf)
 	m.scratch.Put(buf)
 	return y
 }
@@ -315,25 +252,7 @@ func (m *Model) getBuf() *predictBuf {
 			h:   make([]float64, m.Net.Hidden),
 		}
 	}
-	if m.quant != nil && len(buf.acc) != m.Net.Hidden {
-		buf.acc = make([]int32, m.Net.Hidden)
-	}
 	return buf
-}
-
-// quantForward runs one vector through the int8 fused path, with the
-// float64 fallback inside the calibrated guard band around 0.5 (which is
-// what pins decisions). Like forwardFloat it gates excluded features
-// itself. v is a pointer purely for speed (27 string headers) and is not
-// modified.
-func (m *Model) quantForward(v *features.Vector, buf *predictBuf) float64 {
-	y := m.quant.forward(v, buf.acc)
-	if diff := y - 0.5; diff <= m.QuantCalib.Guard && -diff <= m.QuantCalib.Guard {
-		// Too close to the decision boundary for the quantized pass to
-		// be trusted with the outcome: recompute in float64.
-		y = m.forwardFloat(v, buf)
-	}
-	return y
 }
 
 // forwardFloat runs one vector through the float64 network: its sparse row
@@ -361,14 +280,8 @@ func (m *Model) TakenProbabilities(vs []features.Vector, out []float64) {
 		return
 	}
 	buf := m.getBuf()
-	if m.quant != nil {
-		for i := range vs {
-			out[i] = m.quantForward(&vs[i], buf)
-		}
-	} else {
-		for i := range vs {
-			out[i] = m.forwardFloat(&vs[i], buf)
-		}
+	for i := range vs {
+		out[i] = m.forwardFloat(&vs[i], buf)
 	}
 	m.scratch.Put(buf)
 }
@@ -399,11 +312,9 @@ func (p *Predictor) PredictSite(s *features.Site) (heuristics.Prediction, bool) 
 	return heuristics.NotTaken, true
 }
 
-// modelJSON is the serialized form of a model. The quantization section
-// stores only the calibration — the int8 weights are rebuilt
-// deterministically from the float net on EnableQuant, so the file format
-// carries no second copy of the matrix and old tools keep loading new
-// files.
+// modelJSON is the serialized form of a model. Load decodes it with plain
+// encoding/json semantics, so fields it does not know — such as the
+// "quant" calibration older model files carry — are ignored.
 type modelJSON struct {
 	Classifier ClassifierKind    `json:"classifier"`
 	Hidden     int               `json:"hidden"`
@@ -412,7 +323,6 @@ type modelJSON struct {
 	Net        *neural.Net       `json:"net,omitempty"`
 	Tree       *dtree.Tree       `json:"tree,omitempty"`
 	MBR        *mbr.Model        `json:"mbr,omitempty"`
-	Quant      *QuantCalibration `json:"quant,omitempty"`
 }
 
 // Save writes the model as JSON.
@@ -427,7 +337,6 @@ func (m *Model) Save(w io.Writer) error {
 		Net:        m.Net,
 		Tree:       m.Tree,
 		MBR:        m.MBR,
-		Quant:      m.QuantCalib,
 	})
 }
 
@@ -455,12 +364,11 @@ func Load(r io.Reader) (*Model, error) {
 			Hidden:          mj.Hidden,
 			ExcludeFeatures: mj.Excluded,
 		},
-		Encoder:    mj.Encoder,
-		Net:        mj.Net,
-		Tree:       mj.Tree,
-		MBR:        mj.MBR,
-		QuantCalib: mj.Quant,
-		gate:       gateOf(mj.Excluded),
+		Encoder: mj.Encoder,
+		Net:     mj.Net,
+		Tree:    mj.Tree,
+		MBR:     mj.MBR,
+		gate:    gateOf(mj.Excluded),
 	}
 	if m.Net == nil && m.Tree == nil && m.MBR == nil {
 		return nil, fmt.Errorf("core: model file has no classifier")

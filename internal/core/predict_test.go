@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/corpus"
 	"repro/internal/features"
+	"repro/internal/testutil"
 )
 
 // corpusVectors compiles every corpus program and extracts its branch
@@ -96,8 +98,7 @@ func predictProbes(m *Model) []features.Vector {
 // plus the hand-made probes. Models train on every other program, so the
 // held-out half brings genuinely unseen values. It covers the default
 // configuration, an ExcludeFeatures ablation, and hidden widths on both
-// sides of the gather kernel's 16-lane block, and the int8 path's float
-// fallback with a guard band wide enough to send every vector through it.
+// sides of the gather kernel's 16-lane block.
 func TestPredictMatchesDenseOracle(t *testing.T) {
 	progs, err := corpusVectors()
 	if err != nil {
@@ -145,13 +146,6 @@ func TestPredictMatchesDenseOracle(t *testing.T) {
 				got[i] = m.TakenProbability(v)
 			}
 			check("TakenProbability", got)
-
-			m.QuantCalib = &QuantCalibration{XScale: 10, Guard: 1}
-			if err := m.EnableQuant(); err != nil {
-				t.Fatal(err)
-			}
-			m.TakenProbabilities(vecs, got)
-			check("int8 float fallback", got)
 		})
 	}
 }
@@ -207,4 +201,88 @@ func FuzzPredict(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLoadIgnoresQuantCalibration pins the legacy model-file contract: a
+// file that still carries the "quant" calibration object older builds wrote
+// loads, predicts bit-identically to the same model without it, and saves
+// back to exactly the clean file's bytes.
+func TestLoadIgnoresQuantCalibration(t *testing.T) {
+	data := []*ProgramData{analyzeSrc(t, "a", loopy, nil)}
+	var clean bytes.Buffer
+	if err := Train(data, Config{}).Save(&clean); err != nil {
+		t.Fatal(err)
+	}
+	// Save ends the object with "\n}\n"; add the legacy field before it.
+	body := bytes.TrimSuffix(clean.Bytes(), []byte("\n}\n"))
+	if len(body) == clean.Len() {
+		t.Fatalf("unexpected model file ending: %q", clean.Bytes()[clean.Len()-8:])
+	}
+	legacy := append(append([]byte(nil), body...),
+		",\n \"quant\": {\"xscale\": 8.3335, \"guard\": 0.01}\n}\n"...)
+
+	want, err := Load(bytes.NewReader(clean.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("loading a model file with a quant object: %v", err)
+	}
+	vecs := data[0].Vectors
+	wantP := make([]float64, len(vecs))
+	gotP := make([]float64, len(vecs))
+	want.TakenProbabilities(vecs, wantP)
+	got.TakenProbabilities(vecs, gotP)
+	for i := range wantP {
+		if math.Float64bits(gotP[i]) != math.Float64bits(wantP[i]) {
+			t.Errorf("site %d: legacy file predicts %v, clean file %v", i, gotP[i], wantP[i])
+		}
+	}
+	var resaved bytes.Buffer
+	if err := got.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), clean.Bytes()) {
+		t.Error("re-saving the legacy model does not reproduce the clean file's bytes")
+	}
+}
+
+// TestPredictZeroAlloc pins the serving property of the float path:
+// steady-state TakenProbabilities and TakenProbability allocate nothing.
+func TestPredictZeroAlloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only hold on plain builds")
+	}
+	data := []*ProgramData{analyzeSrc(t, "a", loopy, nil)}
+	model := Train(data, Config{})
+	vecs := data[0].Vectors
+	out := make([]float64, len(vecs))
+	model.TakenProbabilities(vecs, out) // warm the scratch pool
+	if allocs := testing.AllocsPerRun(100, func() {
+		model.TakenProbabilities(vecs, out)
+	}); allocs != 0 {
+		t.Errorf("TakenProbabilities allocates %v per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		out[0] = model.TakenProbability(vecs[0])
+	}); allocs != 0 {
+		t.Errorf("TakenProbability allocates %v per run, want 0", allocs)
+	}
+}
+
+// BenchmarkPredictFloat measures the serving forward path per prediction.
+func BenchmarkPredictFloat(b *testing.B) {
+	data := []*ProgramData{
+		analyzeSrc(b, "a", loopy, nil),
+		analyzeSrc(b, "b", loopy2, nil),
+	}
+	m := Train(data, Config{})
+	vecs := append(append([]features.Vector(nil), data[0].Vectors...), data[1].Vectors...)
+	out := make([]float64, len(vecs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TakenProbabilities(vecs, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vecs)), "ns/prediction")
 }

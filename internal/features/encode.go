@@ -202,29 +202,29 @@ func (e *Encoder) derive() {
 	}
 }
 
-// The values Positions reports in place of a vocabulary position.
+// The values positions reports in place of a vocabulary position.
 const (
-	// Unseen marks a value outside its feature's vocabulary: the block
+	// unseen marks a value outside its feature's vocabulary: the block
 	// encodes with every column cold.
-	Unseen = -1
-	// Gated marks a feature that encodes as all zeros: gated by the
+	unseen = -1
+	// gated marks a feature that encodes as all zeros: gated by the
 	// caller, Unknown, or empty.
-	Gated = -2
+	gated = -2
 )
 
-// Positions resolves every feature value of v in one pass: pos[f] is the
-// value's position in Vocab[f] (its column is Offsets[f]+pos[f]), Unseen,
-// or Gated when gate[f] is set or the value is Unknown or empty. Encode,
-// AppendRow and the int8 contribution tables all resolve values here.
-func (e *Encoder) Positions(v *Vector, gate *[NumFeatures]bool, pos *[NumFeatures]int32) {
+// positions resolves every feature value of v in one pass: pos[f] is the
+// value's position in Vocab[f] (its column is Offsets[f]+pos[f]), unseen,
+// or gated when gate[f] is set or the value is Unknown or empty. Encode and
+// AppendRow both resolve values here.
+func (e *Encoder) positions(v *Vector, gate *[NumFeatures]bool, pos *[NumFeatures]int32) {
 	for f := range v.Values {
 		s := v.Values[f]
 		if gate[f] || s == Unknown || s == "" {
-			pos[f] = Gated
+			pos[f] = gated
 			continue
 		}
 		x := &e.index[f]
-		p := int32(Unseen)
+		p := int32(unseen)
 		if x.slow != nil {
 			if i, ok := x.slow[s]; ok {
 				p = i
@@ -259,9 +259,9 @@ func (e *Encoder) Encode(v Vector, dst []float64) {
 		dst[i] = 0
 	}
 	var pos [NumFeatures]int32
-	e.Positions(&v, &[NumFeatures]bool{}, &pos)
+	e.positions(&v, &[NumFeatures]bool{}, &pos)
 	for f, p := range pos {
-		if p == Gated {
+		if p == gated {
 			// Zero activity for the whole feature block.
 			continue
 		}
@@ -289,9 +289,9 @@ func (e *Encoder) Encode(v Vector, dst []float64) {
 // and val (Dim entries suffice) it allocates nothing.
 func (e *Encoder) AppendRow(idx []int32, val []float64, v *Vector, gate *[NumFeatures]bool) ([]int32, []float64) {
 	var pos [NumFeatures]int32
-	e.Positions(v, gate, &pos)
+	e.positions(v, gate, &pos)
 	for f, p := range pos {
-		if p == Gated {
+		if p == gated {
 			continue
 		}
 		fr := &e.rows[f]

@@ -421,11 +421,11 @@ func TestPackKey(t *testing.T) {
 	}
 }
 
-// TestEncoderPositions checks the value lookup behind Encode, AppendRow and
-// the int8 tables on both of its forms — the packed-key table and, for a
-// feature with a >7-byte value, the map fallback: every vocabulary value
-// finds its own position, unseen and unpackable unseen values are Unseen,
-// and gated, Unknown and empty values are Gated.
+// TestEncoderPositions checks the value lookup behind Encode and AppendRow
+// on both of its forms — the packed-key table and, for a feature with a
+// >7-byte value, the map fallback: every vocabulary value finds its own
+// position, unseen and unpackable unseen values are unseen, and gated,
+// Unknown and empty values are gated.
 func TestEncoderPositions(t *testing.T) {
 	var vecs []Vector
 	for i := 0; i < 300; i++ {
@@ -441,13 +441,13 @@ func TestEncoderPositions(t *testing.T) {
 	if enc.index[FBrDirection].slow == nil {
 		t.Fatal("vocabulary with an unpackable value not on the map fallback")
 	}
-	resolve := func(f int, val string, gated bool) int32 {
+	resolve := func(f int, val string, masked bool) int32 {
 		var v Vector
 		var gate [NumFeatures]bool
 		var pos [NumFeatures]int32
 		v.Values[f] = val
-		gate[f] = gated
-		enc.Positions(&v, &gate, &pos)
+		gate[f] = masked
+		enc.positions(&v, &gate, &pos)
 		return pos[f]
 	}
 	for _, f := range []int{FBrOpcode, FBrDirection} {
@@ -455,18 +455,18 @@ func TestEncoderPositions(t *testing.T) {
 			if got := resolve(f, val, false); got != int32(want) {
 				t.Errorf("feature %d: %q at position %d, want %d", f, val, got, want)
 			}
-			if got := resolve(f, val, true); got != Gated {
+			if got := resolve(f, val, true); got != gated {
 				t.Errorf("feature %d: gated %q resolved to %d", f, val, got)
 			}
 		}
 		for _, val := range []string{"op97", "NEVER-SEEN-AND-LONG", "X"} {
-			if got := resolve(f, val, false); got != Unseen {
+			if got := resolve(f, val, false); got != unseen {
 				t.Errorf("feature %d: unseen %q resolved to %d", f, val, got)
 			}
 		}
 		for _, val := range []string{Unknown, ""} {
-			if got := resolve(f, val, false); got != Gated {
-				t.Errorf("feature %d: %q resolved to %d, want Gated", f, val, got)
+			if got := resolve(f, val, false); got != gated {
+				t.Errorf("feature %d: %q resolved to %d, want gated", f, val, got)
 			}
 		}
 	}

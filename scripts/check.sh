@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the full local gate: `make check` (build, vet, gofmt, tests,
-# and the race, chaos and cluster-chaos suites). CI (.github/workflows/ci.yml)
-# calls the same make targets for its race and chaos steps, so each
-# package list is defined once, in the Makefile.
+# the race, generative-corpus soak, chaos and cluster-chaos suites, and the
+# benchmark harness's self-tests). CI (.github/workflows/ci.yml) calls the
+# same make targets for those steps, so each package list is defined once,
+# in the Makefile.
 set -eu
 
 cd "$(dirname "$0")/.."
