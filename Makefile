@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check check bench bench-hot bench-gencorpus bench-pgo bench-hwsim race fuzz chaos cluster-chaos gencorpus-check perfbench-check
+.PHONY: all build test vet fmt-check check bench bench-hot bench-pgo bench-hwsim race fuzz chaos cluster-chaos gencorpus-check perfbench-check
 
 all: check
 
@@ -76,18 +76,6 @@ bench:
 bench-hot:
 	$(GO) test -run XXX -benchmem -timeout 3600s \
 		-bench 'BenchmarkTable4ESPCrossVal|BenchmarkNeuralTrainSparse|BenchmarkInterpProfile|BenchmarkInterpretTomcatv' .
-
-# bench-json regenerates the machine-readable BENCH_<name>.json results
-# that CI uploads as artifacts. BENCH_profile.json is committed as the
-# baseline for the profiling hot path.
-bench-json:
-	$(GO) run ./cmd/espbench -bench all -benchout .
-
-# bench-gencorpus measures the generative-corpus pipeline (generation,
-# cold/warm analysis through the artifact cache, streaming training) and
-# regenerates BENCH_gencorpus.json, committed as the throughput baseline.
-bench-gencorpus:
-	$(GO) run ./cmd/espbench -gencorpus -benchout .
 
 # bench-pgo runs the ESP-guided optimization study (simulated cycles of
 # unguided vs ESP/heuristic/perfect-guided binaries over the whole corpus

@@ -9,12 +9,6 @@
 //	espbench -ablations        # design-choice ablations
 //	espbench -orders           # exhaustive APHC order search
 //
-// With -bench it instead runs micro-benchmarks of the pipeline hot paths
-// and writes machine-readable BENCH_<name>.json files:
-//
-//	espbench -bench all -benchout .
-//	espbench -bench parse,forward -benchout bench/
-//
 // With -pgo it runs the ESP-guided optimization study (simulated cycles of
 // unguided vs ESP/heuristic/perfect-guided binaries) and writes
 // BENCH_pgo.json:
@@ -48,7 +42,6 @@ func main() {
 	corpusSize := flag.Bool("corpussize", false, "run the corpus-size study")
 	figure2b := flag.Bool("figure2b", false, "run the Figure 2b generated-corpus-size study (opt-in: trains on up to -gen-max programs)")
 	genMax := flag.Int("gen-max", 4000, "largest generated corpus size for -figure2b")
-	genBench := flag.Bool("gencorpus", false, "benchmark the generative-corpus pipeline and write BENCH_gencorpus.json")
 	ablations := flag.Bool("ablations", false, "run the ESP design ablations")
 	orders := flag.Bool("orders", false, "run the exhaustive APHC order search")
 	profileEst := flag.Bool("profileest", false, "run the Section 6 profile-estimation study")
@@ -58,14 +51,21 @@ func main() {
 	hwsimGen := flag.Int("hwsim-gen", 10, "generated programs in the -hwsim study slice")
 	hidden := flag.Int("hidden", 0, "override ESP hidden-layer width")
 	seed := flag.Uint64("seed", 0, "override ESP training seed")
-	bench := flag.String("bench", "", "run micro-benchmarks (comma-separated names or \"all\") instead of experiments")
-	stages := flag.Bool("stages", false, "time the analysis pipeline per stage (compile/trace/featurize/train) and write BENCH_stages.json")
 	benchout := flag.String("benchout", ".", "directory for BENCH_<name>.json files")
 	cacheDir := flag.String("cache-dir", "", "artifact cache directory (default $ESPCACHE_DIR, else .espcache)")
 	noCache := flag.Bool("no-cache", false, "disable the persistent analysis cache")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	var genSizes []int
+	if *figure2b {
+		var err error
+		if genSizes, err = figure2bSizes(*genMax); err != nil {
+			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -92,28 +92,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
 			}
 		}()
-	}
-
-	if *bench != "" {
-		if err := runBenchSuite(*bench, *benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *stages {
-		if err := runStages(*benchout, core.Config{Hidden: *hidden, Seed: *seed}); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *genBench {
-		if err := runGencorpusBench(*benchout, core.Config{Hidden: *hidden, Seed: *seed}); err != nil {
-			fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	var cache *artifact.Cache
@@ -237,14 +215,7 @@ func main() {
 	// of generated programs, far beyond the default everything-run's budget.
 	if *figure2b {
 		run("figure 2b", func() (string, error) {
-			sizes := []int{46, 100, 250, 500, 1000, 2000, 4000}
-			var kept []int
-			for _, s := range sizes {
-				if s <= *genMax {
-					kept = append(kept, s)
-				}
-			}
-			r, err := experiments.CorpusSizeGen(ctx, experiments.GenSweep{Sizes: kept}, espCfg)
+			r, err := experiments.CorpusSizeGen(ctx, experiments.GenSweep{Sizes: genSizes}, espCfg)
 			if err != nil {
 				return "", err
 			}
@@ -300,4 +271,21 @@ func main() {
 			return r.Render(), nil
 		})
 	}
+}
+
+// figure2bSizes returns the Figure 2b corpus sizes that fit under genMax.
+// It errors when none does, rather than handing GenSweep an empty list,
+// which it would replace with the full default sweep.
+func figure2bSizes(genMax int) ([]int, error) {
+	sizes := experiments.GenSizes()
+	var kept []int
+	for _, s := range sizes {
+		if s <= genMax {
+			kept = append(kept, s)
+		}
+	}
+	if len(kept) == 0 {
+		return nil, fmt.Errorf("-gen-max %d is below the smallest Figure 2b corpus size (%d)", genMax, sizes[0])
+	}
+	return kept, nil
 }

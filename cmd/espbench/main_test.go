@@ -3,6 +3,7 @@ package main
 import (
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,24 @@ func TestMeasuredTable(t *testing.T) {
 	for _, want := range []string{"espresso", "gem", "gcc"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("Table 7 missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestFigure2bSizes(t *testing.T) {
+	for _, max := range []int{0, 10, 45} {
+		if got, err := figure2bSizes(max); err == nil {
+			t.Errorf("figure2bSizes(%d) = %v, want an error", max, got)
+		}
+	}
+	for max, want := range map[int][]int{
+		46:   {46},
+		300:  {46, 100, 250},
+		4000: {46, 100, 250, 500, 1000, 2000, 4000},
+	} {
+		got, err := figure2bSizes(max)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("figure2bSizes(%d) = %v, %v; want %v", max, got, err, want)
 		}
 	}
 }

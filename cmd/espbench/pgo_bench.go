@@ -4,10 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 )
+
+// benchFile names a study's output file, BENCH_<name>.json, in dir.
+func benchFile(dir, name string) string {
+	return filepath.Join(dir, "BENCH_"+name+".json")
+}
 
 // runPGOStudy runs the ESP-guided optimization study (simulated cycles for
 // unguided vs ESP-, heuristic-, and perfect-guided binaries over the whole

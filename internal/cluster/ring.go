@@ -91,13 +91,6 @@ func (r *Ring) SetDrained(name string, drained bool) {
 	}
 }
 
-// Drained reports whether a member is marked drained.
-func (r *Ring) Drained(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.drained[name]
-}
-
 // Members returns the member names in sorted order.
 func (r *Ring) Members() []string {
 	r.mu.RLock()

@@ -54,17 +54,6 @@ type Meta struct {
 	Branch map[ir.BranchRef]BranchOrigin
 }
 
-// OriginsAt returns the branch sites recorded for position pos.
-func (m *Meta) OriginsAt(pos minic.Pos) []ir.BranchRef {
-	var out []ir.BranchRef
-	for ref, o := range m.Branch {
-		if o.Pos == pos {
-			out = append(out, ref)
-		}
-	}
-	return out
-}
-
 // CompilePlanned is Compile extended with profile guidance: gating
 // decisions are consulted through plan, and the returned Meta records the
 // source origin of every conditional branch site so callers can build the

@@ -83,12 +83,15 @@ type GenSweep struct {
 	StreamDir string
 }
 
+// GenSizes returns the default Figure 2b training-corpus sizes, ascending.
+func GenSizes() []int { return []int{46, 100, 250, 500, 1000, 2000, 4000} }
+
 func (s GenSweep) withDefaults() GenSweep {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
 	if len(s.Sizes) == 0 {
-		s.Sizes = []int{46, 100, 250, 500, 1000, 2000, 4000}
+		s.Sizes = GenSizes()
 	}
 	if s.EvalSeed == 0 {
 		s.EvalSeed = 999

@@ -333,17 +333,3 @@ func (e *Encoder) EncodeAllSparse(vs []Vector) *neural.CSR {
 	}
 	return c
 }
-
-// Mask reports, per input column, whether the column belongs to one of the
-// given feature indices; the feature-ablation experiments use it to zero
-// feature groups.
-func (e *Encoder) Mask(feats []int) []bool {
-	m := make([]bool, e.Dim)
-	for _, f := range feats {
-		lo := e.Offsets[f]
-		for i := 0; i < len(e.Vocab[f]); i++ {
-			m[lo+i] = true
-		}
-	}
-	return m
-}

@@ -461,30 +461,3 @@ func UsesBeforeDef(g *cfg.Graph, succIdx int, regs []ir.Reg) bool {
 	}
 	return false
 }
-
-// BranchSourceRegs returns the registers that determined the branch's
-// destination: the branch's own operands plus, when the branch tests a
-// compare result, the compare's register operands.
-func (s *Site) BranchSourceRegs() []ir.Reg {
-	var regs []ir.Reg
-	add := func(r ir.Reg) {
-		if r.IsZero() || r == ir.RegSP {
-			return
-		}
-		for _, have := range regs {
-			if have == r {
-				return
-			}
-		}
-		regs = append(regs, r)
-	}
-	for _, r := range s.Branch.Uses() {
-		add(r)
-	}
-	if s.DefInstr != nil && s.DefInstr.Op.IsCompare() {
-		for _, r := range s.DefInstr.Uses() {
-			add(r)
-		}
-	}
-	return regs
-}

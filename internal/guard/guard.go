@@ -29,6 +29,3 @@ type Limits struct {
 	// function (the CFG size cap).
 	CFGBlocks int
 }
-
-// Unlimited reports whether no limit is set.
-func (l Limits) Unlimited() bool { return l.ParseDepth <= 0 && l.CFGBlocks <= 0 }

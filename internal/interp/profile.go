@@ -54,16 +54,6 @@ type Profile struct {
 	Result int64
 }
 
-// Branch returns the count record for a branch site, creating it if needed.
-func (p *Profile) Branch(ref ir.BranchRef) *BranchCount {
-	c := p.Branches[ref]
-	if c == nil {
-		c = &BranchCount{}
-		p.Branches[ref] = c
-	}
-	return c
-}
-
 // PercentCondBranches returns conditional branches as a percentage of all
 // dynamic instructions (column 2 of Table 3).
 func (p *Profile) PercentCondBranches() float64 {

@@ -216,16 +216,6 @@ func (b *Block) ContainsCall() bool {
 	return false
 }
 
-// ContainsStore reports whether any instruction in the block writes memory.
-func (b *Block) ContainsStore() bool {
-	for i := range b.Insns {
-		if b.Insns[i].Op.IsStore() {
-			return true
-		}
-	}
-	return false
-}
-
 // Language tags the source language of a procedure, one of the static
 // features in Table 2 of the paper (value "C" or "FORT"; the Scheme-style
 // corpus programs use "SCHEME" for the Section 3.1.2 study).
