@@ -272,10 +272,6 @@ int main() {
 	if m := MeanMiss(folds); m < 0 || m > 1 {
 		t.Errorf("mean miss %g", m)
 	}
-	byName := MissByProgram(folds)
-	if len(byName) != 3 {
-		t.Errorf("MissByProgram = %v", byName)
-	}
 	// Determinism: same corpus, same config, same results.
 	again := CrossValidate(corpus, Config{})
 	for i := range folds {
@@ -303,11 +299,9 @@ func TestPredictorAlwaysPredicts(t *testing.T) {
 	}
 }
 
-// TestCrossValidateSerialParity: the parallel CrossValidate must match the
-// serial reference fold-for-fold, bitwise. The fold-level caching of prepared
-// examples and the fold goroutines must not perturb any result.
-func TestCrossValidateSerialParity(t *testing.T) {
-	corpus := []*ProgramData{
+// cvTestCorpus is the three-program corpus the fold tests share.
+func cvTestCorpus(t *testing.T) []*ProgramData {
+	return []*ProgramData{
 		analyzeSrc(t, "a", loopy, nil),
 		analyzeSrc(t, "b", loopy2, nil),
 		analyzeSrc(t, "c", `
@@ -321,21 +315,74 @@ int main() {
 	return n;
 }`, nil),
 	}
-	for _, cfg := range []Config{
-		{},
-		{Hidden: 8, Seed: 5},
-		{UniformWeights: true},
-		{ExcludeFeatures: []int{features.FBrOpcode}},
-	} {
+}
+
+// cvTestConfigs are the configurations the fold tests cover.
+var cvTestConfigs = []Config{
+	{},
+	{Hidden: 8, Seed: 5},
+	{UniformWeights: true},
+	{ExcludeFeatures: []int{features.FBrOpcode}},
+}
+
+// savedModel returns the model's Save bytes.
+func savedModel(t *testing.T, m *Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCrossValidateSerialParity: the parallel CrossValidate must match the
+// serial reference fold-for-fold, bitwise. The fold-level caching of prepared
+// examples and the fold goroutines must not perturb any result, the model
+// included.
+func TestCrossValidateSerialParity(t *testing.T) {
+	corpus := cvTestCorpus(t)
+	for _, cfg := range cvTestConfigs {
 		par := CrossValidate(corpus, cfg)
 		ser := CrossValidateSerial(corpus, cfg)
 		if len(par) != len(ser) {
 			t.Fatalf("fold counts differ: %d vs %d", len(par), len(ser))
 		}
 		for i := range par {
-			if par[i] != ser[i] {
-				t.Errorf("cfg %+v fold %d: parallel %+v vs serial %+v",
-					cfg, i, par[i], ser[i])
+			p, s := par[i], ser[i]
+			if p.Held != s.Held || p.MissRate != s.MissRate || p.TrainPrograms != s.TrainPrograms ||
+				p.Model.TrainStats.Epochs != s.Model.TrainStats.Epochs {
+				t.Errorf("cfg %+v fold %d: parallel %s/%v/%d/%d vs serial %s/%v/%d/%d", cfg, i,
+					p.Held, p.MissRate, p.TrainPrograms, p.Model.TrainStats.Epochs,
+					s.Held, s.MissRate, s.TrainPrograms, s.Model.TrainStats.Epochs)
+			}
+			if !bytes.Equal(savedModel(t, p.Model), savedModel(t, s.Model)) {
+				t.Errorf("cfg %+v fold %d: parallel and serial models differ", cfg, i)
+			}
+		}
+	}
+}
+
+// TestFoldModelIsTrainModel: a fold's model is the model Train returns on
+// the corpus without the held-out program, so callers that need held-out
+// models can read them from CrossValidate instead of training again.
+func TestFoldModelIsTrainModel(t *testing.T) {
+	corpus := cvTestCorpus(t)
+	for _, cfg := range append(cvTestConfigs, Config{Classifier: DecisionTree}) {
+		for k, fold := range CrossValidate(corpus, cfg) {
+			var others []*ProgramData
+			for j, pd := range corpus {
+				if j != k {
+					others = append(others, pd)
+				}
+			}
+			want := Train(others, cfg)
+			if !bytes.Equal(savedModel(t, fold.Model), savedModel(t, want)) {
+				t.Errorf("cfg %+v fold %d (%s): model differs from Train on the other programs",
+					cfg, k, fold.Held)
+			}
+			if fold.Model.TrainStats.Epochs != want.TrainStats.Epochs {
+				t.Errorf("cfg %+v fold %d: %d epochs, Train ran %d",
+					cfg, k, fold.Model.TrainStats.Epochs, want.TrainStats.Epochs)
 			}
 		}
 	}

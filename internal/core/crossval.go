@@ -15,8 +15,9 @@ type FoldResult struct {
 	MissRate float64
 	// TrainPrograms is the number of programs trained on.
 	TrainPrograms int
-	// Epochs is the neural training length of the fold (0 for trees).
-	Epochs int
+	// Model is the fold's model. Its examples are pooled in corpus order,
+	// so it is the model Train returns on the corpus without Held.
+	Model *Model
 }
 
 // preparedProgram is one program's fold-independent training data: the
@@ -121,19 +122,8 @@ func crossValidateFold(corpus []*ProgramData, preps []preparedProgram, hold int,
 		Held:          held.Name,
 		MissRate:      miss,
 		TrainPrograms: len(corpus) - 1,
-		Epochs:        model.TrainStats.Epochs,
+		Model:         model,
 	}
-}
-
-// MissByProgram reshapes fold results into a name → miss-rate map.
-func MissByProgram(folds []FoldResult) map[string]float64 {
-	out := make(map[string]float64, len(folds))
-	for _, f := range folds {
-		if _, ok := out[f.Held]; !ok {
-			out[f.Held] = f.MissRate
-		}
-	}
-	return out
 }
 
 // MeanMiss averages the fold miss rates (the paper averages per-program

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/heuristics"
-	"repro/internal/ir"
 	"repro/internal/stats"
 )
 
@@ -21,19 +20,11 @@ type AblationPoint struct {
 // cvMeanMiss cross-validates ESP over both language groups and returns the
 // mean per-program miss.
 func cvMeanMiss(ctx *Context, cfg core.Config) (float64, error) {
-	var sum float64
-	n := 0
-	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran} {
-		group, err := ctx.LanguageData(lang, codegen.Default)
-		if err != nil {
-			return 0, err
-		}
-		for _, fold := range core.CrossValidate(group, cfg) {
-			sum += fold.MissRate
-			n++
-		}
+	_, folds, err := ctx.studyFolds(cfg)
+	if err != nil {
+		return 0, err
 	}
-	return sum / float64(n), nil
+	return core.MeanMiss(folds), nil
 }
 
 // AblationFeatureSets measures ESP with feature groups removed — the

@@ -26,9 +26,10 @@ type Context struct {
 	mu    sync.Mutex
 	data  map[string]*entryState
 	cache *artifact.Cache
-	// loo memoizes pgoModels per defaulted ESP configuration, so the
-	// studies that share a context train the leave-one-out models once.
-	loo map[string]*looState
+	// trained memoizes training per defaulted ESP configuration and
+	// program group, so the studies that share a context train each model
+	// once.
+	trained map[string]*trainedState
 }
 
 type entryState struct {
@@ -37,17 +38,15 @@ type entryState struct {
 	err  error
 }
 
-// looState is one memoized pgoModels result.
-type looState struct {
-	once   sync.Once
-	models map[string]*core.Model
-	cModel *core.Model
-	err    error
+// trainedState is one memoized training result: a fold set or a model.
+type trainedState struct {
+	once sync.Once
+	val  any
 }
 
 // NewContext returns an empty in-process cache with no persistent backing.
 func NewContext() *Context {
-	return &Context{data: make(map[string]*entryState), loo: make(map[string]*looState)}
+	return &Context{data: make(map[string]*entryState), trained: make(map[string]*trainedState)}
 }
 
 // NewContextWithCache returns a context whose analyses are additionally
@@ -130,4 +129,47 @@ func (c *Context) StudyData(tgt codegen.Target) ([]*core.ProgramData, error) {
 // LanguageData analyzes one cross-validation language group.
 func (c *Context) LanguageData(lang ir.Language, tgt codegen.Target) ([]*core.ProgramData, error) {
 	return c.Batch(corpus.ByLanguage(lang), tgt)
+}
+
+// memoTrain returns train's result, computed once per context, kind,
+// defaulted configuration, and group (by program name, in order). Every
+// group comes from the context under codegen.Default, so the names fix
+// the data. Callers only read the result, which is safe for concurrent use.
+func memoTrain[T any](c *Context, kind string, group []*core.ProgramData, cfg core.Config, train func() T) T {
+	key := kind + "\x00" + fmt.Sprintf("%#v", cfg.Defaulted())
+	for _, pd := range group {
+		key += "\x00" + pd.Name
+	}
+	c.mu.Lock()
+	st := c.trained[key]
+	if st == nil {
+		st = &trainedState{}
+		c.trained[key] = st
+	}
+	c.mu.Unlock()
+	st.once.Do(func() { st.val = train() })
+	return st.val.(T)
+}
+
+// looFolds returns the leave-one-out folds of group (core.CrossValidate):
+// fold i holds group[i] out and carries the model trained on the rest.
+func (c *Context) looFolds(group []*core.ProgramData, cfg core.Config) []core.FoldResult {
+	return memoTrain(c, "loo", group, cfg, func() []core.FoldResult { return core.CrossValidate(group, cfg) })
+}
+
+// studyFolds returns the C and Fortran groups' programs and their
+// leave-one-out folds, fold i holding data[i] out: the paper's Table 4
+// protocol, which validates within each language group.
+func (c *Context) studyFolds(cfg core.Config) ([]*core.ProgramData, []core.FoldResult, error) {
+	var data []*core.ProgramData
+	var folds []core.FoldResult
+	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran} {
+		group, err := c.LanguageData(lang, codegen.Default)
+		if err != nil {
+			return nil, nil, err
+		}
+		data = append(data, group...)
+		folds = append(folds, c.looFolds(group, cfg)...)
+	}
+	return data, folds, nil
 }

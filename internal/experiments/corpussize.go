@@ -40,7 +40,7 @@ func CorpusSize(ctx *Context, sizes []int, cfg core.Config) (*CorpusSizeResult, 
 			return nil, fmt.Errorf("experiments: corpus size %d out of range [2,%d]", size, len(group))
 		}
 		sub := group[:size]
-		folds := core.CrossValidate(sub, cfg)
+		folds := ctx.looFolds(sub, cfg)
 		var am float64
 		for i := range sub {
 			am += heuristics.MissRate(sub[i].Sites, sub[i].Profile, aphc)

@@ -270,6 +270,44 @@ func TestTable4HeadlineShape(t *testing.T) {
 	}
 }
 
+// TestEqualConfigsShareOneTraining: configurations that are equal once
+// defaulted read one memoized fold set, the PGO models are that set's
+// models, and Table 4's ESP column is its miss rates.
+func TestEqualConfigsShareOneTraining(t *testing.T) {
+	ctx := ctxForTest(t)
+	res := table4ForTest(t)
+	_, folds, err := ctx.studyFolds(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, again, err := ctx.studyFolds(core.Config{Hidden: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(folds) != 43 || len(again) != len(folds) {
+		t.Fatalf("%d and %d folds, want 43", len(folds), len(again))
+	}
+	models, _, err := pgoModels(ctx, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	esp := make(map[string]float64, len(res.Rows))
+	for _, row := range res.Rows {
+		esp[row.Program] = row.ESP
+	}
+	for i, f := range folds {
+		if f.Model == nil || again[i].Model != f.Model {
+			t.Errorf("fold %s: equal configurations trained separate models", f.Held)
+		}
+		if models[f.Held] != f.Model {
+			t.Errorf("fold %s: the PGO model is not the memoized fold model", f.Held)
+		}
+		if got, ok := esp[f.Held]; !ok || got != f.MissRate {
+			t.Errorf("fold %s: Table 4 ESP %v, fold miss rate %v", f.Held, got, f.MissRate)
+		}
+	}
+}
+
 func TestTable5Reproduction(t *testing.T) {
 	res := table5ForTest(t)
 	loopMiss, pctNonLoop, pctCov, missCov, missDef, overall := res.Averages()

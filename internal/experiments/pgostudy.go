@@ -137,55 +137,28 @@ func PGOStudy(ctx *Context, espCfg core.Config, genN int) (*PGOStudyResult, erro
 }
 
 // pgoModels returns the leave-one-out ESP models for every real corpus
-// program, plus the full-C-group model used for generated programs. They
-// are trained once per context and defaulted configuration; callers only
-// predict with them, which is safe for concurrent use.
+// program, plus the full-C-group model used for generated programs. Both
+// come from the context's training memo; callers only predict with them,
+// which is safe for concurrent use.
 func pgoModels(ctx *Context, espCfg core.Config) (map[string]*core.Model, *core.Model, error) {
-	key := fmt.Sprintf("%#v", espCfg.Defaulted())
-	ctx.mu.Lock()
-	st := ctx.loo[key]
-	if st == nil {
-		st = &looState{}
-		ctx.loo[key] = st
-	}
-	ctx.mu.Unlock()
-	st.once.Do(func() { st.models, st.cModel, st.err = trainPGOModels(ctx, espCfg) })
-	return st.models, st.cModel, st.err
-}
-
-// trainPGOModels trains pgoModels' models.
-func trainPGOModels(ctx *Context, espCfg core.Config) (map[string]*core.Model, *core.Model, error) {
-	models := make(map[string]*core.Model)
-	var cGroup []*core.ProgramData
-	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran} {
-		group, err := ctx.LanguageData(lang, codegen.Default)
-		if err != nil {
-			return nil, nil, err
-		}
-		if lang == ir.LangC {
-			cGroup = group
-		}
-		looTrain(models, group, espCfg)
+	_, folds, err := ctx.studyFolds(espCfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	schemeGroup, err := ctx.Batch(corpus.BySuite(corpus.SuiteScheme), codegen.Default)
 	if err != nil {
 		return nil, nil, err
 	}
-	looTrain(models, schemeGroup, espCfg)
-	return models, core.Train(cGroup, espCfg), nil
-}
-
-// looTrain trains one held-out model per group member into models.
-func looTrain(models map[string]*core.Model, group []*core.ProgramData, cfg core.Config) {
-	for hold := range group {
-		var train []*core.ProgramData
-		for j, pd := range group {
-			if j != hold {
-				train = append(train, pd)
-			}
-		}
-		models[group[hold].Name] = core.Train(train, cfg)
+	cGroup, err := ctx.LanguageData(ir.LangC, codegen.Default)
+	if err != nil {
+		return nil, nil, err
 	}
+	models := make(map[string]*core.Model)
+	for _, fold := range append(folds, ctx.looFolds(schemeGroup, espCfg)...) {
+		models[fold.Held] = fold.Model
+	}
+	cModel := memoTrain(ctx, "all", cGroup, espCfg, func() *core.Model { return core.Train(cGroup, espCfg) })
+	return models, cModel, nil
 }
 
 // pgoRow measures one program under all four modes.

@@ -4,10 +4,8 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/heuristics"
-	"repro/internal/ir"
 	"repro/internal/stats"
 )
 
@@ -30,48 +28,39 @@ type ProfileEstimationResult struct {
 
 // ProfileEstimation runs the study over both language groups.
 func ProfileEstimation(ctx *Context, cfg core.Config) (*ProfileEstimationResult, error) {
+	data, folds, err := ctx.studyFolds(cfg)
+	if err != nil {
+		return nil, err
+	}
 	res := &ProfileEstimationResult{PerProgram: make(map[string]float64)}
 	dshc := heuristics.NewDSHCBallLarus()
 	var espSum, dshcSum, uniSum float64
 	n := 0
-	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran} {
-		group, err := ctx.LanguageData(lang, codegen.Default)
-		if err != nil {
-			return nil, err
-		}
-		for hold := range group {
-			var train []*core.ProgramData
-			for j, pd := range group {
-				if j != hold {
-					train = append(train, pd)
-				}
-			}
-			model := core.Train(train, cfg)
-			held := group[hold]
-			var espErr, dshcErr, uniErr, total float64
-			for i, s := range held.Sites.Sites {
-				c := held.Profile.Branches[s.Ref]
-				if c == nil || c.Executed == 0 {
-					continue
-				}
-				w := float64(c.Executed)
-				actual := c.TakenFraction()
-				esp := model.TakenProbability(held.Vectors[i])
-				dp, _ := dshc.TakenProbability(s)
-				espErr += w * math.Abs(esp-actual)
-				dshcErr += w * math.Abs(dp-actual)
-				uniErr += w * math.Abs(0.5-actual)
-				total += w
-			}
-			if total == 0 {
+	for k, held := range data {
+		model := folds[k].Model
+		var espErr, dshcErr, uniErr, total float64
+		for i, s := range held.Sites.Sites {
+			c := held.Profile.Branches[s.Ref]
+			if c == nil || c.Executed == 0 {
 				continue
 			}
-			res.PerProgram[held.Name] = espErr / total
-			espSum += espErr / total
-			dshcSum += dshcErr / total
-			uniSum += uniErr / total
-			n++
+			w := float64(c.Executed)
+			actual := c.TakenFraction()
+			esp := model.TakenProbability(held.Vectors[i])
+			dp, _ := dshc.TakenProbability(s)
+			espErr += w * math.Abs(esp-actual)
+			dshcErr += w * math.Abs(dp-actual)
+			uniErr += w * math.Abs(0.5-actual)
+			total += w
 		}
+		if total == 0 {
+			continue
+		}
+		res.PerProgram[held.Name] = espErr / total
+		espSum += espErr / total
+		dshcSum += dshcErr / total
+		uniSum += uniErr / total
+		n++
 	}
 	if n > 0 {
 		res.ESPError = espSum / float64(n)

@@ -5,7 +5,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/heuristics"
-	"repro/internal/ir"
 	"repro/internal/stats"
 )
 
@@ -68,15 +67,13 @@ func Table4(ctx *Context, espCfg core.Config) (*Table4Result, error) {
 	res.MeasuredMiss = MeasuredHeuristicMiss(data, heuristics.Config{})
 
 	// ESP: leave-one-out within the C and Fortran groups.
-	espMiss := make(map[string]float64)
-	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran} {
-		group, err := ctx.LanguageData(lang, codegen.Default)
-		if err != nil {
-			return nil, err
-		}
-		for _, fold := range core.CrossValidate(group, espCfg) {
-			espMiss[fold.Held] = fold.MissRate
-		}
+	_, folds, err := ctx.studyFolds(espCfg)
+	if err != nil {
+		return nil, err
+	}
+	espMiss := make(map[string]float64, len(folds))
+	for _, fold := range folds {
+		espMiss[fold.Held] = fold.MissRate
 	}
 
 	aphc := heuristics.NewAPHC()
