@@ -28,7 +28,8 @@ race:
 # gencorpus-check is the short generative soak CI runs on every push: the
 # generator property suite (~200 programs across the five mixes, each
 # parsed, compiled, and executed under guard budgets) with the race
-# detector watching the parallel shard-analysis path.
+# detector watching the parallel analysis of ShardedCorpus.Examples and
+# Load, including the warm-cache rerun that resumes a killed training run.
 gencorpus-check:
 	$(GO) test -race -short ./internal/gencorpus
 

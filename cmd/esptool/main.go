@@ -7,14 +7,18 @@
 //	esptool rules -model model.json            # print decision-tree rules
 //	esptool eval                               # all predictors on the corpus
 //	esptool gencorpus -seed 1 -n 5             # emit generated MinC workloads
-//	esptool train -gen 1000 -shard 64 -stream-dir ckpt -out model.json
+//	esptool train -gen 1000 -out model.json    # train on generated programs
+//
+// A killed `train -gen` resumes by rerunning the same command against the
+// same -cache-dir: finished analyses are artifact-cache hits, and the model
+// is bit-identical to an uninterrupted run's.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/artifact"
 	"repro/internal/codegen"
@@ -101,10 +105,25 @@ func cmdTrain(args []string) {
 	genN := fs.Int("gen", 0, "train on this many generated programs instead of the real corpus")
 	genSeed := fs.Int64("gen-seed", 1, "generated-corpus base seed")
 	genMix := fs.String("gen-mix", "", "restrict generation to one mix (default: cycle all)")
-	shard := fs.Int("shard", 64, "streaming shard size for -gen")
-	streamDir := fs.String("stream-dir", "", "checkpoint directory for streaming training (resumable)")
 	cache := cacheFlags(fs)
 	mustParse(fs, args)
+
+	// A flag the chosen corpus would ignore is a usage error, so a typo
+	// cannot silently train on the wrong programs.
+	fs.Visit(func(f *flag.Flag) {
+		switch gen := *genN > 0; {
+		case gen && (f.Name == "lang" || f.Name == "exclude"):
+			usageError("train: -%s does not apply to -gen", f.Name)
+		case !gen && strings.HasPrefix(f.Name, "gen-"):
+			usageError("train: -%s needs -gen", f.Name)
+		case f.Name == "gen" && *genN < 0:
+			usageError("train: -gen %d is negative", *genN)
+		}
+	})
+	var entries []corpus.Entry
+	if *genN <= 0 {
+		entries = studyEntries(*lang, *exclude)
+	}
 
 	cfg := core.Config{Hidden: *hidden, Seed: *seed}
 	if *tree {
@@ -122,26 +141,19 @@ func cmdTrain(args []string) {
 			}
 			spec.Mixes = []gencorpus.Mix{m}
 		}
-		src := &gencorpus.ShardedCorpus{Entries: spec.Entries(), Size: *shard, Cache: cache()}
-		m, st, err := core.TrainStreaming(context.Background(), src, cfg, *streamDir)
+		src := &gencorpus.ShardedCorpus{Entries: spec.Entries(), Cache: cache()}
+		exs, err := src.Examples()
 		if err != nil {
 			fatal(err)
 		}
-		model = m
-		programs, examples = *genN, st.Examples
-		fmt.Printf("streamed %d shards (%d resumed from checkpoints)\n", st.Shards, st.Resumed)
+		// cfg.Defaulted() keeps the model file byte-identical to what
+		// `train -gen` has always written: TrainExamples defaults again,
+		// so the saved exclusion list names each default exclusion twice.
+		// The gate, and so every prediction, is the same either way.
+		model = core.TrainExamples(exs, cfg.Defaulted())
+		programs, examples = *genN, len(exs)
 	} else {
-		entries := corpus.Study()
-		if *lang != "" {
-			entries = corpus.ByLanguage(ir.Language(*lang))
-		}
-		var kept []corpus.Entry
-		for _, e := range entries {
-			if e.Name != *exclude {
-				kept = append(kept, e)
-			}
-		}
-		data := analyzeCorpus(kept, cache())
+		data := analyzeCorpus(entries, cache())
 		model = core.Train(data, cfg)
 		programs, examples = len(data), countExamples(data)
 	}
@@ -159,6 +171,29 @@ func cmdTrain(args []string) {
 		fmt.Printf("epochs=%d best thresholded error=%.4f\n",
 			model.TrainStats.Epochs, model.TrainStats.BestThresholded)
 	}
+}
+
+// studyEntries returns the study programs in language group lang (all of
+// them when lang is empty) minus the program named exclude. Either flag
+// matching nothing is a usage error.
+func studyEntries(lang, exclude string) []corpus.Entry {
+	entries := corpus.Study()
+	if lang != "" {
+		entries = corpus.ByLanguage(ir.Language(lang))
+		if len(entries) == 0 {
+			usageError("train: -lang %q matches no program (want %s or %s)", lang, ir.LangC, ir.LangFortran)
+		}
+	}
+	var kept []corpus.Entry
+	for _, e := range entries {
+		if e.Name != exclude {
+			kept = append(kept, e)
+		}
+	}
+	if exclude != "" && len(kept) == len(entries) {
+		usageError("train: -exclude %q names no program in the training corpus", exclude)
+	}
+	return kept
 }
 
 // cmdGencorpus emits generated workloads. The output is a pure function of
@@ -276,6 +311,13 @@ func mustParse(fs *flag.FlagSet, args []string) {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
+}
+
+// usageError reports flags the subcommand cannot honour and exits with the
+// status of a flag parse error.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "esptool: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

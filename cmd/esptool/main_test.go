@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -50,6 +53,74 @@ func TestTrainPredictRulesRoundtrip(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "predict") {
 		t.Errorf("rules output empty:\n%s", out)
+	}
+}
+
+// TestTrainRejectsIgnoredFlags requires every flag train would otherwise
+// ignore to be a usage error (exit 2) that names the flag and writes no
+// model.
+func TestTrainRejectsIgnoredFlags(t *testing.T) {
+	bin := buildTool(t)
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-lang", "XYZ"}, "-lang"},
+		{[]string{"-lang", "SCHEME"}, "-lang"},
+		{[]string{"-exclude", "nosuch"}, "-exclude"},
+		{[]string{"-lang", "FORT", "-exclude", "gzip"}, "-exclude"},
+		{[]string{"-gen", "5", "-lang", "C"}, "-lang"},
+		{[]string{"-gen", "5", "-exclude", "gzip"}, "-exclude"},
+		{[]string{"-gen-mix", "mixed"}, "-gen-mix"},
+		{[]string{"-gen-seed", "3"}, "-gen-seed"},
+		{[]string{"-gen", "-1"}, "-gen"},
+	} {
+		model := filepath.Join(t.TempDir(), "model.json")
+		args := append([]string{"train", "-no-cache", "-out", model}, tc.args...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.flag) {
+			t.Errorf("%v: message does not name %s:\n%s", tc.args, tc.flag, out)
+		}
+		if _, err := os.Stat(model); err == nil {
+			t.Errorf("%v: wrote the -out file", tc.args)
+		}
+	}
+}
+
+// TestTrainGenRerunBitIdentical trains on generated programs twice against
+// one cache directory. The rerun, which is how a killed run resumes, reads
+// every analysis back from the cache and must write the same model bytes.
+func TestTrainGenRerunBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end tool test in short mode")
+	}
+	bin := buildTool(t)
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	var models [2][]byte
+	for i := range models {
+		model := filepath.Join(dir, "model.json")
+		out, err := exec.Command(bin, "train", "-tree", "-gen", "12",
+			"-cache-dir", cacheDir, "-out", model).CombinedOutput()
+		if err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, out)
+		}
+		if !strings.Contains(string(out), "on 12 programs") {
+			t.Errorf("run %d output does not report 12 programs:\n%s", i, out)
+		}
+		if models[i], err = os.ReadFile(model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(models[0], models[1]) {
+		t.Error("the rerun against a warm cache wrote a different model")
+	}
+	if entries, _ := filepath.Glob(filepath.Join(cacheDir, "*.espa")); len(entries) != 12 {
+		t.Errorf("cache holds %d entries, want one per program (12)", len(entries))
 	}
 }
 

@@ -1,8 +1,9 @@
 package artifact_test
 
-// The cache at streaming scale: a thousand-plus concurrent fills and reads
-// over a generated corpus, with the no-corruption, no-duplicate-trace, and
-// stale-entry-recovery guarantees the streaming trainer depends on. Lives
+// The cache at generated-corpus scale: a thousand-plus concurrent fills and
+// reads over a generated corpus, with the no-corruption, no-duplicate-trace,
+// and stale-entry-recovery guarantees that let a killed `esptool train -gen`
+// resume by rerunning against the same cache. Lives
 // in an external test package because it exercises the cache through the
 // real analysis pipeline (core + gencorpus), which the in-package unit
 // tests cannot import.

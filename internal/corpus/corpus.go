@@ -38,20 +38,11 @@ const (
 	SuiteSPECFortran Suite = "SPEC Fortran"
 	SuitePerfectClub Suite = "Perf Club"
 	SuiteScheme      Suite = "Scheme"
-	// SuiteGenerated tags synthetic programs from a corpus Source (the
-	// gencorpus generator); they are never part of the registry, so the
-	// paper's tables keep their exact 43+3 program set.
+	// SuiteGenerated tags synthetic programs from the gencorpus generator;
+	// they are never part of the registry, so the paper's tables keep their
+	// exact 43+3 program set.
 	SuiteGenerated Suite = "Generated"
 )
-
-// Source supplies corpus entries from somewhere other than the built-in
-// registry — the seam through which generated workloads flow into the
-// exact parse -> compile -> trace -> featurize -> train pipeline the real
-// programs use. Implementations must be deterministic: the same Source
-// value yields the same entries, in the same order, on every call.
-type Source interface {
-	Entries() []Entry
-}
 
 // Entry is one corpus program.
 type Entry struct {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/codegen"
@@ -76,11 +75,6 @@ type GenSweep struct {
 	EvalSeed int64
 	// EvalN is the number of evaluation programs per mix (default 8).
 	EvalN int
-	// Shard is the streaming shard size (default 64).
-	Shard int
-	// StreamDir, when non-empty, checkpoints streaming training there so a
-	// killed sweep resumes.
-	StreamDir string
 }
 
 // GenSizes returns the default Figure 2b training-corpus sizes, ascending.
@@ -125,16 +119,14 @@ type CorpusSizeGenResult struct {
 	Sweep GenSweep
 	// Points has one row per swept corpus size.
 	Points []GenSizePoint
-	// Stats aggregates the streaming-training runs.
-	Stats core.StreamStats
 }
 
 // CorpusSizeGen extends the corpus-size study past the paper's 46 programs
-// (Figure 2 stops at ~40): train on growing generated corpora — streamed
-// shard by shard through the artifact cache — and evaluate on a disjoint
-// held-out generated set, per branch-character mix. Training prefixes are
-// nested (size 100 contains size 46's programs), mirroring how Figure 2
-// grows one corpus rather than resampling.
+// (Figure 2 stops at ~40): train on growing generated corpora — analyzed
+// through the artifact cache — and evaluate on a disjoint held-out
+// generated set, per branch-character mix. Training prefixes are nested
+// (size 100 contains size 46's programs), mirroring how Figure 2 grows one
+// corpus rather than resampling.
 func CorpusSizeGen(ctx *Context, sw GenSweep, cfg core.Config) (*CorpusSizeGenResult, error) {
 	sw = sw.withDefaults()
 	mixes := gencorpus.AllMixes()
@@ -158,24 +150,12 @@ func CorpusSizeGen(ctx *Context, sw GenSweep, cfg core.Config) (*CorpusSizeGenRe
 			return nil, fmt.Errorf("experiments: generated corpus size %d out of range", size)
 		}
 		spec := gencorpus.Spec{Seed: sw.Seed, N: size}
-		src := &gencorpus.ShardedCorpus{
-			Entries: spec.Entries(),
-			Size:    sw.Shard,
-			Cache:   ctx.PersistentCache(),
-		}
-		dir := sw.StreamDir
-		if dir != "" {
-			// Per-size subdirectories keep the nested prefixes' checkpoints
-			// from colliding (the shard IDs would reject reuse anyway).
-			dir = fmt.Sprintf("%s/n%d", dir, size)
-		}
-		model, st, err := core.TrainStreaming(context.Background(), src, cfg, dir)
+		src := &gencorpus.ShardedCorpus{Entries: spec.Entries(), Cache: ctx.PersistentCache()}
+		examples, err := src.Examples()
 		if err != nil {
 			return nil, err
 		}
-		res.Stats.Shards += st.Shards
-		res.Stats.Resumed += st.Resumed
-		res.Stats.Examples += st.Examples
+		model := core.TrainExamples(examples, cfg)
 
 		pred := &core.Predictor{Model: model}
 		point := GenSizePoint{Programs: size}

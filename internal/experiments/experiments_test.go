@@ -105,7 +105,7 @@ func corpusSizeForTest(t *testing.T) *CorpusSizeResult {
 }
 
 // figure2bForTest runs a miniature Figure 2b sweep: the full driver path
-// (generate -> stream-train -> per-mix evaluation) over corpus sizes small
+// (generate -> analyze -> train -> per-mix evaluation) over corpus sizes small
 // enough for CI; EXPERIMENTS.md documents the full 46 -> 4000 render.
 func figure2bForTest(t *testing.T) *CorpusSizeGenResult {
 	ctx := ctxForTest(t)
@@ -113,7 +113,7 @@ func figure2bForTest(t *testing.T) *CorpusSizeGenResult {
 		cfg := core.Config{Hidden: 8}
 		cfg.Net.MaxEpochs = 60
 		cfg.Net.Patience = 15
-		return CorpusSizeGen(ctx, GenSweep{Sizes: []int{10, 40}, EvalN: 3, Shard: 10}, cfg)
+		return CorpusSizeGen(ctx, GenSweep{Sizes: []int{10, 40}, EvalN: 3}, cfg)
 	})
 }
 
@@ -487,9 +487,6 @@ func TestCorpusSizeGenReproduction(t *testing.T) {
 	if res.Points[1].Overall > res.Points[0].Overall+0.05 {
 		t.Errorf("growing the corpus hurt: %.3f -> %.3f",
 			res.Points[0].Overall, res.Points[1].Overall)
-	}
-	if res.Stats.Examples == 0 {
-		t.Error("streaming training saw no examples")
 	}
 }
 

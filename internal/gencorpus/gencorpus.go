@@ -165,8 +165,7 @@ func GenerateOpts(seed int64, mix Mix, opt Options) Program {
 }
 
 // Spec describes a generated corpus slice: N programs whose per-program
-// seeds derive from Seed, cycling round-robin through Mixes. Spec
-// implements corpus.Source.
+// seeds derive from Seed, cycling round-robin through Mixes.
 type Spec struct {
 	// Seed is the base seed; program i uses splitmix64(Seed, i).
 	Seed int64
@@ -211,8 +210,7 @@ func (s Spec) Programs() []Program {
 	return out
 }
 
-// Entries implements corpus.Source: the spec's programs as corpus entries,
-// in index order.
+// Entries returns the spec's programs as corpus entries, in index order.
 func (s Spec) Entries() []corpus.Entry {
 	out := make([]corpus.Entry, s.N)
 	for i := range out {

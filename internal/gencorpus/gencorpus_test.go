@@ -8,6 +8,7 @@ package gencorpus_test
 // guarantees; this file is where they are pinned.
 
 import (
+	"bytes"
 	"os"
 	"reflect"
 	"runtime"
@@ -183,6 +184,76 @@ func TestShardLoadCacheTemperatureIndependent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("warm shard examples differ from cold")
+	}
+}
+
+// TestExamplesMatchesShardLoads requires Examples to equal the in-order
+// concatenation of every shard's Load, whatever the shard size: Size only
+// partitions Load, so it can never change what a model trains on.
+func TestExamplesMatchesShardLoads(t *testing.T) {
+	cache, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := gencorpus.Spec{Seed: 7, N: 10}.Entries()
+	all, err := (&gencorpus.ShardedCorpus{Entries: entries, Cache: cache}).Examples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) == 0 {
+		t.Fatal("Examples returned no examples")
+	}
+	for _, size := range []int{1, 4, len(entries)} {
+		src := &gencorpus.ShardedCorpus{Entries: entries, Size: size, Cache: cache}
+		var joined []core.Example
+		for i := 0; i*size < len(entries); i++ {
+			ex, err := src.Load(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			joined = append(joined, ex...)
+		}
+		if !reflect.DeepEqual(all, joined) {
+			t.Errorf("size %d: Examples differs from the concatenated shard loads", size)
+		}
+	}
+}
+
+// TestExamplesWarmRunZeroTraces trains on a cold Examples pass, then again
+// over the filled artifact cache: the warm pass must do no interpreter
+// trace and save a model byte-identical to the cold one. This is what lets
+// a killed training run resume by running again against the same cache.
+func TestExamplesWarmRunZeroTraces(t *testing.T) {
+	cacheDir := t.TempDir()
+	cfg := core.Config{Seed: 7, Hidden: 8}
+	cfg.Net.MaxEpochs = 40
+	cfg.Net.Patience = 10
+	train := func() []byte {
+		t.Helper()
+		cache, err := artifact.Open(cacheDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &gencorpus.ShardedCorpus{Entries: gencorpus.Spec{Seed: 11, N: 12}.Entries(), Cache: cache}
+		ex, err := src.Examples()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := core.TrainExamples(ex, cfg).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	cold := train()
+	before := interp.TotalRuns()
+	warm := train()
+	if traces := interp.TotalRuns() - before; traces != 0 {
+		t.Errorf("warm run did %d interpreter traces, want 0", traces)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Error("warm model differs from cold model")
 	}
 }
 

@@ -1,9 +1,6 @@
 package gencorpus
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -13,20 +10,21 @@ import (
 	"repro/internal/corpus"
 )
 
-// ShardedCorpus slices a corpus into fixed-size shards and feeds each one
-// through the standard analysis pipeline — Entry.Compile, then the cached
-// profile/featurize path — so core.TrainStreaming can train on thousands of
-// generated programs incrementally. It implements core.ShardSource.
+// ShardedCorpus feeds a corpus through the standard analysis pipeline —
+// Entry.Compile, then the cached profile/featurize path — on a worker pool,
+// so a model can train on thousands of generated programs. Examples returns
+// the whole corpus's training examples; Load returns one fixed-size shard's.
 //
-// Determinism: shard boundaries are fixed by entry order, per-entry analysis
-// is a pure function of (entry, target), and although entries within a shard
-// analyze in parallel, the returned examples are assembled in entry order —
-// so Load(i) is bit-identical across runs, worker counts, and cache
-// temperature.
+// Determinism: per-entry analysis is a pure function of (entry, target), and
+// although entries analyze in parallel, the returned examples are assembled
+// in entry order — so both methods are bit-identical across runs, worker
+// counts, and cache temperature. A killed training run resumes by running
+// again against the same Cache: finished analyses are cache hits.
 type ShardedCorpus struct {
 	// Entries is the corpus in training order (e.g. Spec.Entries()).
 	Entries []corpus.Entry
-	// Size is the shard size in programs (default 64).
+	// Size is the shard size in programs that Load partitions Entries by
+	// (default 64).
 	Size int
 	// Cache, when non-nil, backs analysis with the content-addressed
 	// artifact cache: a warm run does zero interpreter traces.
@@ -49,38 +47,23 @@ func (c *ShardedCorpus) size() int {
 	return c.Size
 }
 
-// NumShards implements core.ShardSource.
-func (c *ShardedCorpus) NumShards() int {
-	return (len(c.Entries) + c.size() - 1) / c.size()
+// Examples compiles and analyzes every entry (in parallel, through the
+// artifact cache) and returns the pooled training examples in entry order.
+func (c *ShardedCorpus) Examples() ([]core.Example, error) {
+	return c.analyze(c.Entries)
 }
 
-// shard returns the entry range of shard i.
-func (c *ShardedCorpus) shard(i int) []corpus.Entry {
-	lo := i * c.size()
-	hi := lo + c.size()
-	if hi > len(c.Entries) {
-		hi = len(c.Entries)
-	}
-	return c.Entries[lo:hi]
-}
-
-// ShardID implements core.ShardSource: a digest of every entry's identity
-// and content, so a checkpoint can never be replayed against a shard whose
-// programs, inputs, or seeds have changed.
-func (c *ShardedCorpus) ShardID(i int) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "genshard-1\x00%+v\x00", c.target())
-	for _, e := range c.shard(i) {
-		fmt.Fprintf(h, "%s\x00%s\x00%v\x00%d\n", e.Name, e.Source, e.Input, e.Seed)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Load implements core.ShardSource: compile and analyze every entry of
-// shard i (in parallel, through the artifact cache) and return the pooled
-// training examples in entry order.
+// Load compiles and analyzes every entry of shard i (in parallel, through
+// the artifact cache) and returns the pooled training examples in entry
+// order.
 func (c *ShardedCorpus) Load(i int) ([]core.Example, error) {
-	entries := c.shard(i)
+	lo := i * c.size()
+	return c.analyze(c.Entries[lo:min(lo+c.size(), len(c.Entries))])
+}
+
+// analyze runs entries on GOMAXPROCS workers and concatenates their
+// examples in entry order.
+func (c *ShardedCorpus) analyze(entries []corpus.Entry) ([]core.Example, error) {
 	tgt := c.target()
 	perEntry := make([][]core.Example, len(entries))
 	errs := make([]error, len(entries))
