@@ -17,6 +17,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/experiments"
 	"repro/internal/features"
+	"repro/internal/gencorpus"
 	"repro/internal/heuristics"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -429,4 +430,54 @@ func BenchmarkESPPrediction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		heuristics.MissRate(held.Sites, held.Profile, pred)
 	}
+}
+
+// shardedPrograms is the size of the generated corpus the ShardedCorpus
+// benchmarks analyze, as in perfbench's gen workload.
+const shardedPrograms = 300
+
+// BenchmarkShardedCorpusCold times ShardedCorpus.Examples over 300
+// generated programs into an empty artifact cache: every entry compiles,
+// profiles, collects its sites, and stores its record and index entry.
+func BenchmarkShardedCorpusCold(b *testing.B) {
+	entries := gencorpus.Spec{Seed: 1, N: shardedPrograms}.Entries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cache, err := artifact.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := (&gencorpus.ShardedCorpus{Entries: entries, Cache: cache}).Examples(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerProgram(b, len(entries))
+}
+
+// BenchmarkShardedCorpusWarm times ShardedCorpus.Examples over the same
+// programs from a filled cache: each entry is a source-index read and a
+// record read.
+func BenchmarkShardedCorpusWarm(b *testing.B) {
+	cache, err := artifact.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := &gencorpus.ShardedCorpus{Entries: gencorpus.Spec{Seed: 1, N: shardedPrograms}.Entries(), Cache: cache}
+	if _, err := src.Examples(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := src.Examples(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerProgram(b, len(src.Entries))
+}
+
+// reportPerProgram reports the timed wall time per analyzed program.
+func reportPerProgram(b *testing.B, programs int) {
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*programs), "ms/program")
 }

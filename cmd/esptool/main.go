@@ -146,11 +146,7 @@ func cmdTrain(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		// cfg.Defaulted() keeps the model file byte-identical to what
-		// `train -gen` has always written: TrainExamples defaults again,
-		// so the saved exclusion list names each default exclusion twice.
-		// The gate, and so every prediction, is the same either way.
-		model = core.TrainExamples(exs, cfg.Defaulted())
+		model = core.TrainExamples(exs, cfg)
 		programs, examples = *genN, len(exs)
 	} else {
 		data := analyzeCorpus(entries, cache())

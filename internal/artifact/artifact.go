@@ -21,6 +21,12 @@
 // Entries are not fsynced: a crash may leave an empty, truncated or garbage
 // file under an entry's name, but the framing's checksum turns any such
 // file into a miss, so a torn entry is never accepted.
+//
+// Beside the records, dir/<index key>.espi files form a source index (see
+// index.go): framed the same way under the magic "ESPI", each maps a batch
+// of compile inputs to their records' keys, so a warm caller that starts
+// from source need not compile it. Index entries count toward SetMaxBytes
+// and are never served to peers.
 package artifact
 
 import (
@@ -51,7 +57,10 @@ import (
 // version check and recompute); forgetting one serves stale results.
 const FormatVersion = "espa-5" // espa-5: a branch to its own block is backward (feature 2)
 
-var magic = [4]byte{'E', 'S', 'P', 'A'}
+var (
+	magic      = [4]byte{'E', 'S', 'P', 'A'}
+	indexMagic = [4]byte{'E', 'S', 'P', 'I'}
+)
 
 // Fault-injection sites: a fired load behaves as a miss, a fired store
 // drops the write. Both are invisible to correctness — the cache is an
@@ -124,8 +133,14 @@ func Key(prog *ir.Program, cfg interp.Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// File extensions of records and of source-index entries.
+const (
+	recordExt = ".espa"
+	indexExt  = ".espi"
+)
+
 func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".espa")
+	return filepath.Join(c.dir, key+recordExt)
 }
 
 // Load returns the record stored under key, or ok=false on any kind of
@@ -135,19 +150,31 @@ func (c *Cache) Load(key string) (*Record, bool) {
 	if c == nil {
 		return nil, false
 	}
-	if faultinject.Fire(siteLoad) != nil {
-		return nil, false
-	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	rec, ok := DecodeRecord(data, key)
+	_, payload, ok := c.read(c.path(key), magic, key)
 	if !ok {
 		return nil, false
 	}
-	c.touch(key)
+	rec, ok := decodeRecord(payload)
+	if !ok {
+		return nil, false
+	}
+	c.touch(c.path(key))
 	return rec, true
+}
+
+// read reads the entry file at path and verifies its framing against magic
+// and key, returning the whole file and its payload. A fired load fault,
+// an unreadable file and a failed check are all misses.
+func (c *Cache) read(path string, magic [4]byte, key string) (data, payload []byte, ok bool) {
+	if faultinject.Fire(siteLoad) != nil {
+		return nil, nil, false
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, false
+	}
+	payload, ok = verify(data, magic, key)
+	return data, payload, ok
 }
 
 // DecodeRecord verifies a framed cache file (magic, format version, key
@@ -156,7 +183,7 @@ func (c *Cache) Load(key string) (*Record, bool) {
 // response goes through the exact same checks as a local file, so a
 // corrupt or mis-keyed peer payload is a miss, never a poisoned entry.
 func DecodeRecord(data []byte, key string) (*Record, bool) {
-	payload, ok := verify(data, key)
+	payload, ok := verify(data, magic, key)
 	if !ok {
 		return nil, false
 	}
@@ -171,17 +198,11 @@ func (c *Cache) LoadRaw(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	if faultinject.Fire(siteLoad) != nil {
+	data, _, ok := c.read(c.path(key), magic, key)
+	if !ok {
 		return nil, false
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	if _, ok := verify(data, key); !ok {
-		return nil, false
-	}
-	c.touch(key)
+	c.touch(c.path(key))
 	return data, true
 }
 
@@ -192,13 +213,13 @@ func (c *Cache) StoreRaw(key string, data []byte) error {
 	if c == nil {
 		return nil
 	}
-	if _, ok := verify(data, key); !ok {
+	if _, ok := verify(data, magic, key); !ok {
 		return fmt.Errorf("artifact: raw store: payload fails verification for key %.16s", key)
 	}
 	if err := faultinject.Fire(siteStore); err != nil {
 		return err
 	}
-	if err := c.writeAtomic(key, data); err != nil {
+	if err := c.writeAtomic(c.path(key), data); err != nil {
 		return err
 	}
 	c.gc()
@@ -219,30 +240,32 @@ func (c *Cache) Store(key string, rec *Record) error {
 	if err != nil {
 		return err
 	}
-	if err := c.writeAtomic(key, encodeFile(key, payload)); err != nil {
+	if err := c.writeAtomic(c.path(key), encodeFile(magic, key, payload)); err != nil {
 		return err
 	}
 	c.gc()
 	return nil
 }
 
-// writeAtomic installs data under key by renaming a fully written temp file
+// writeAtomic installs data at path by renaming a fully written temp file
 // into place. It does not fsync: the checksum, not durability, is what keeps
 // a crash-damaged file from being accepted (see the package doc).
-func (c *Cache) writeAtomic(key string, data []byte) error {
+func (c *Cache) writeAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(c.dir, ".espa-*.tmp")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), c.path(key))
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // SetMaxBytes bounds the total size of cache entries; when a store pushes
@@ -266,20 +289,21 @@ func (c *Cache) MaxBytes() int64 {
 	return c.maxBytes.Load()
 }
 
-// touch refreshes an entry's timestamps on a hit so LRU eviction keeps
-// hot entries. Best-effort: a racing eviction or read-only directory just
-// means the entry ages normally.
-func (c *Cache) touch(key string) {
+// touch refreshes the timestamps of the entry file at path on a hit so LRU
+// eviction keeps hot entries. Best-effort: a racing eviction or read-only
+// directory just means the entry ages normally.
+func (c *Cache) touch(path string) {
 	if c.maxBytes.Load() <= 0 {
 		return
 	}
 	now := time.Now()
-	_ = os.Chtimes(c.path(key), now, now)
+	_ = os.Chtimes(path, now, now)
 }
 
-// gc evicts least-recently-used entries until the directory fits the
-// configured bound. Eviction is a plain unlink of a fully-written entry:
-// a reader that already opened the file keeps its data (POSIX semantics),
+// gc evicts least-recently-used entries, records and source-index entries
+// alike, until the directory fits the configured bound. Eviction is a plain
+// unlink of a fully-written entry: a reader that already opened the file
+// keeps its data (POSIX semantics),
 // and a reader that races the unlink sees a clean miss — never a torn
 // entry. Temp files from in-flight writes are left alone.
 func (c *Cache) gc() {
@@ -302,7 +326,7 @@ func (c *Cache) gc() {
 	var files []entry
 	var total int64
 	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".espa" {
+		if ext := filepath.Ext(e.Name()); e.IsDir() || ext != recordExt && ext != indexExt {
 			continue
 		}
 		info, err := e.Info()
@@ -328,7 +352,7 @@ func (c *Cache) gc() {
 	}
 }
 
-func encodeFile(key string, payload []byte) []byte {
+func encodeFile(magic [4]byte, key string, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	b := append([]byte(nil), magic[:]...)
 	b = appendLenPrefixed(b, []byte(FormatVersion))
@@ -344,7 +368,7 @@ func appendLenPrefixed(b, s []byte) []byte {
 
 // verify checks magic, version, key echo, and payload checksum, returning
 // the payload bytes when everything matches.
-func verify(data []byte, key string) ([]byte, bool) {
+func verify(data []byte, magic [4]byte, key string) ([]byte, bool) {
 	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic[:]) {
 		return nil, false
 	}

@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/guard"
 	"repro/internal/ir"
@@ -49,11 +50,21 @@ func unrollProgram(prog *minic.Program, tgt Target, allow func(minic.Pos) bool) 
 	}
 }
 
+// totalLowered counts the programs lowered to IR process-wide. The
+// generated-corpus tests use it to prove that a warm analysis compiles
+// nothing.
+var totalLowered atomic.Int64
+
+// TotalCompiles returns the number of programs this process has lowered to
+// IR: every compile, linked or not, and every runtime-library image.
+func TotalCompiles() int64 { return totalLowered.Load() }
+
 // lower emits IR for a checked program. A non-nil lib is a library image
 // lowered for the same language and target; copies of its globals follow
 // the program's own, and copies of its functions follow the program's own,
 // which is the order a compile of the concatenated source produces.
 func lower(prog *minic.Program, lib *libImage, lang ir.Language, tgt Target, lim guard.Limits, plan *Plan, meta *Meta) (*ir.Program, error) {
+	totalLowered.Add(1)
 	out := &ir.Program{Name: prog.Name}
 	for _, g := range prog.Globals {
 		out.Globals = append(out.Globals, lowerGlobal(g))

@@ -83,6 +83,20 @@ func (t Target) floatTemps() int {
 	return 14
 }
 
+// Canonical returns t in the form every equivalent target shares: the
+// temporary pools resolved to the ISA defaults, an unroll factor of at most
+// one (no unrolling) as zero, and no Name, which only labels experiment
+// tables. Two targets with equal Canonical forms lower every program to the
+// same IR.
+func (t Target) Canonical() Target {
+	t.Name = ""
+	t.IntTemps, t.FloatTemps = t.intTemps(), t.floatTemps()
+	if t.UnrollLoops <= 1 {
+		t.UnrollLoops = 0
+	}
+	return t
+}
+
 // Predefined targets and compiler configurations.
 var (
 	// AlphaCC models "cc on OSF/1 V1.2" — the paper's baseline compiler:

@@ -106,16 +106,26 @@ type Example struct {
 // Examples converts a program's profile into training examples, skipping
 // branches that never executed (they carry no evidence).
 func (pd *ProgramData) Examples() []Example {
-	out := make([]Example, 0, len(pd.Vectors))
-	for i, s := range pd.Sites.Sites {
-		c := pd.Profile.Branches[s.Ref]
+	return ExamplesOf(pd.Vectors, pd.Profile)
+}
+
+// ExamplesOf pairs each feature vector with its branch's counts in prof,
+// in vector order, skipping branches that never executed. It reads only
+// each vector's Ref, so a cached artifact.Record yields a program's
+// examples without its sites: ExtractAll gives Vectors[i] the Ref of
+// Sites.Sites[i].
+func ExamplesOf(vecs []features.Vector, prof *interp.Profile) []Example {
+	out := make([]Example, 0, len(vecs))
+	for i := range vecs {
+		ref := vecs[i].Ref
+		c := prof.Branches[ref]
 		if c == nil || c.Executed == 0 {
 			continue
 		}
 		out = append(out, Example{
-			Vector: pd.Vectors[i],
+			Vector: vecs[i],
 			Target: c.TakenFraction(),
-			Weight: pd.Profile.NormalizedWeight(s.Ref),
+			Weight: prof.NormalizedWeight(ref),
 		})
 	}
 	return out

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/codegen"
@@ -224,6 +225,35 @@ func TestFeatureExclusion(t *testing.T) {
 		if model.TakenProbability(v) != p0 {
 			t.Error("blind model must predict a constant")
 		}
+	}
+}
+
+// TestDefaultedIdempotent: defaulting a defaulted config changes nothing,
+// whatever the exclusion list already names, and never writes to the
+// caller's list.
+func TestDefaultedIdempotent(t *testing.T) {
+	for _, cfg := range []Config{
+		{},
+		{Hidden: 8, Seed: 3},
+		{ExcludeFeatures: []int{3}},
+		{ExcludeFeatures: []int{features.FCorrDomCond, 5}},
+		{IncludeLibraryFeature: true},
+		{IncludeCorrelationFeatures: true, ExcludeFeatures: []int{features.FLibraryProc}},
+		{IncludeLibraryFeature: true, IncludeCorrelationFeatures: true},
+		{Classifier: DecisionTree, UniformWeights: true},
+	} {
+		orig := append([]int(nil), cfg.ExcludeFeatures...)
+		once := cfg.Defaulted()
+		if twice := once.Defaulted(); !reflect.DeepEqual(twice, once) {
+			t.Errorf("%+v: Defaulted twice = %+v, once = %+v", cfg, twice, once)
+		}
+		if !reflect.DeepEqual(cfg.ExcludeFeatures, orig) {
+			t.Errorf("%+v: Defaulted wrote to the caller's exclusion list", cfg)
+		}
+	}
+	want := []int{features.FLibraryProc, features.FCorrSharedCond, features.FCorrDomCond}
+	if got := (Config{}).Defaulted().ExcludeFeatures; !reflect.DeepEqual(got, want) {
+		t.Errorf("default exclusions = %v, want %v", got, want)
 	}
 }
 

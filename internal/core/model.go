@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/dtree"
@@ -73,6 +74,7 @@ type Config struct {
 
 // Defaulted returns c with every default that training applies filled in,
 // so a zero field and its explicit default give equal configurations.
+// Defaulting is idempotent: c.Defaulted().Defaulted() equals c.Defaulted().
 func (c Config) Defaulted() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
@@ -89,14 +91,26 @@ func (c Config) withDefaults() Config {
 		c.Net.Patience = 60
 	}
 	if !c.IncludeLibraryFeature {
-		c.ExcludeFeatures = append(append([]int(nil), c.ExcludeFeatures...),
-			features.FLibraryProc)
+		c.ExcludeFeatures = withExcluded(c.ExcludeFeatures, features.FLibraryProc)
 	}
 	if !c.IncludeCorrelationFeatures {
-		c.ExcludeFeatures = append(append([]int(nil), c.ExcludeFeatures...),
+		c.ExcludeFeatures = withExcluded(c.ExcludeFeatures,
 			features.FCorrSharedCond, features.FCorrDomCond)
 	}
 	return c
+}
+
+// withExcluded returns a copy of excl (the caller's list is never written
+// to) with each of fs appended unless it is already listed, so defaulting
+// a defaulted config changes nothing.
+func withExcluded(excl []int, fs ...int) []int {
+	out := append([]int(nil), excl...)
+	for _, f := range fs {
+		if !slices.Contains(out, f) {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // Model is a trained ESP predictor.

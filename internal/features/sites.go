@@ -10,6 +10,7 @@ package features
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -140,8 +141,16 @@ type ProgramSites struct {
 	byRef  map[ir.BranchRef]*Site
 }
 
+// totalCollects counts Collect calls process-wide. The generated-corpus
+// tests use it to prove that a warm analysis collects no sites.
+var totalCollects atomic.Int64
+
+// TotalCollects returns the number of Collect calls made by this process.
+func TotalCollects() int64 { return totalCollects.Load() }
+
 // Collect analyzes a program and returns all of its branch sites.
 func Collect(prog *ir.Program) *ProgramSites {
+	totalCollects.Add(1)
 	ps := &ProgramSites{
 		Prog:   prog,
 		Graphs: make(map[string]*cfg.Graph, len(prog.Funcs)),
