@@ -17,13 +17,14 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# race runs the data-race detector over the concurrent packages (parallel
-# cross-validation folds, the prediction scratch pool, the espserve batching
-# worker pool, concurrent artifact-cache readers/writers, and concurrent
-# links against the shared runtime-library image). This target is the one
-# definition of the race gate: CI and scripts/check.sh call it.
+# race runs the data-race detector over the concurrent packages (the par.For
+# fan-out behind parallel analysis and cross-validation folds, the prediction
+# scratch pool, the espserve batching worker pool, concurrent artifact-cache
+# readers/writers, and concurrent links against the shared runtime-library
+# image). This target is the one definition of the race gate: CI and
+# scripts/check.sh call it.
 race:
-	$(GO) test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve ./internal/faultinject ./internal/artifact ./internal/experiments ./internal/obs ./internal/gencorpus ./internal/cluster ./internal/pgo ./internal/hwsim ./internal/corpus
+	$(GO) test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve ./internal/faultinject ./internal/artifact ./internal/experiments ./internal/obs ./internal/gencorpus ./internal/cluster ./internal/pgo ./internal/hwsim ./internal/corpus ./internal/par
 
 # gencorpus-check is the short generative soak CI runs on every push: the
 # generator property suite (~200 programs across the five mixes, each

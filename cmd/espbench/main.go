@@ -58,6 +58,10 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
+	if err := checkSelectors(*table, *figure, *pgoGen, *hwsimGen); err != nil {
+		fmt.Fprintf(os.Stderr, "espbench: %v\n", err)
+		os.Exit(2)
+	}
 	var genSizes []int
 	if *figure2b {
 		var err error
@@ -271,6 +275,24 @@ func main() {
 			return r.Render(), nil
 		})
 	}
+}
+
+// checkSelectors rejects a -table or -figure that names no table or
+// figure (0 selects none) and a negative generated-slice size, which would
+// otherwise select nothing and exit 0, or run with no slice and record the
+// negative size.
+func checkSelectors(table, figure, pgoGen, hwsimGen int) error {
+	switch {
+	case table < 0 || table > 7:
+		return fmt.Errorf("-table %d is out of range (1-7)", table)
+	case figure < 0 || figure > 2:
+		return fmt.Errorf("-figure %d is out of range (1-2)", figure)
+	case pgoGen < 0:
+		return fmt.Errorf("-pgo-gen %d is negative", pgoGen)
+	case hwsimGen < 0:
+		return fmt.Errorf("-hwsim-gen %d is negative", hwsimGen)
+	}
+	return nil
 }
 
 // figure2bSizes returns the Figure 2b corpus sizes that fit under genMax.

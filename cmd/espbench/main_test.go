@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -73,6 +75,52 @@ func TestFigure2bSizes(t *testing.T) {
 		got, err := figure2bSizes(max)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("figure2bSizes(%d) = %v, %v; want %v", max, got, err, want)
+		}
+	}
+}
+
+// TestSelectorsOutOfRange checks that a selector naming nothing exits 2
+// before any work, naming the flag, and writes no BENCH file.
+func TestSelectorsOutOfRange(t *testing.T) {
+	bin := buildTool(t)
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-table", "9"}, "-table 9"},
+		{[]string{"-table", "-1"}, "-table -1"},
+		{[]string{"-figure", "3"}, "-figure 3"},
+		{[]string{"-pgo", "-pgo-gen", "-1"}, "-pgo-gen -1"},
+		{[]string{"-hwsim", "-hwsim-gen", "-5"}, "-hwsim-gen -5"},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-no-cache", "-benchout", dir}, tc.args...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2\n%s", tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.flag) {
+			t.Errorf("%v: output does not name %q:\n%s", tc.args, tc.flag, out)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("%v: wrote %d files to -benchout, want none", tc.args, len(files))
+		}
+	}
+}
+
+// TestCheckSelectors covers the range edges TestSelectorsOutOfRange does
+// not: the largest table and figure pass, the next ones do not.
+func TestCheckSelectors(t *testing.T) {
+	for _, ok := range [][4]int{{0, 0, 0, 0}, {1, 1, 10, 10}, {7, 2, 0, 0}} {
+		if err := checkSelectors(ok[0], ok[1], ok[2], ok[3]); err != nil {
+			t.Errorf("checkSelectors%v = %v, want nil", ok, err)
+		}
+	}
+	for _, bad := range [][4]int{{8, 0, 0, 0}, {0, -1, 0, 0}} {
+		if err := checkSelectors(bad[0], bad[1], bad[2], bad[3]); err == nil {
+			t.Errorf("checkSelectors%v = nil, want an error", bad)
 		}
 	}
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/features"
 	"repro/internal/heuristics"
+	"repro/internal/par"
 )
 
 // FoldResult is one leave-one-out fold: the model trained on every corpus
@@ -53,10 +51,11 @@ func prepareProgram(pd *ProgramData, gate *featureGate) preparedProgram {
 // (C programs against C programs, Fortran against Fortran); callers pass the
 // group as corpus.
 //
-// Folds run in parallel but every fold's training is deterministic (the
-// seed is fixed per configuration), so results are reproducible.
+// Folds run in parallel on GOMAXPROCS workers but every fold's training
+// is deterministic (the seed is fixed per configuration), so results are
+// reproducible.
 func CrossValidate(corpus []*ProgramData, cfg Config) []FoldResult {
-	return crossValidate(corpus, cfg, maxParallel())
+	return crossValidate(corpus, cfg, 0)
 }
 
 // CrossValidateSerial is CrossValidate with the folds run one at a time, in
@@ -74,27 +73,12 @@ func crossValidate(corpus []*ProgramData, cfg Config, workers int) []FoldResult 
 		preps[i] = prepareProgram(pd, &gate)
 	}
 	results := make([]FoldResult, len(corpus))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range corpus {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = crossValidateFold(corpus, preps, i, cfg, gate)
-		}(i)
-	}
-	wg.Wait()
+	// A fold cannot fail, so For's error is always nil.
+	_ = par.For(workers, len(corpus), func(i int) error {
+		results[i] = crossValidateFold(corpus, preps, i, cfg, gate)
+		return nil
+	})
 	return results
-}
-
-func maxParallel() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 func crossValidateFold(corpus []*ProgramData, preps []preparedProgram, hold int, cfg Config, gate featureGate) FoldResult {

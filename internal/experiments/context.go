@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/artifact"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ir"
+	"repro/internal/par"
 )
 
 // Context caches compiled programs, profiles, and feature extraction per
@@ -87,36 +87,20 @@ func (c *Context) Data(e corpus.Entry, tgt codegen.Target) (*core.ProgramData, e
 	return st.pd, st.err
 }
 
-// Batch analyzes a set of entries under one target, in parallel, with
-// fan-out bounded to GOMAXPROCS workers: profiling is CPU-bound, so more
-// goroutines than processors only adds scheduling and memory pressure.
+// Batch analyzes a set of entries under one target, in parallel on
+// GOMAXPROCS workers: profiling is CPU-bound, so more goroutines than
+// processors only adds scheduling and memory pressure.
 func (c *Context) Batch(entries []corpus.Entry, tgt codegen.Target) ([]*core.ProgramData, error) {
 	out := make([]*core.ProgramData, len(entries))
-	errs := make([]error, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], errs[i] = c.Data(entries[i], tgt)
-			}
-		}()
-	}
-	for i := range entries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", entries[i].Name, err)
+	err := par.For(0, len(entries), func(i int) error {
+		var err error
+		if out[i], err = c.Data(entries[i], tgt); err != nil {
+			return fmt.Errorf("experiments: %s: %w", entries[i].Name, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,17 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/features"
-	"repro/internal/gencorpus"
 	"repro/internal/hwsim"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/par"
 	"repro/internal/pgo"
 	"repro/internal/stats"
 )
@@ -94,44 +92,22 @@ func HwsimStudy(ctx *Context, espCfg core.Config, genN int) (*HwsimStudyResult, 
 	if err != nil {
 		return nil, err
 	}
-	entries := corpus.All()
-	nReal := len(entries)
-	if genN > 0 {
-		spec := gencorpus.Spec{Seed: HwsimGenSeed, N: genN, Opt: gencorpus.Options{Prints: true}}
-		entries = append(entries, spec.Entries()...)
-	}
-
+	entries, nReal := studyEntries(HwsimGenSeed, genN)
 	perProg := make([][]*hwsim.Counter, len(entries))
-	errs := make([]error, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				e := entries[i]
-				m := models[e.Name]
-				if m == nil {
-					m = cModel // generated programs: full-C-group model
-				}
-				perProg[i], errs[i] = hwsimProgram(e, m)
-			}
-		}()
-	}
-	for i := range entries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hwsim: %s: %w", entries[i].Name, err)
+	err = par.For(0, len(entries), func(i int) error {
+		e := entries[i]
+		m := models[e.Name]
+		if m == nil {
+			m = cModel // generated programs: full-C-group model
 		}
+		var err error
+		if perProg[i], err = hwsimProgram(e, m); err != nil {
+			return fmt.Errorf("experiments: hwsim: %s: %w", e.Name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &HwsimStudyResult{

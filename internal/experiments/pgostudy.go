@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
@@ -12,6 +10,7 @@ import (
 	"repro/internal/gencorpus"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/par"
 	"repro/internal/pgo"
 	"repro/internal/stats"
 )
@@ -64,6 +63,20 @@ func (r *PGOStudyResult) espSavings() map[string]float64 {
 	return out
 }
 
+// studyEntries is the entry list of the studies that run every corpus
+// program: all 46 corpus programs, then genN generated programs from seed
+// (all mixes, printing their results so guided and unguided runs can be
+// compared). nReal is the number of corpus programs, which come first.
+func studyEntries(seed int64, genN int) (entries []corpus.Entry, nReal int) {
+	entries = corpus.All()
+	nReal = len(entries)
+	if genN > 0 {
+		spec := gencorpus.Spec{Seed: seed, N: genN, Opt: gencorpus.Options{Prints: true}}
+		entries = append(entries, spec.Entries()...)
+	}
+	return entries, nReal
+}
+
 // PGOStudy runs the guided-optimization comparison over all 46 corpus
 // programs plus genN generated programs (seed PGOGenSeed, all mixes).
 //
@@ -81,43 +94,22 @@ func PGOStudy(ctx *Context, espCfg core.Config, genN int) (*PGOStudyResult, erro
 	if err != nil {
 		return nil, err
 	}
-	entries := corpus.All()
-	if genN > 0 {
-		spec := gencorpus.Spec{Seed: PGOGenSeed, N: genN, Opt: gencorpus.Options{Prints: true}}
-		entries = append(entries, spec.Entries()...)
-	}
-
+	entries, _ := studyEntries(PGOGenSeed, genN)
 	rows := make([]PGORow, len(entries))
-	errs := make([]error, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				e := entries[i]
-				m := models[e.Name]
-				if m == nil {
-					m = cModel // generated programs: full-C-group model
-				}
-				rows[i], errs[i] = pgoRow(e, m)
-			}
-		}()
-	}
-	for i := range entries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: pgo: %s: %w", entries[i].Name, err)
+	err = par.For(0, len(entries), func(i int) error {
+		e := entries[i]
+		m := models[e.Name]
+		if m == nil {
+			m = cModel // generated programs: full-C-group model
 		}
+		var err error
+		if rows[i], err = pgoRow(e, m); err != nil {
+			return fmt.Errorf("experiments: pgo: %s: %w", e.Name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &PGOStudyResult{Rows: rows, GenN: genN}

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/corpus"
-	"repro/internal/gencorpus"
 	"repro/internal/hwsim"
 	"repro/internal/interp"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -41,39 +39,17 @@ type TaxonomyResult struct {
 // TaxonomyStudy computes the taxonomy over all 46 corpus programs plus
 // genN generated programs (seed HwsimGenSeed, all mixes).
 func TaxonomyStudy(ctx *Context, genN int) (*TaxonomyResult, error) {
-	entries := corpus.All()
-	nReal := len(entries)
-	if genN > 0 {
-		spec := gencorpus.Spec{Seed: HwsimGenSeed, N: genN, Opt: gencorpus.Options{Prints: true}}
-		entries = append(entries, spec.Entries()...)
-	}
-
+	entries, nReal := studyEntries(HwsimGenSeed, genN)
 	rows := make([]TaxonomyRow, len(entries))
-	errs := make([]error, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rows[i], errs[i] = taxonomyRow(entries[i])
-			}
-		}()
-	}
-	for i := range entries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: taxonomy: %s: %w", entries[i].Name, err)
+	err := par.For(0, len(entries), func(i int) error {
+		var err error
+		if rows[i], err = taxonomyRow(entries[i]); err != nil {
+			return fmt.Errorf("experiments: taxonomy: %s: %w", entries[i].Name, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &TaxonomyResult{Rows: rows, GenN: genN}

@@ -1,14 +1,13 @@
 package gencorpus
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/par"
 )
 
 // ShardedCorpus feeds a corpus through the standard analysis pipeline —
@@ -76,8 +75,8 @@ func (c *ShardedCorpus) Load(i int) ([]core.Example, error) {
 	return c.analyze(c.Entries[lo:min(lo+c.size(), len(c.Entries))])
 }
 
-// analyze runs entries on GOMAXPROCS workers and concatenates their
-// examples in entry order. With a cache and a readable binary, the
+// analyze runs entries on GOMAXPROCS workers (par.For) and concatenates
+// their examples in entry order. With a cache and a readable binary, the
 // entries' source index entry, when present, lets each entry skip its
 // front end; once all are done, the index entry is rewritten if what the
 // entries found differs from what it listed.
@@ -96,37 +95,21 @@ func (c *ShardedCorpus) analyze(entries []corpus.Entry) ([]core.Example, error) 
 	}
 	perEntry := make([][]core.Example, len(entries))
 	index := make([]artifact.IndexEntry, len(entries))
-	errs := make([]error, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range next {
-				var hint artifact.IndexEntry
-				if hints != nil {
-					hint = hints[j]
-				}
-				perEntry[j], index[j], errs[j] = c.examples(entries[j], tgt, hint)
-			}
-		}()
-	}
-	for j := range entries {
-		next <- j
-	}
-	close(next)
-	wg.Wait()
-	var out []core.Example
-	for j := range entries {
-		if errs[j] != nil {
-			return nil, errs[j]
+	err := par.For(0, len(entries), func(j int) error {
+		var hint artifact.IndexEntry
+		if hints != nil {
+			hint = hints[j]
 		}
-		out = append(out, perEntry[j]...)
+		var err error
+		perEntry[j], index[j], err = c.examples(entries[j], tgt, hint)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []core.Example
+	for _, ex := range perEntry {
+		out = append(out, ex...)
 	}
 	if ixKey != "" && !slices.Equal(index, hints) {
 		// Best effort, like the records' own stores: a lost index entry

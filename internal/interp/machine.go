@@ -260,19 +260,7 @@ func (m *machine) finish(ret int64) *Profile {
 // the two are bit-identical in every observable way (profiles, edges,
 // results, outputs, and error points).
 func Run(p *ir.Program, cfg Config) (*Profile, error) {
-	totalRuns.Add(1)
-	m := newMachine(p, cfg)
-	defer m.release()
-	m.buildUImages()
-	if m.umain == nil {
-		return nil, ErrNoMain
-	}
-	var args [12]int64 // 6 int (A0..A5) + 6 float arg registers
-	ret, _, err := m.callU(m.umain, args, m.cfg.MemWords)
-	if err != nil {
-		return nil, fmt.Errorf("interp: %s: %w", p.Name, err)
-	}
-	return m.finish(ret), nil
+	return RunTrace(p, cfg, nil)
 }
 
 // RunReference executes the program on the retained per-instruction
@@ -280,20 +268,7 @@ func Run(p *ir.Program, cfg Config) (*Profile, error) {
 // that wants a second opinion) can check the micro-op path against the
 // original semantics; production callers use Run.
 func RunReference(p *ir.Program, cfg Config) (*Profile, error) {
-	totalRuns.Add(1)
-	m := newMachine(p, cfg)
-	defer m.release()
-	m.buildImages()
-	mainFn := m.funcs["main"]
-	if mainFn == nil {
-		return nil, ErrNoMain
-	}
-	var args [12]int64
-	ret, _, err := m.call(mainFn, args, m.cfg.MemWords)
-	if err != nil {
-		return nil, fmt.Errorf("interp: %s: %w", p.Name, err)
-	}
-	return m.finish(ret), nil
+	return RunReferenceTrace(p, cfg, nil)
 }
 
 // branchTaken evaluates a conditional branch against the register file.

@@ -44,7 +44,7 @@ func RunTrace(p *ir.Program, cfg Config, sink TraceSink) (*Profile, error) {
 	if m.umain == nil {
 		return nil, ErrNoMain
 	}
-	var args [12]int64
+	var args [12]int64 // 6 int (A0..A5) + 6 float arg registers
 	ret, _, err := m.callU(m.umain, args, m.cfg.MemWords)
 	if err != nil {
 		return nil, fmt.Errorf("interp: %s: %w", p.Name, err)

@@ -5,16 +5,13 @@ import (
 	"sync"
 
 	"repro/internal/features"
-	"repro/internal/ir"
 )
 
-// programImage is everything the service derives from one source submission:
-// the compiled program and its extracted branch-site features, ready to be
-// predicted again without re-compiling.
+// programImage is what the service keeps from one source submission: its
+// branch sites' feature vectors (each naming its site in Vector.Ref), ready
+// to be predicted again without re-compiling.
 type programImage struct {
 	Name    string
-	Prog    *ir.Program
-	Refs    []ir.BranchRef
 	Vectors []features.Vector
 }
 

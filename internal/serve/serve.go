@@ -489,9 +489,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp.Program = img.Name
 		resp.Cached = cached
 		vecs = img.Vectors
-		refs = make([]string, len(img.Refs))
-		for i, ref := range img.Refs {
-			refs[i] = ref.String()
+		refs = make([]string, len(vecs))
+		for i, v := range vecs {
+			refs[i] = v.Ref.String()
 		}
 	case len(req.Vectors) > 0:
 		if len(req.Vectors) > s.cfg.MaxVectors {
@@ -716,15 +716,7 @@ func (s *Server) compile(tr *obs.Trace, req *PredictRequest) (*programImage, boo
 	endCompile()
 	endFeaturize := tr.StartSpan(obs.StageFeaturize)
 	ps := features.Collect(prog)
-	img := &programImage{
-		Name:    name,
-		Prog:    prog,
-		Vectors: features.ExtractAll(ps),
-	}
-	img.Refs = make([]ir.BranchRef, len(ps.Sites))
-	for i, site := range ps.Sites {
-		img.Refs[i] = site.Ref
-	}
+	img := &programImage{Name: name, Vectors: features.ExtractAll(ps)}
 	endFeaturize()
 	s.cache.add(key, img)
 	return img, false, nil
