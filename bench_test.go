@@ -10,6 +10,7 @@ package repro
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/codegen"
@@ -283,6 +284,42 @@ func BenchmarkInterpretTomcatv(b *testing.B) {
 		}
 		b.SetBytes(prof.Insns) // reports interpreted instructions per second
 	}
+}
+
+// BenchmarkInterpretCorpus times interp.Run over the 46 corpus programs
+// (Default target), one pass with edge profiling off and one with it on per
+// iteration, and reports both passes and their ratio: what CollectEdges
+// costs the interpreter.
+func BenchmarkInterpretCorpus(b *testing.B) {
+	entries := corpus.All()
+	progs := make([]*ir.Program, len(entries))
+	for i, e := range entries {
+		prog, err := e.Compile(codegen.Default)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = prog
+	}
+	pass := func(edges bool) time.Duration {
+		start := time.Now()
+		for i, e := range entries {
+			cfg := e.RunConfig()
+			cfg.CollectEdges = edges
+			if _, err := interp.Run(progs[i], cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	var off, on time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off += pass(false)
+		on += pass(true)
+	}
+	b.ReportMetric(off.Seconds()*1e3/float64(b.N), "off-ms/pass")
+	b.ReportMetric(on.Seconds()*1e3/float64(b.N), "on-ms/pass")
+	b.ReportMetric(on.Seconds()/off.Seconds(), "on/off")
 }
 
 func BenchmarkFeatureExtraction(b *testing.B) {

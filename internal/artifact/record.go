@@ -63,10 +63,24 @@ func encodeRecord(rec *Record) ([]byte, error) {
 	for name := range p.Calls {
 		intern(name)
 	}
+	// Vector strings are interned per column (the function name, then each
+	// feature), so the shared table sees each column's distinct values once.
+	var cols [1 + features.NumFeatures]column
+	vals := make([]string, len(cols)*columnScan)
+	for k := range cols {
+		cols[k].vals = vals[k*columnScan : k*columnScan : (k+1)*columnScan]
+	}
+	local := make([]uint32, len(rec.Vectors)*len(cols))
 	for i := range rec.Vectors {
 		v := &rec.Vectors[i]
-		intern(v.Ref.Func)
-		for _, s := range v.Values {
+		row := local[i*len(cols):]
+		row[0] = cols[0].id(v.Ref.Func)
+		for k, s := range v.Values {
+			row[1+k] = cols[1+k].id(s)
+		}
+	}
+	for k := range cols {
+		for _, s := range cols[k].vals {
 			intern(s)
 		}
 	}
@@ -79,6 +93,15 @@ func encodeRecord(rec *Record) ([]byte, error) {
 	for i, s := range table {
 		index[s] = uint64(i)
 		size += len(s) + 1
+	}
+	global := make([]uint64, 0, len(cols)*columnScan)
+	for k := range cols {
+		c := &cols[k]
+		at := len(global)
+		for _, s := range c.vals {
+			global = append(global, index[s])
+		}
+		c.global = global[at:len(global):len(global)]
 	}
 
 	b := make([]byte, 0, size+16*len(p.Branches)+20*len(p.Edges)+(4+features.NumFeatures)*len(rec.Vectors)+64)
@@ -163,14 +186,64 @@ func encodeRecord(rec *Record) ([]byte, error) {
 
 	b = binary.AppendUvarint(b, uint64(len(rec.Vectors)))
 	for i := range rec.Vectors {
-		v := &rec.Vectors[i]
-		b = binary.AppendUvarint(b, index[v.Ref.Func])
-		b = binary.AppendVarint(b, int64(v.Ref.Block))
-		for _, s := range v.Values {
-			b = binary.AppendUvarint(b, index[s])
+		row := local[i*len(cols) : (i+1)*len(cols)]
+		b = binary.AppendUvarint(b, cols[0].global[row[0]])
+		b = binary.AppendVarint(b, int64(rec.Vectors[i].Ref.Block))
+		for k := 1; k < len(cols); k++ {
+			b = binary.AppendUvarint(b, cols[k].global[row[k]])
 		}
 	}
 	return b, nil
+}
+
+// column interns the values of one vector column. A column's vocabulary is
+// a handful of categories, and consecutive vectors often repeat a value,
+// so the last hit and then a scan of the values find most strings without
+// hashing them; a column that grows past columnScan values switches to a
+// map.
+type column struct {
+	vals   []string          // distinct values, in first-seen order
+	last   uint32            // index of the previous hit
+	ids    map[string]uint32 // value → index, once len(vals) > columnScan
+	global []uint64          // value → string-table index, after sorting
+}
+
+const columnScan = 16
+
+// id returns the column-local index of s, adding s on first sight. The
+// last-hit check is kept apart from find so that it inlines.
+func (c *column) id(s string) uint32 {
+	if int(c.last) < len(c.vals) && c.vals[c.last] == s {
+		return c.last
+	}
+	return c.find(s)
+}
+
+func (c *column) find(s string) uint32 {
+	if c.ids != nil {
+		if j, ok := c.ids[s]; ok {
+			c.last = j
+			return j
+		}
+	} else {
+		for j, v := range c.vals {
+			if v == s {
+				c.last = uint32(j)
+				return c.last
+			}
+		}
+	}
+	c.last = uint32(len(c.vals))
+	c.vals = append(c.vals, s)
+	if c.ids != nil {
+		c.ids[s] = c.last
+	} else if len(c.vals) > columnScan {
+		c.ids = make(map[string]uint32, 2*len(c.vals))
+		for j, v := range c.vals {
+			c.ids[v] = uint32(j)
+		}
+	}
+	return c.last
 }
 
 // appendMapCount writes a map's entry count, distinguishing nil from empty.

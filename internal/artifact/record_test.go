@@ -2,9 +2,14 @@ package artifact_test
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/artifact"
@@ -142,6 +147,194 @@ func TestRecordCodecEmpty(t *testing.T) {
 	}
 	if _, err := artifact.EncodeRecord(&artifact.Record{}); err == nil {
 		t.Fatal("a record without a profile encoded")
+	}
+}
+
+// mapEncodeRecord is the encoder oracle: the record encoding as it was
+// first written, interning every string through one map (two map
+// operations per feature value). encodeRecord must write the same bytes.
+func mapEncodeRecord(rec *artifact.Record) ([]byte, error) {
+	p := rec.Profile
+	if p == nil {
+		return nil, errors.New("artifact: encode: record has no profile")
+	}
+	index := make(map[string]uint64)
+	intern := func(s string) { index[s] = 0 }
+	intern(p.Program)
+	for ref, c := range p.Branches {
+		if c == nil {
+			return nil, errors.New("artifact: encode: profile has a nil branch count")
+		}
+		intern(ref.Func)
+	}
+	for e := range p.Edges {
+		intern(e.Func)
+	}
+	for name := range p.Calls {
+		intern(name)
+	}
+	for i := range rec.Vectors {
+		v := &rec.Vectors[i]
+		intern(v.Ref.Func)
+		for _, s := range v.Values {
+			intern(s)
+		}
+	}
+	table := make([]string, 0, len(index))
+	for s := range index {
+		table = append(table, s)
+	}
+	slices.Sort(table)
+	for i, s := range table {
+		index[s] = uint64(i)
+	}
+	mapCount := func(b []byte, isNil bool, n int) []byte {
+		if isNil {
+			return append(b, 0)
+		}
+		return binary.AppendUvarint(b, uint64(n)+1)
+	}
+
+	var b []byte
+	b = binary.AppendUvarint(b, uint64(len(table)))
+	for _, s := range table {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	b = binary.AppendUvarint(b, index[p.Program])
+	for _, x := range []int64{p.Insns, p.CondExec, p.CondTaken, p.Result} {
+		b = binary.AppendVarint(b, x)
+	}
+
+	refs := make([]ir.BranchRef, 0, len(p.Branches))
+	for ref := range p.Branches {
+		refs = append(refs, ref)
+	}
+	slices.SortFunc(refs, func(x, y ir.BranchRef) int {
+		return cmp.Or(cmp.Compare(x.Func, y.Func), cmp.Compare(x.Block, y.Block))
+	})
+	b = mapCount(b, p.Branches == nil, len(refs))
+	for _, ref := range refs {
+		c := p.Branches[ref]
+		b = binary.AppendUvarint(b, index[ref.Func])
+		b = binary.AppendVarint(b, int64(ref.Block))
+		b = binary.AppendVarint(b, c.Executed)
+		b = binary.AppendVarint(b, c.Taken)
+	}
+
+	edges := make([]interp.EdgeRef, 0, len(p.Edges))
+	for e := range p.Edges {
+		edges = append(edges, e)
+	}
+	slices.SortFunc(edges, func(x, y interp.EdgeRef) int {
+		return cmp.Or(cmp.Compare(x.Func, y.Func), cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+	})
+	b = mapCount(b, p.Edges == nil, len(edges))
+	for _, e := range edges {
+		b = binary.AppendUvarint(b, index[e.Func])
+		b = binary.AppendVarint(b, int64(e.From))
+		b = binary.AppendVarint(b, int64(e.To))
+		b = binary.AppendVarint(b, p.Edges[e])
+	}
+
+	calls := make([]string, 0, len(p.Calls))
+	for name := range p.Calls {
+		calls = append(calls, name)
+	}
+	slices.Sort(calls)
+	b = mapCount(b, p.Calls == nil, len(calls))
+	for _, name := range calls {
+		b = binary.AppendUvarint(b, index[name])
+		b = binary.AppendVarint(b, p.Calls[name])
+	}
+
+	b = binary.AppendUvarint(b, uint64(len(p.Outputs)))
+	for _, x := range p.Outputs {
+		b = binary.AppendVarint(b, x)
+	}
+	b = binary.AppendUvarint(b, uint64(len(p.FOutputs)))
+	for _, x := range p.FOutputs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+
+	b = binary.AppendUvarint(b, uint64(len(rec.Vectors)))
+	for i := range rec.Vectors {
+		v := &rec.Vectors[i]
+		b = binary.AppendUvarint(b, index[v.Ref.Func])
+		b = binary.AppendVarint(b, int64(v.Ref.Block))
+		for _, s := range v.Values {
+			b = binary.AppendUvarint(b, index[s])
+		}
+	}
+	return b, nil
+}
+
+// wideRecord has n vectors whose feature 0 takes n distinct values, more
+// than a 16-bit column index can hold, and whose other columns share
+// values with each other and with the function and program names.
+func wideRecord(n int) *artifact.Record {
+	rec := &artifact.Record{Profile: &interp.Profile{Program: "LEAF",
+		Calls: map[string]int64{"main": 1}}}
+	rec.Vectors = make([]features.Vector, n)
+	for i := range rec.Vectors {
+		v := &rec.Vectors[i]
+		v.Ref = ir.BranchRef{Func: "main", Block: i}
+		if i%3 == 0 {
+			v.Ref.Func = "f"
+		}
+		for k := range v.Values {
+			v.Values[k] = features.Unknown
+		}
+		v.Values[0] = fmt.Sprintf("v%d", i)
+		v.Values[1] = "LEAF"
+		v.Values[2] = []string{"main", "f", "LEAF", "?"}[i%4]
+	}
+	return rec
+}
+
+// TestRecordEncoderMatchesOracle: encodeRecord's per-column interning
+// writes exactly the bytes of the map-interning oracle, for every corpus
+// program with edges off and on, one generated program per mix, and
+// synthetic records where columns share values or outgrow a 16-bit index.
+func TestRecordEncoderMatchesOracle(t *testing.T) {
+	var recs []*artifact.Record
+	var entries []corpus.Entry
+	entries = append(entries, corpus.All()...)
+	if len(entries) < 46 {
+		t.Fatalf("corpus has %d programs, expected the full 46", len(entries))
+	}
+	for _, m := range gencorpus.AllMixes() {
+		entries = append(entries, gencorpus.Generate(7, m).Entry())
+	}
+	for _, e := range entries {
+		prog, err := e.Compile(codegen.Default)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs := features.ExtractAll(features.Collect(prog))
+		for _, edges := range []bool{false, true} {
+			cfg := e.RunConfig()
+			cfg.CollectEdges = edges
+			prof, err := interp.Run(prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, &artifact.Record{Profile: prof, Vectors: vecs})
+		}
+	}
+	recs = append(recs, syntheticRecord(), wideRecord(1<<16+100))
+	for i, rec := range recs {
+		got, err := artifact.EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mapEncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d (%s): encoding differs from the oracle's", i, rec.Profile.Program)
+		}
 	}
 }
 

@@ -313,8 +313,9 @@ func TestGenCorpusSoak(t *testing.T) {
 
 // FuzzGenCorpus drives generator output — and byte-level mutations of it —
 // through parse, compile, and the micro-op-vs-reference differential: both
-// interpreters must agree on result, outputs, and instruction count, or
-// agree that the program fails. Seeds cover every mix; the mutation bytes
+// interpreters must agree on result, outputs, instruction count, and the
+// profile (branch counts, conditional totals, call counts), or agree that
+// the program fails. Seeds cover every mix; the mutation bytes
 // let the fuzzer explore programs the generator itself would never emit.
 func FuzzGenCorpus(f *testing.F) {
 	for _, m := range gencorpus.AllMixes() {
@@ -359,6 +360,16 @@ func FuzzGenCorpus(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got.Outputs, ref.Outputs) {
 			t.Fatalf("outputs diverge: uop %v, reference %v\n%s", got.Outputs, ref.Outputs, src)
+		}
+		if got.CondExec != ref.CondExec || got.CondTaken != ref.CondTaken {
+			t.Fatalf("uop %d/%d conditional executed/taken, reference %d/%d\n%s",
+				got.CondExec, got.CondTaken, ref.CondExec, ref.CondTaken, src)
+		}
+		if !reflect.DeepEqual(got.Branches, ref.Branches) {
+			t.Fatalf("branch counts diverge\n%s", src)
+		}
+		if !reflect.DeepEqual(got.Calls, ref.Calls) {
+			t.Fatalf("call counts diverge: uop %v, reference %v\n%s", got.Calls, ref.Calls, src)
 		}
 	})
 }

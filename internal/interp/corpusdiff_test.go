@@ -2,7 +2,7 @@ package interp_test
 
 // The corpus-wide differential test: the micro-op interpreter (Run) and the
 // retained per-instruction reference interpreter (RunReference) must be
-// bit-identical — profiles, edges, results, and typed error points — on
+// bit-identical — profiles, edges, calls, results, and typed error points — on
 // every corpus program, with fault-injection armed on every registered
 // site, and under tight fuel/stack/call-depth budgets.
 //
@@ -12,6 +12,7 @@ package interp_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/codegen"
@@ -42,6 +43,9 @@ func armAllSites(t *testing.T) {
 
 func diffProfiles(t *testing.T, name string, uop, ref *interp.Profile) {
 	t.Helper()
+	if uop.Program != ref.Program {
+		t.Fatalf("%s: program %q vs reference %q", name, uop.Program, ref.Program)
+	}
 	if uop.Insns != ref.Insns || uop.Result != ref.Result ||
 		uop.CondExec != ref.CondExec || uop.CondTaken != ref.CondTaken {
 		t.Fatalf("%s: totals diverge: insns %d/%d result %d/%d cond %d/%d taken %d/%d",
@@ -61,14 +65,18 @@ func diffProfiles(t *testing.T, name string, uop, ref *interp.Profile) {
 		t.Fatalf("%s: edge profiles diverge (%d vs %d edges)",
 			name, len(uop.Edges), len(ref.Edges))
 	}
+	if !reflect.DeepEqual(uop.Calls, ref.Calls) {
+		t.Fatalf("%s: call counts diverge: uop %v reference %v", name, uop.Calls, ref.Calls)
+	}
 	if !reflect.DeepEqual(uop.Outputs, ref.Outputs) || !reflect.DeepEqual(uop.FOutputs, ref.FOutputs) {
 		t.Fatalf("%s: outputs diverge", name)
 	}
 }
 
 // TestCorpusUopMatchesReference runs every corpus program through both
-// interpreters under the standard study configuration (edges on) and
-// requires exact agreement, with fault injection armed throughout.
+// interpreters under the standard study configuration, with edge profiling
+// off (as analysis and training run) and on, and requires exact agreement,
+// with fault injection armed throughout.
 func TestCorpusUopMatchesReference(t *testing.T) {
 	armAllSites(t)
 	entries := corpus.All()
@@ -83,18 +91,52 @@ func TestCorpusUopMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := e.RunConfig()
-			cfg.CollectEdges = true
-			uop, err := interp.Run(prog, cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, edges := range []bool{false, true} {
+				cfg := e.RunConfig()
+				cfg.CollectEdges = edges
+				uop, err := interp.Run(prog, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := interp.RunReference(prog, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (uop.Edges != nil) != edges {
+					t.Fatalf("CollectEdges=%v, but the edge map is %v", edges, uop.Edges)
+				}
+				diffProfiles(t, e.Name, uop, ref)
 			}
-			ref, err := interp.RunReference(prog, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffProfiles(t, e.Name, uop, ref)
 		})
+	}
+}
+
+// TestCorpusLowersOnlyEnteredFunctions: a run lowers a function to
+// micro-ops exactly when it calls it, so over every corpus program the
+// lowered images are the key set of Profile.Calls.
+func TestCorpusLowersOnlyEnteredFunctions(t *testing.T) {
+	for _, e := range corpus.All() {
+		prog, err := e.Compile(codegen.Default)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, lowered, err := interp.RunLowered(prog, e.RunConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		called := make([]string, 0, len(prof.Calls))
+		for name := range prof.Calls {
+			called = append(called, name)
+		}
+		slices.Sort(called)
+		slices.Sort(lowered)
+		if !slices.Equal(lowered, called) {
+			t.Fatalf("%s: lowered %v, called %v", e.Name, lowered, called)
+		}
+		if len(lowered) >= len(prog.Funcs) {
+			t.Fatalf("%s: lowered all %d functions; the runtime library is never all entered",
+				e.Name, len(prog.Funcs))
+		}
 	}
 }
 

@@ -126,13 +126,14 @@ type machine struct {
 	globals map[string]int64
 
 	// counts/refs are the dense branch profile: every static conditional
-	// branch site gets a slot at image-build time, and the dispatch loops
-	// (micro-op and reference) count straight into the same slots — no map
-	// lookups on the hot path. The Profile's Branches map is materialized
-	// from these once, at run end.
-	counts []BranchCount
-	refs   []ir.BranchRef
-	slotOf map[ir.BranchRef]int32
+	// branch site gets a slot up front, and the dispatch loops (micro-op and
+	// reference) count straight into the same slots — no map lookups on the
+	// hot path. Function i's sites occupy slots from slotBase[i] on, one per
+	// branch block in layout order. The Profile's Branches map is
+	// materialized from these once, at run end.
+	counts   []BranchCount
+	refs     []ir.BranchRef
+	slotBase []int32
 
 	// trace, when non-nil, receives every conditional-branch outcome in
 	// program order (RunTrace/RunReferenceTrace). Both dispatch loops emit
@@ -146,9 +147,11 @@ type machine struct {
 	funcs    map[string]*funcImage
 	funcList []*funcImage
 
-	// Micro-op images (built by Run).
+	// Micro-op images, one per function in program order; each is lowered
+	// on its first call (uBsr). fidx maps a function name to its index for
+	// resolving calls.
 	ufuncs []*uimage
-	umain  *uimage
+	fidx   map[string]int
 }
 
 // newMachine applies configuration defaults, lays out globals, and assigns
@@ -156,11 +159,10 @@ type machine struct {
 func newMachine(p *ir.Program, cfg Config) *machine {
 	cfg = cfg.Canonical()
 	m := &machine{
-		prog:   p,
-		cfg:    cfg,
-		rng:    cfg.Seed*2862933555777941757 + 3037000493,
-		fuel:   cfg.MaxInsns,
-		slotOf: make(map[ir.BranchRef]int32),
+		prog: p,
+		cfg:  cfg,
+		rng:  cfg.Seed*2862933555777941757 + 3037000493,
+		fuel: cfg.MaxInsns,
 	}
 	m.mem, m.buf = getMem(cfg.MemWords)
 	m.prof = &Profile{Program: p.Name, Calls: make(map[string]int64)}
@@ -192,14 +194,28 @@ func newMachine(p *ir.Program, cfg Config) *machine {
 	m.hiDirty = cfg.MemWords
 	// Every static branch site gets a slot up front (so StaticSites covers
 	// never-executed branches), in deterministic function/layout order.
-	for _, f := range p.Funcs {
+	m.slotBase = make([]int32, len(p.Funcs))
+	for i, f := range p.Funcs {
+		m.slotBase[i] = int32(len(m.refs))
 		for _, b := range f.Blocks {
-			if b.Branch() != nil {
-				m.slot(ir.BranchRef{Func: f.Name, Block: b.ID})
+			if hasSlot(b) {
+				m.refs = append(m.refs, ir.BranchRef{Func: f.Name, Block: b.ID})
 			}
 		}
 	}
+	m.counts = make([]BranchCount, len(m.refs))
 	return m
+}
+
+// hasSlot reports whether a block owns a branch-count slot: its terminator
+// is a conditional branch, or (in an unverified program) the first
+// terminator the dispatch loops stop at is one.
+func hasSlot(b *ir.Block) bool {
+	if b.Branch() != nil {
+		return true
+	}
+	end := blockEnd(b.Insns)
+	return end > 0 && b.Insns[end-1].Op.IsCondBranch()
 }
 
 // dirty records one written memory word in the watermarks. Stores below the
@@ -227,20 +243,9 @@ func (m *machine) release() {
 	m.buf = nil
 }
 
-// slot returns the dense count index for a branch site, allocating one the
-// first time the site is seen.
-func (m *machine) slot(ref ir.BranchRef) int32 {
-	s, ok := m.slotOf[ref]
-	if !ok {
-		s = int32(len(m.counts))
-		m.slotOf[ref] = s
-		m.refs = append(m.refs, ref)
-		m.counts = append(m.counts, BranchCount{})
-	}
-	return s
-}
-
-// finish materializes the Profile from the dense counters.
+// finish materializes the Profile from the dense counters: branch counts,
+// and the call and edge counts of every lowered micro-op image (the
+// reference path counts calls and edges into the Profile's maps directly).
 func (m *machine) finish(ret int64) *Profile {
 	m.prof.Result = ret
 	m.prof.Insns = m.cfg.MaxInsns - m.fuel
@@ -250,6 +255,19 @@ func (m *machine) finish(ret int64) *Profile {
 		m.prof.Branches[ref] = c
 		m.prof.CondExec += c.Executed
 		m.prof.CondTaken += c.Taken
+	}
+	for _, fi := range m.ufuncs {
+		if fi.calls > 0 {
+			m.prof.Calls[fi.fn.Name] += fi.calls
+		}
+		for from := 0; from+1 < len(fi.succAt); from++ {
+			for s := fi.succAt[from]; s < fi.succAt[from+1]; s++ {
+				if n := fi.edges[s]; n > 0 {
+					m.prof.Edges[EdgeRef{Func: fi.fn.Name,
+						From: fi.fn.Blocks[from].ID, To: fi.fn.Blocks[fi.edgeTo[s]].ID}] += n
+				}
+			}
+		}
 	}
 	return m.prof
 }

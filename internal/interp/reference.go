@@ -53,6 +53,24 @@ func (m *machine) buildImages() {
 	m.funcs = make(map[string]*funcImage, len(p.Funcs))
 	m.funcList = make([]*funcImage, 0, len(p.Funcs))
 	fidx := make(map[string]int, len(p.Funcs))
+	// Resolve branch sites by name, independently of the micro-op path's
+	// per-function slot bases. A site newMachine did not register (a
+	// conditional branch after its block's first terminator, in an
+	// unverified program) gets a slot of its own.
+	slotOf := make(map[ir.BranchRef]int32, len(m.refs))
+	for i, ref := range m.refs {
+		slotOf[ref] = int32(i)
+	}
+	slot := func(ref ir.BranchRef) int32 {
+		s, ok := slotOf[ref]
+		if !ok {
+			s = int32(len(m.counts))
+			slotOf[ref] = s
+			m.refs = append(m.refs, ref)
+			m.counts = append(m.counts, BranchCount{})
+		}
+		return s
+	}
 	for _, f := range p.Funcs {
 		fi := &funcImage{fn: f, blocks: make([]blockImage, len(f.Blocks))}
 		fidx[f.Name] = len(m.funcList)
@@ -78,7 +96,7 @@ func (m *machine) buildImages() {
 				in := &b.Insns[pc]
 				switch {
 				case in.Op.IsCondBranch():
-					s := m.slot(ir.BranchRef{Func: f.Name, Block: b.ID})
+					s := slot(ir.BranchRef{Func: f.Name, Block: b.ID})
 					ensure()[pc] = int64(s)<<32 |
 						int64(uint32(int32(idToIdx[in.Target])))
 				case in.Op == ir.OpBr:

@@ -39,15 +39,20 @@ func RunTrace(p *ir.Program, cfg Config, sink TraceSink) (*Profile, error) {
 	totalRuns.Add(1)
 	m := newMachine(p, cfg)
 	defer m.release()
+	return m.runU(sink)
+}
+
+// runU executes main on the micro-op path.
+func (m *machine) runU(sink TraceSink) (*Profile, error) {
 	m.beginTrace(sink)
-	m.buildUImages()
-	if m.umain == nil {
+	umain := m.buildUImages()
+	if umain == nil {
 		return nil, ErrNoMain
 	}
 	var args [12]int64 // 6 int (A0..A5) + 6 float arg registers
-	ret, _, err := m.callU(m.umain, args, m.cfg.MemWords)
+	ret, _, err := m.callU(umain, args, m.cfg.MemWords)
 	if err != nil {
-		return nil, fmt.Errorf("interp: %s: %w", p.Name, err)
+		return nil, fmt.Errorf("interp: %s: %w", m.prog.Name, err)
 	}
 	return m.finish(ret), nil
 }

@@ -8,14 +8,15 @@ import (
 	"repro/internal/ir"
 )
 
-// This file is the production execution core: each function is lowered once
-// per run into a flat array of pre-decoded micro-ops, and dispatch is a
-// single for/switch over that array. Lowering pre-resolves every operand
-// (register indices, branch-count slots, branch/jump target pcs, callee
-// indices, global addresses), threads block fallthrough so a block boundary
-// costs nothing, fuses the two hottest instruction pairs
-// (compare→conditional-branch and load-immediate→ALU), and charges fuel once
-// per straight-line segment instead of once per instruction.
+// This file is the production execution core: each function is lowered, on
+// its first call in a run, into a flat array of pre-decoded micro-ops, and
+// dispatch is a single for/switch over that array. Lowering pre-resolves
+// every operand (register indices, branch-count slots, branch/jump target
+// pcs, callee indices, global addresses, edge-counter layout), threads
+// block fallthrough so a block boundary costs nothing, fuses the two
+// hottest instruction pairs (compare→conditional-branch and
+// load-immediate→ALU), and charges fuel once per straight-line segment
+// instead of once per instruction.
 //
 // The micro-op path must stay bit-identical to reference.go in every
 // observable way. The load-bearing arguments:
@@ -225,31 +226,43 @@ func chargePack(n, at int64) (int64, bool) {
 	return n<<40 | blk<<20 | insn, true
 }
 
-// uimage is one function lowered to micro-ops.
+// uimage is one function lowered to micro-ops. An image is created empty
+// and lowered on the function's first call, so a run pays only for the
+// functions it enters.
 type uimage struct {
-	fn      *ir.Func
-	code    []uop
-	jmp     [][]int32 // indirect-jump tables, entries are code pcs
-	errs    []error   // pre-built errors for uError/uFellOff
-	blockID []int     // layout index → ir block ID (edge recording)
-	blockPC []int32   // layout index → first code pc of the block
+	fn   *ir.Func
+	idx  int       // index in the program's function list
+	code []uop     // empty until lowered
+	jmp  [][]int32 // indirect-jump tables, entries are code pcs
+	errs []error   // pre-built errors for uError/uFellOff
+
+	// calls counts activations; finish flushes it into Profile.Calls.
+	calls int64
+
+	// Edge counters (CollectEdges only). The successors of the block at
+	// layout index b are edgeTo[succAt[b]:succAt[b+1]] (layout indices),
+	// and edges[s] counts transfers along edge s.
+	succAt []int32
+	edgeTo []int32
+	edges  []int64
 }
 
-// buildUImages lowers every function of the program.
-func (m *machine) buildUImages() {
+// buildUImages creates one empty image per function and lowers main, the
+// entry point. Every other function is lowered by its first call (uBsr).
+func (m *machine) buildUImages() *uimage {
 	p := m.prog
-	m.ufuncs = make([]*uimage, 0, len(p.Funcs))
-	fidx := make(map[string]int, len(p.Funcs))
-	for _, f := range p.Funcs {
-		fidx[f.Name] = len(m.ufuncs)
-		m.ufuncs = append(m.ufuncs, &uimage{fn: f})
+	m.ufuncs = make([]*uimage, len(p.Funcs))
+	m.fidx = make(map[string]int, len(p.Funcs))
+	for i, f := range p.Funcs {
+		m.fidx[f.Name] = i
+		m.ufuncs[i] = &uimage{fn: f, idx: i}
 	}
-	for _, fi := range m.ufuncs {
-		m.lowerFunc(fi, fidx)
+	i, ok := m.fidx["main"]
+	if !ok {
+		return nil
 	}
-	if i, ok := fidx["main"]; ok {
-		m.umain = m.ufuncs[i]
-	}
+	m.lowerFunc(m.ufuncs[i])
+	return m.ufuncs[i]
 }
 
 // uopSize is the byte stride of the pointer-threaded dispatch walk.
@@ -502,16 +515,18 @@ func mergeUops(p *uop, n *uop) (uop, bool) {
 
 // lowerFunc lowers one function: segments, fusion, fallthrough threading,
 // and a trailing fell-off-the-end guard.
-func (m *machine) lowerFunc(fi *uimage, fidx map[string]int) {
+func (m *machine) lowerFunc(fi *uimage) {
 	f := fi.fn
 	edges := m.cfg.CollectEdges
 	idToIdx := make(map[int]int, len(f.Blocks))
-	fi.blockID = make([]int, len(f.Blocks))
 	for i, b := range f.Blocks {
 		idToIdx[b.ID] = i
-		fi.blockID[i] = b.ID
 	}
-	fi.blockPC = make([]int32, len(f.Blocks))
+	if edges {
+		fi.edgeSuccessors(idToIdx)
+	}
+	blockPC := make([]int32, len(f.Blocks))
+	slot := m.slotBase[fi.idx] // the next branch block's count slot
 	var fixups []ufixup
 	var jmpBlocks [][]int32 // jump-table entries as block indices, patched below
 
@@ -539,8 +554,13 @@ func (m *machine) lowerFunc(fi *uimage, fidx map[string]int) {
 
 	for bi := range f.Blocks {
 		b := f.Blocks[bi]
-		fi.blockPC[bi] = int32(len(fi.code))
+		blockPC[bi] = int32(len(fi.code))
 		insns := b.Insns[:blockEnd(b.Insns)]
+		bslot := int32(-1) // the block's count slot, assigned as in newMachine
+		if hasSlot(b) {
+			bslot = slot
+			slot++
+		}
 		segStart := 0
 		for {
 			segEnd := len(insns)
@@ -570,9 +590,8 @@ func (m *machine) lowerFunc(fi *uimage, fidx map[string]int) {
 					nx := &insns[k+1]
 					if (nx.Op == ir.OpBeq || nx.Op == ir.OpBne) && nx.A == in.Dst {
 						if fop := fuseCmpBranch(in.Op, in.UseImm, nx.Op); fop != 0 {
-							s := m.slot(ir.BranchRef{Func: f.Name, Block: b.ID})
 							pc := emit(uop{op: fop, dst: uint8(in.Dst), a: uint8(in.A),
-								b: uint8(in.B), imm: in.Imm, aux: int64(s) << 32})
+								b: uint8(in.B), imm: in.Imm, aux: int64(bslot) << 32})
 							fixups = append(fixups, ufixup{pc: pc, tgt: int32(idToIdx[nx.Target])})
 							k += 2
 							continue
@@ -589,7 +608,7 @@ func (m *machine) lowerFunc(fi *uimage, fidx map[string]int) {
 					}
 				}
 
-				m.lowerInsn(fi, f, b, in, idToIdx, fidx, &fixups, &jmpBlocks, emit, mkerr)
+				m.lowerInsn(in, bslot, idToIdx, &fixups, &jmpBlocks, emit, mkerr)
 				k++
 			}
 			if segEnd >= len(insns) {
@@ -603,21 +622,55 @@ func (m *machine) lowerFunc(fi *uimage, fidx map[string]int) {
 
 	// Resolve block indices to code pcs now that every block has a pc.
 	for _, fx := range fixups {
-		fi.code[fx.pc].aux |= int64(uint32(fi.blockPC[fx.tgt]))
+		fi.code[fx.pc].aux |= int64(uint32(blockPC[fx.tgt]))
 	}
 	fi.jmp = make([][]int32, len(jmpBlocks))
 	for i, tbl := range jmpBlocks {
 		pcs := make([]int32, len(tbl))
 		for j, blk := range tbl {
-			pcs[j] = fi.blockPC[blk]
+			pcs[j] = blockPC[blk]
 		}
 		fi.jmp[i] = pcs
 	}
 }
 
-// lowerInsn emits the micro-op(s) for one unfused instruction.
-func (m *machine) lowerInsn(fi *uimage, f *ir.Func, b *ir.Block, in *ir.Instr,
-	idToIdx map[int]int, fidx map[string]int,
+// edgeSuccessors lays out the image's edge counters: one per (block,
+// successor) pair the dispatch loop can take, where a block's successors
+// are the targets of its first terminator plus, unless that terminator is
+// an unconditional transfer or a return, the next block in layout order.
+func (fi *uimage) edgeSuccessors(idToIdx map[int]int) {
+	blocks := fi.fn.Blocks
+	fi.succAt = make([]int32, len(blocks)+1)
+	for bi, b := range blocks {
+		fi.succAt[bi] = int32(len(fi.edgeTo))
+		fall := true
+		if end := blockEnd(b.Insns); end > 0 {
+			switch t := &b.Insns[end-1]; {
+			case t.Op.IsCondBranch():
+				fi.edgeTo = append(fi.edgeTo, int32(idToIdx[t.Target]))
+			case t.Op == ir.OpBr:
+				fi.edgeTo = append(fi.edgeTo, int32(idToIdx[t.Target]))
+				fall = false
+			case t.Op == ir.OpJmp:
+				for _, id := range t.Targets {
+					fi.edgeTo = append(fi.edgeTo, int32(idToIdx[id]))
+				}
+				fall = false
+			case t.Op == ir.OpRet:
+				fall = false
+			}
+		}
+		if fall && bi+1 < len(blocks) {
+			fi.edgeTo = append(fi.edgeTo, int32(bi+1))
+		}
+	}
+	fi.succAt[len(blocks)] = int32(len(fi.edgeTo))
+	fi.edges = make([]int64, len(fi.edgeTo))
+}
+
+// lowerInsn emits the micro-op(s) for one unfused instruction; slot is the
+// block's branch-count slot.
+func (m *machine) lowerInsn(in *ir.Instr, slot int32, idToIdx map[int]int,
 	fixups *[]ufixup, jmpBlocks *[][]int32,
 	emit func(uop) int32, mkerr func(error) int64) {
 
@@ -707,8 +760,7 @@ func (m *machine) lowerInsn(fi *uimage, f *ir.Func, b *ir.Block, in *ir.Instr,
 			emit(uop{op: uError, imm: mkerr(fmt.Errorf("interp: unimplemented opcode %s", in.Op))})
 			return
 		}
-		s := m.slot(ir.BranchRef{Func: f.Name, Block: b.ID})
-		pc := emit(uop{op: bop, a: uint8(in.A), b: uint8(in.B), aux: int64(s) << 32})
+		pc := emit(uop{op: bop, a: uint8(in.A), b: uint8(in.B), aux: int64(slot) << 32})
 		*fixups = append(*fixups, ufixup{pc: pc, tgt: int32(idToIdx[in.Target])})
 	case in.Op == ir.OpBr:
 		pc := emit(uop{op: uBr})
@@ -721,7 +773,7 @@ func (m *machine) lowerInsn(fi *uimage, f *ir.Func, b *ir.Block, in *ir.Instr,
 		emit(uop{op: uJmp, a: uint8(in.A), imm: int64(len(*jmpBlocks))})
 		*jmpBlocks = append(*jmpBlocks, tbl)
 	case in.Op == ir.OpBsr:
-		if ci, ok := fidx[in.Sym]; ok {
+		if ci, ok := m.fidx[in.Sym]; ok {
 			emit(uop{op: uBsr, aux: int64(ci)})
 		} else {
 			emit(uop{op: uError, imm: mkerr(fmt.Errorf("interp: call to unknown function %q", in.Sym))})
@@ -754,13 +806,13 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		return 0, 0, ErrStack
 	}
 	regs[ir.RegSP] = sp
-	m.prof.Calls[fi.fn.Name]++
+	fi.calls++
 
 	mem := m.mem
 	counts := m.counts
-	trace := m.trace // nil in production; one predictable branch per site
-	prevBlk := -1
-	fuel := m.fuel // kept in a register; flushed to m.fuel at calls and return
+	trace := m.trace     // nil in production; one predictable branch per site
+	prevBlk := int32(-1) // layout index of the last block entered, for edges
+	fuel := m.fuel       // kept in a register; flushed to m.fuel at calls and return
 
 	// Dispatch is pointer-threaded: u walks the code array directly and
 	// branch targets are rebased from its start, so a dispatch costs neither
@@ -781,15 +833,20 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 			fuel -= u.imm
 			u = uadd(u, 1)
 		case uChargeEdge:
-			bi := int(u.aux >> 32)
+			bi := int32(u.aux >> 32)
 			if prevBlk >= 0 {
-				m.prof.Edges[EdgeRef{Func: fi.fn.Name,
-					From: fi.blockID[prevBlk], To: fi.blockID[bi]}]++
+				// Every block entry reached from prevBlk is one of its
+				// successors (edgeSuccessors), so the scan stops in range.
+				s := fi.succAt[prevBlk]
+				for fi.edgeTo[s] != bi {
+					s++
+				}
+				fi.edges[s]++
 			}
 			prevBlk = bi
 			if fuel < u.imm {
 				m.fuel = fuel
-				return m.refTail(fi, bi, 0, &regs, sp)
+				return m.refTail(fi, int(bi), 0, &regs, sp)
 			}
 			fuel -= u.imm
 			u = uadd(u, 1)
@@ -1870,6 +1927,9 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 			u = uat(base, uint32(tgts[idx]))
 		case uBsr:
 			callee := m.ufuncs[u.aux]
+			if len(callee.code) == 0 {
+				m.lowerFunc(callee)
+			}
 			var cargs [12]int64
 			for i := 0; i < 6; i++ {
 				cargs[i] = regs[int(ir.RegA0)+i]
