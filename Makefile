@@ -60,7 +60,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=20s ./internal/minic
 	$(GO) test -run=NONE -fuzz=FuzzEncode -fuzztime=20s ./internal/features
 	$(GO) test -run=NONE -fuzz=FuzzPredict -fuzztime=20s ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzGenCorpus -fuzztime=20s ./internal/gencorpus
+	$(GO) test -run=NONE -fuzz=FuzzGenCorpus -fuzztime=20s ./internal/interp
 	$(GO) test -run=NONE -fuzz=FuzzLink -fuzztime=20s ./internal/corpus
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=20s ./internal/artifact
 	$(GO) test -run=NONE -fuzz=FuzzAnalysis -fuzztime=20s ./internal/cfg

@@ -354,32 +354,6 @@ func BenchmarkHeuristicApply(b *testing.B) {
 	}
 }
 
-func BenchmarkNeuralTraining(b *testing.B) {
-	// A representative training set: 500 examples, 86 inputs, 12 hidden.
-	cfg := neural.Config{Inputs: 86, Hidden: 12, Seed: 1, MaxEpochs: 50, Patience: 50}
-	rng := uint64(12345)
-	next := func() float64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return float64((rng>>33)&0xFFFF)/65535*2 - 1
-	}
-	xs := make([][]float64, 500)
-	ts := make([]float64, 500)
-	ws := make([]float64, 500)
-	for i := range xs {
-		xs[i] = make([]float64, cfg.Inputs)
-		for j := range xs[i] {
-			xs[i][j] = next()
-		}
-		ts[i] = (next() + 1) / 2
-		ws[i] = 1.0 / 500
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := neural.New(cfg)
-		n.Train(cfg, xs, ts, ws)
-	}
-}
-
 // BenchmarkTable4ESPCrossVal isolates the paper's core computation: the
 // leave-one-out ESP cross-validation over the C language group.
 func BenchmarkTable4ESPCrossVal(b *testing.B) {
@@ -398,9 +372,10 @@ func BenchmarkTable4ESPCrossVal(b *testing.B) {
 	}
 }
 
-// BenchmarkNeuralTrainSparse is BenchmarkNeuralTraining's workload run
-// through the sparse fused kernel on encoder-realistic data (block-sparse
-// rows, ~35% exact zeros).
+// BenchmarkNeuralTrainSparse is the dense oracle's training workload
+// (internal/neural BenchmarkNeuralTraining: 500 examples, 86 inputs, 12
+// hidden) run through the sparse fused kernel on encoder-realistic data
+// (block-sparse rows, ~35% exact zeros).
 func BenchmarkNeuralTrainSparse(b *testing.B) {
 	cfg := neural.Config{Inputs: 86, Hidden: 12, Seed: 1, MaxEpochs: 50, Patience: 50}
 	rng := uint64(12345)

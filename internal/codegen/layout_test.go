@@ -124,31 +124,6 @@ func TestOptimizeLayoutPreservesSemanticsAndSavesCycles(t *testing.T) {
 	}
 }
 
-func TestOptimizeLayoutReferencePathAgrees(t *testing.T) {
-	ast, err := minic.Parse("layout", layoutSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Compile(ast, ir.LangC, Default)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guide := measuredGuidance(t, prog, interp.Config{})
-	OptimizeLayout(prog, guide, LayoutOptions{SplitCold: true, ColdBelow: 0.01})
-	cfg := interp.Config{CollectEdges: true}
-	a, err := interp.Run(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := interp.RunReference(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("micro-op and reference paths disagree on laid-out program")
-	}
-}
-
 // unrollGateSrc has a hot high-trip loop (line 5) and a cold loop that runs
 // twice (line 8). Guided unrolling must replicate only the hot body.
 const unrollGateSrc = `int main() {

@@ -272,7 +272,8 @@ func (m *Model) getBuf() *predictBuf {
 // forwardFloat runs one vector through the float64 network: its sparse row
 // from the encoder's precomputed tables, with the model's excluded features
 // gated, then the training kernel's forward pass. Bit-identical to masking
-// v, Encode and ForwardInto on the dense row. v is not modified.
+// v, Encode and the dense forward pass (the test oracle in predict_test.go).
+// v is not modified.
 func (m *Model) forwardFloat(v *features.Vector, buf *predictBuf) float64 {
 	buf.idx, buf.val = m.Encoder.AppendRow(buf.idx[:0], buf.val[:0], v, &m.gate)
 	return m.Net.ForwardSparse(buf.h, buf.idx, buf.val)

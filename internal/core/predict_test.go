@@ -29,11 +29,26 @@ var corpusVectors = sync.OnceValues(func() ([][]features.Vector, error) {
 })
 
 // denseOracle is the float prediction path written the long way: mask the
-// vector, encode the dense row, run the dense forward pass.
+// vector, encode the dense row, and run the dense forward pass over the
+// net's weights (W column-major: W[j*Hidden+i] feeds input j to hidden i).
 func denseOracle(m *Model, v features.Vector) float64 {
 	x := make([]float64, m.Encoder.Dim)
 	m.Encoder.Encode(maskVector(v, &m.gate), x)
-	return m.Net.ForwardInto(make([]float64, m.Net.Hidden), x)
+	n := m.Net
+	h := append([]float64(nil), n.B...)
+	for j, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		for i := range h {
+			h[i] += n.W[j*n.Hidden+i] * xv
+		}
+	}
+	z := n.A
+	for i, hv := range h {
+		z += n.V[i] * math.Tanh(hv)
+	}
+	return 0.5 * (math.Tanh(z) + 1)
 }
 
 // trainOnVectors fits a short neural run on vectors with synthetic targets

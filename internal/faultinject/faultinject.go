@@ -190,9 +190,6 @@ func Activate(inj *Injector) (deactivate func()) {
 	return func() { active.Store(nil) }
 }
 
-// Active returns the installed injector, or nil.
-func Active() *Injector { return active.Load() }
-
 // Fire is called by production code at a named site. With no active
 // injector it costs one atomic load and returns nil; otherwise it applies
 // the injector's rules for the site — returning an injected error, sleeping

@@ -443,30 +443,3 @@ func ContainsRealStore(g *cfg.Graph, idx int) bool {
 	}
 	return false
 }
-
-// UsesBeforeDef reports whether, in dense block succIdx, any of the given
-// registers is used before being defined. The register-level reading of the
-// Guard/feature-15 test; production paths use ReadsLocBeforeWrite (the
-// memory-location reading suited to this IR's slot-allocated variables),
-// but the register form is kept for analyses over hand-built or
-// register-allocated IR.
-func UsesBeforeDef(g *cfg.Graph, succIdx int, regs []ir.Reg) bool {
-	defined := make(map[ir.Reg]bool)
-	for i := range g.Block(succIdx).Insns {
-		in := &g.Block(succIdx).Insns[i]
-		for _, u := range in.Uses() {
-			if u.IsZero() || u == ir.RegSP {
-				continue
-			}
-			for _, r := range regs {
-				if u == r && !defined[u] {
-					return true
-				}
-			}
-		}
-		if d, ok := in.Def(); ok {
-			defined[d] = true
-		}
-	}
-	return false
-}

@@ -1,13 +1,14 @@
 package interp_test
 
 // The corpus-wide differential test: the micro-op interpreter (Run) and the
-// retained per-instruction reference interpreter (RunReference) must be
-// bit-identical — profiles, edges, calls, results, and typed error points — on
-// every corpus program, with fault-injection armed on every registered
-// site, and under tight fuel/stack/call-depth budgets.
+// per-instruction reference interpreter (RunReference, the oracle in
+// reference_test.go) must be bit-identical — profiles, edges, calls, results,
+// and typed error points — on every corpus program, on laid-out and guided
+// binaries, with fault-injection armed on every registered site, and under
+// tight fuel/stack/call-depth budgets.
 //
-// This lives in package interp_test (not interp) because the corpus package
-// imports interp for its run configurations.
+// This lives in package interp_test (not interp) because the corpus, codegen
+// and pgo packages import interp.
 
 import (
 	"errors"
@@ -21,6 +22,8 @@ import (
 	"repro/internal/guard"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/minic"
+	"repro/internal/pgo"
 )
 
 // armAllSites activates an injector with an always-fire error rule on every
@@ -73,26 +76,152 @@ func diffProfiles(t *testing.T, name string, uop, ref *interp.Profile) {
 	}
 }
 
-// TestCorpusUopMatchesReference runs every corpus program through both
-// interpreters under the standard study configuration, with edge profiling
-// off (as analysis and training run) and on, and requires exact agreement,
-// with fault injection armed throughout.
+// diffCase is one input of the corpus differential: a program and the
+// configuration it runs under.
+type diffCase struct {
+	name  string
+	build func() (*ir.Program, error)
+	cfg   interp.Config
+}
+
+// diffCases are every corpus program under the default target and the
+// laid-out layout program.
+func diffCases() []diffCase {
+	var cases []diffCase
+	for _, e := range corpus.All() {
+		e := e
+		cases = append(cases, diffCase{e.Name,
+			func() (*ir.Program, error) { return e.Compile(codegen.Default) }, e.RunConfig()})
+	}
+	return append(cases, diffCase{"layout", laidOut, interp.Config{}})
+}
+
+// guidedCases are four guided binaries, whose cmov, unrolling and layout
+// rewrite every function the interpreters dispatch over.
+func guidedCases(t *testing.T) []diffCase {
+	var cases []diffCase
+	for _, name := range []string{"compress", "espresso", "tomcatv", "boyer"} {
+		e, ok := corpus.ByName(name)
+		if !ok {
+			t.Fatalf("corpus entry %q missing", name)
+		}
+		cases = append(cases, diffCase{name, func() (*ir.Program, error) {
+			ast, err := e.Parse()
+			if err != nil {
+				return nil, err
+			}
+			return pgo.Optimize(ast, e.Language, pgo.Fixed(pgo.NewHeuristic()), pgo.DefaultOptions())
+		}, e.RunConfig()})
+	}
+	return cases
+}
+
+// layoutSrc exercises every fixup path of codegen.OptimizeLayout: a
+// mostly-taken forward branch (inversion), an if/else diamond, a loop, and a
+// rarely executed error arm (cold splitting).
+const layoutSrc = `
+int main() {
+	int i;
+	int s;
+	int bad;
+	s = 0;
+	bad = 0;
+	for (i = 0; i < 200; i = i + 1) {
+		if (i != 100) {
+			s = s + i;
+		} else {
+			bad = bad + 1;
+			__print(bad);
+		}
+		if (s > 10000) {
+			s = s - 7;
+		}
+	}
+	__print(s);
+	return s;
+}
+`
+
+// laidOut compiles layoutSrc and lays it out under guidance measured from
+// its own profile (taken fractions, and per-invocation block frequencies
+// from entry and edge counts), splitting cold blocks out of line.
+func laidOut() (*ir.Program, error) {
+	ast, err := minic.Parse("layout", layoutSrc)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := codegen.Compile(ast, ir.LangC, codegen.Default)
+	if err != nil {
+		return nil, err
+	}
+	prof, err := interp.Run(prog, interp.Config{CollectEdges: true})
+	if err != nil {
+		return nil, err
+	}
+	g := &codegen.EdgeGuidance{
+		Prob:      make(map[ir.BranchRef]float64),
+		LocalFreq: make(map[string]map[int]float64),
+	}
+	for ref, c := range prof.Branches {
+		if c.Executed > 0 {
+			g.Prob[ref] = c.TakenFraction()
+		}
+	}
+	for _, f := range prog.Funcs {
+		calls := prof.Calls[f.Name]
+		if calls == 0 {
+			continue
+		}
+		dyn := map[int]int64{f.Blocks[0].ID: calls}
+		for e, n := range prof.Edges {
+			if e.Func == f.Name {
+				dyn[e.To] += n
+			}
+		}
+		freq := make(map[int]float64, len(f.Blocks))
+		for _, b := range f.Blocks {
+			freq[b.ID] = float64(dyn[b.ID]) / float64(calls)
+		}
+		g.LocalFreq[f.Name] = freq
+	}
+	codegen.OptimizeLayout(prog, g, codegen.LayoutOptions{SplitCold: true, ColdBelow: 0.01})
+	return prog, prog.Verify()
+}
+
+// TestCorpusUopMatchesReference runs every corpus program and the laid-out
+// layout program through both interpreters, with edge profiling off (as
+// analysis and training run) and on, and requires exact agreement, with
+// fault injection armed throughout.
 func TestCorpusUopMatchesReference(t *testing.T) {
 	armAllSites(t)
-	entries := corpus.All()
-	if len(entries) < 46 {
-		t.Fatalf("corpus has %d programs, expected the full 46", len(entries))
+	if n := len(corpus.All()); n < 46 {
+		t.Fatalf("corpus has %d programs, expected the full 46", n)
 	}
-	for _, e := range entries {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
+	runDiffCases(t, diffCases())
+}
+
+// TestGuidedReferencePathAgrees holds the guided binaries to the same exact
+// agreement: the micro-op path and the reference path must agree instruction
+// for instruction even after layout has rewritten every function.
+func TestGuidedReferencePathAgrees(t *testing.T) {
+	armAllSites(t)
+	runDiffCases(t, guidedCases(t))
+}
+
+// runDiffCases runs each case as a parallel subtest through both
+// interpreters, edges off and on, and compares the profiles in full.
+func runDiffCases(t *testing.T, cases []diffCase) {
+	t.Helper()
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			prog, err := e.Compile(codegen.Default)
+			prog, err := c.build()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, edges := range []bool{false, true} {
-				cfg := e.RunConfig()
+				cfg := c.cfg
 				cfg.CollectEdges = edges
 				uop, err := interp.Run(prog, cfg)
 				if err != nil {
@@ -105,7 +234,7 @@ func TestCorpusUopMatchesReference(t *testing.T) {
 				if (uop.Edges != nil) != edges {
 					t.Fatalf("CollectEdges=%v, but the edge map is %v", edges, uop.Edges)
 				}
-				diffProfiles(t, e.Name, uop, ref)
+				diffProfiles(t, c.name, uop, ref)
 			}
 		})
 	}
@@ -113,16 +242,20 @@ func TestCorpusUopMatchesReference(t *testing.T) {
 
 // TestCorpusLowersOnlyEnteredFunctions: a run lowers a function to
 // micro-ops exactly when it calls it, so over every corpus program the
-// lowered images are the key set of Profile.Calls.
+// lowered images are the key set of Profile.Calls, and a run that finishes
+// within its budget lowers no exact twin.
 func TestCorpusLowersOnlyEnteredFunctions(t *testing.T) {
 	for _, e := range corpus.All() {
 		prog, err := e.Compile(codegen.Default)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, lowered, err := interp.RunLowered(prog, e.RunConfig())
+		prof, lowered, twins, err := interp.RunLowered(prog, e.RunConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(twins) > 0 {
+			t.Fatalf("%s: a run within budget lowered exact twins of %v", e.Name, twins)
 		}
 		called := make([]string, 0, len(prof.Calls))
 		for name := range prof.Calls {

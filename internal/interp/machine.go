@@ -69,13 +69,12 @@ var (
 	ErrBadRuntime = errors.New("interp: unknown runtime intrinsic")
 )
 
-// totalRuns counts completed Run/RunReference invocations process-wide. The
-// artifact-cache tests use it to prove that a warm run performs zero
-// interpreter traces.
+// totalRuns counts Run/RunTrace invocations process-wide. The artifact-cache
+// tests use it to prove that a warm run performs zero interpreter traces.
 var totalRuns atomic.Int64
 
 // TotalRuns returns the number of interpreter executions started by this
-// process (both the micro-op and the reference path).
+// process.
 func TotalRuns() int64 { return totalRuns.Load() }
 
 // memBuf is a pooled word memory plus the dirty watermarks recorded when its
@@ -121,41 +120,35 @@ type machine struct {
 	prof    *Profile
 	depth   int
 
-	// globals maps each global symbol to its resolved base address; kept
-	// for image building on both paths.
+	// globals maps each global symbol to its resolved base address, for
+	// lowering OpLda.
 	globals map[string]int64
 
 	// counts/refs are the dense branch profile: every static conditional
-	// branch site gets a slot up front, and the dispatch loops (micro-op and
-	// reference) count straight into the same slots — no map lookups on the
-	// hot path. Function i's sites occupy slots from slotBase[i] on, one per
-	// branch block in layout order. The Profile's Branches map is
-	// materialized from these once, at run end.
+	// branch site gets a slot up front, and the dispatch loop counts straight
+	// into the slots — no map lookups on the hot path. Function i's sites
+	// occupy slots from slotBase[i] on, one per branch block in layout order.
+	// The Profile's Branches map is materialized from these once, at run end.
 	counts   []BranchCount
 	refs     []ir.BranchRef
 	slotBase []int32
 
 	// trace, when non-nil, receives every conditional-branch outcome in
-	// program order (RunTrace/RunReferenceTrace). Both dispatch loops emit
-	// to it right where they bump the dense counters, so the stream
-	// aggregates bit-identically to the Profile by construction.
+	// program order (RunTrace). The dispatch loop emits to it right where it
+	// bumps the dense counters, so the stream aggregates bit-identically to
+	// the Profile by construction.
 	trace TraceSink
 
-	// Reference-path images (built by RunReference, or lazily by the
-	// micro-op path when an activation switches to the reference loop to
-	// reproduce an exact out-of-fuel error point).
-	funcs    map[string]*funcImage
-	funcList []*funcImage
-
 	// Micro-op images, one per function in program order; each is lowered
-	// on its first call (uBsr). fidx maps a function name to its index for
+	// on its first call (uBsr), and its exact twin on its first uncovered
+	// fuel charge (resume). fidx maps a function name to its index for
 	// resolving calls.
 	ufuncs []*uimage
 	fidx   map[string]int
 }
 
 // newMachine applies configuration defaults, lays out globals, and assigns
-// the dense branch-count slots shared by both execution paths.
+// the dense branch-count slots.
 func newMachine(p *ir.Program, cfg Config) *machine {
 	cfg = cfg.Canonical()
 	m := &machine{
@@ -209,7 +202,7 @@ func newMachine(p *ir.Program, cfg Config) *machine {
 
 // hasSlot reports whether a block owns a branch-count slot: its terminator
 // is a conditional branch, or (in an unverified program) the first
-// terminator the dispatch loops stop at is one.
+// terminator the dispatch loop stops at is one.
 func hasSlot(b *ir.Block) bool {
 	if b.Branch() != nil {
 		return true
@@ -244,8 +237,7 @@ func (m *machine) release() {
 }
 
 // finish materializes the Profile from the dense counters: branch counts,
-// and the call and edge counts of every lowered micro-op image (the
-// reference path counts calls and edges into the Profile's maps directly).
+// and the call and edge counts of every lowered micro-op image.
 func (m *machine) finish(ret int64) *Profile {
 	m.prof.Result = ret
 	m.prof.Insns = m.cfg.MaxInsns - m.fuel
@@ -274,105 +266,11 @@ func (m *machine) finish(ret int64) *Profile {
 
 // Run executes the program's main function under the given configuration and
 // returns the collected profile. It dispatches over the pre-decoded micro-op
-// stream; RunReference retains the original per-instruction interpreter, and
-// the two are bit-identical in every observable way (profiles, edges,
-// results, outputs, and error points).
+// stream, and is bit-identical in every observable way (profiles, edges,
+// results, outputs, and error points) to the original per-instruction
+// interpreter that the package's tests keep as their oracle.
 func Run(p *ir.Program, cfg Config) (*Profile, error) {
 	return RunTrace(p, cfg, nil)
-}
-
-// RunReference executes the program on the retained per-instruction
-// reference interpreter. It exists so differential tests (and any caller
-// that wants a second opinion) can check the micro-op path against the
-// original semantics; production callers use Run.
-func RunReference(p *ir.Program, cfg Config) (*Profile, error) {
-	return RunReferenceTrace(p, cfg, nil)
-}
-
-// branchTaken evaluates a conditional branch against the register file.
-func branchTaken(in *ir.Instr, regs []int64) bool {
-	switch in.Op {
-	case ir.OpBeq:
-		return regs[in.A] == 0
-	case ir.OpBne:
-		return regs[in.A] != 0
-	case ir.OpBlt:
-		return regs[in.A] < 0
-	case ir.OpBle:
-		return regs[in.A] <= 0
-	case ir.OpBgt:
-		return regs[in.A] > 0
-	case ir.OpBge:
-		return regs[in.A] >= 0
-	case ir.OpBeq2:
-		return regs[in.A] == regs[in.B]
-	case ir.OpBne2:
-		return regs[in.A] != regs[in.B]
-	case ir.OpFbeq, ir.OpFbne, ir.OpFblt, ir.OpFble, ir.OpFbgt, ir.OpFbge:
-		a := math.Float64frombits(uint64(regs[in.A]))
-		switch in.Op {
-		case ir.OpFbeq:
-			return a == 0
-		case ir.OpFbne:
-			return a != 0
-		case ir.OpFblt:
-			return a < 0
-		case ir.OpFble:
-			return a <= 0
-		case ir.OpFbgt:
-			return a > 0
-		case ir.OpFbge:
-			return a >= 0
-		}
-	}
-	panic("interp: branchTaken on non-branch " + in.Op.String())
-}
-
-func intALU(op ir.Op, a, b int64) (int64, error) {
-	switch op {
-	case ir.OpAddQ:
-		return a + b, nil
-	case ir.OpSubQ:
-		return a - b, nil
-	case ir.OpMulQ:
-		return a * b, nil
-	case ir.OpDivQ:
-		if b == 0 {
-			return 0, ErrDivZero
-		}
-		return a / b, nil
-	case ir.OpRemQ:
-		if b == 0 {
-			return 0, ErrDivZero
-		}
-		return a % b, nil
-	case ir.OpAndQ:
-		return a & b, nil
-	case ir.OpOrQ:
-		return a | b, nil
-	case ir.OpXorQ:
-		return a ^ b, nil
-	case ir.OpSllQ:
-		return a << (uint64(b) & 63), nil
-	case ir.OpSrlQ:
-		return int64(uint64(a) >> (uint64(b) & 63)), nil
-	case ir.OpCmpEq:
-		if a == b {
-			return 1, nil
-		}
-		return 0, nil
-	case ir.OpCmpLt:
-		if a < b {
-			return 1, nil
-		}
-		return 0, nil
-	case ir.OpCmpLe:
-		if a <= b {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	panic("interp: intALU on " + op.String())
 }
 
 // runtime dispatches the OpRtcall intrinsics.

@@ -42,7 +42,7 @@ type Profile struct {
 	Branches  map[ir.BranchRef]*BranchCount
 	Edges     map[EdgeRef]int64
 	// Calls counts function activations by name (one per entry into the
-	// function body, identical on both execution paths). The simulated-cycle
+	// function body). The simulated-cycle
 	// model uses it to seed entry-block dynamic counts, which edge counts
 	// alone cannot recover.
 	Calls map[string]int64

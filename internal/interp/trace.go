@@ -7,16 +7,17 @@ import (
 )
 
 // TraceSink receives the dynamic conditional-branch outcome stream of one
-// execution, in exact program order. The stream is opt-in (RunTrace /
-// RunReferenceTrace); the plain Run entry points pay nothing for it beyond
-// one predictable nil check per executed branch.
+// execution, in exact program order. The stream is opt-in (RunTrace); the
+// plain Run entry point pays nothing for it beyond one predictable nil check
+// per executed branch.
 //
 // Contract (the streaming analogue of CycleCountModel's Executed==dyn
 // check): over a successful execution the sink observes exactly
 // Profile.Branches[refs[site]].Executed events per site, of which exactly
-// .Taken carry taken=true — bit-identical on the micro-op and reference
-// paths, including executions that hand an out-of-fuel activation from the
-// micro-op loop to the reference tail. TraceAggregate.Check verifies this.
+// .Taken carry taken=true. The stream is event-for-event the one the
+// reference interpreter (the test oracle in reference_test.go) emits, also
+// up to the error point of a run that finishes an out-of-fuel activation on
+// its function's exact twin. TraceAggregate.Check verifies the counts.
 type TraceSink interface {
 	// BeginTrace is called once, before any event, with the dense site
 	// table: event site indices refer to refs[site]. The table covers every
@@ -49,30 +50,10 @@ func (m *machine) runU(sink TraceSink) (*Profile, error) {
 	if umain == nil {
 		return nil, ErrNoMain
 	}
-	var args [12]int64 // 6 int (A0..A5) + 6 float arg registers
-	ret, _, err := m.callU(umain, args, m.cfg.MemWords)
+	var args [numURegs]int64 // main's A0..A5 and FA0..FA5 are zero
+	ret, _, err := m.callU(umain, &args, m.cfg.MemWords, -1)
 	if err != nil {
 		return nil, fmt.Errorf("interp: %s: %w", m.prog.Name, err)
-	}
-	return m.finish(ret), nil
-}
-
-// RunReferenceTrace is RunReference with a branch-outcome stream, for
-// differential tests against RunTrace.
-func RunReferenceTrace(p *ir.Program, cfg Config, sink TraceSink) (*Profile, error) {
-	totalRuns.Add(1)
-	m := newMachine(p, cfg)
-	defer m.release()
-	m.beginTrace(sink)
-	m.buildImages()
-	mainFn := m.funcs["main"]
-	if mainFn == nil {
-		return nil, ErrNoMain
-	}
-	var args [12]int64
-	ret, _, err := m.call(mainFn, args, m.cfg.MemWords)
-	if err != nil {
-		return nil, fmt.Errorf("interp: %s: %w", p.Name, err)
 	}
 	return m.finish(ret), nil
 }

@@ -18,19 +18,22 @@ import (
 // load-immediate→ALU), and charges fuel once per straight-line segment
 // instead of once per instruction.
 //
-// The micro-op path must stay bit-identical to reference.go in every
-// observable way. The load-bearing arguments:
+// The micro-op path must stay bit-identical to the original per-instruction
+// interpreter, which survives as the test oracle (reference_test.go), in
+// every observable way. The load-bearing arguments:
 //
 //   - Fuel is charged at segment granularity, where a segment is a maximal
 //     straight-line run of instructions inside one block, split after each
 //     call (so a callee's own charges interleave exactly as before). A
-//     charge that cannot be covered (fuel < segment length) hands the whole
-//     remaining activation to the reference loop at the segment's original
-//     (block, insn) coordinates — and since fuel < length guarantees the
-//     reference loop errors inside that segment (per-instruction fuel runs
-//     dry at the original instruction, unless an earlier fault fires first),
+//     charge that cannot be covered (fuel < segment length) resumes the
+//     activation, registers and all, at the segment's (block, insn)
+//     coordinates in the function's exact twin: the same lowering with every
+//     instruction its own segment, which charges fuel per instruction and so
+//     runs dry at the original instruction, unless an earlier fault fires
+//     first. Since fuel < length guarantees an error inside that segment,
 //     and errors discard the profile entirely, intermediate fuel values are
-//     unobservable on every path.
+//     unobservable on every path. A run that finishes within its budget
+//     never lowers a twin.
 //   - Writes to the hardwired zero registers are redirected at decode time
 //     to a scratch slot (index 64), so reads of R31/F31 always see zero
 //     without per-instruction resets.
@@ -215,9 +218,9 @@ const (
 )
 
 // chargePack packs a charge folded into a superinstruction into its aux
-// field: segment length in bits 40+, reference-loop resume block index in
-// bits 20–39, instruction index in bits 0–19. Returns false when any of the
-// three exceeds 20 bits (the charge then stays unfused).
+// field: segment length in bits 40+, block index in bits 20–39, instruction
+// index in bits 0–19. Returns false when any of the three exceeds 20 bits
+// (the charge then stays unfused).
 func chargePack(n, at int64) (int64, bool) {
 	blk, insn := at>>32, at&0xFFFFFFFF
 	if n >= 1<<20 || blk >= 1<<20 || insn >= 1<<20 {
@@ -245,6 +248,14 @@ type uimage struct {
 	succAt []int32
 	edgeTo []int32
 	edges  []int64
+
+	// exact marks a one-instruction-segment twin: no cross-instruction
+	// fusion, fuel charged per instruction, and pcAt[b][k] the pc of block
+	// b's instruction k. twin is the function's exact twin, lowered on its
+	// first uncovered charge (resume).
+	exact bool
+	twin  *uimage
+	pcAt  [][]int32
 }
 
 // buildUImages creates one empty image per function and lowers main, the
@@ -514,7 +525,10 @@ func mergeUops(p *uop, n *uop) (uop, bool) {
 }
 
 // lowerFunc lowers one function: segments, fusion, fallthrough threading,
-// and a trailing fell-off-the-end guard.
+// and a trailing fell-off-the-end guard. An exact image ends a segment after
+// every instruction, which also turns off every cross-instruction fusion:
+// the pair fusions need both instructions inside one segment, and mergeUops
+// never takes a charge as its second element.
 func (m *machine) lowerFunc(fi *uimage) {
 	f := fi.fn
 	edges := m.cfg.CollectEdges
@@ -526,6 +540,9 @@ func (m *machine) lowerFunc(fi *uimage) {
 		fi.edgeSuccessors(idToIdx)
 	}
 	blockPC := make([]int32, len(f.Blocks))
+	if fi.exact {
+		fi.pcAt = make([][]int32, len(f.Blocks))
+	}
 	slot := m.slotBase[fi.idx] // the next branch block's count slot
 	var fixups []ufixup
 	var jmpBlocks [][]int32 // jump-table entries as block indices, patched below
@@ -561,22 +578,29 @@ func (m *machine) lowerFunc(fi *uimage) {
 			bslot = slot
 			slot++
 		}
+		if fi.exact {
+			fi.pcAt[bi] = make([]int32, len(insns))
+		}
 		segStart := 0
 		for {
 			segEnd := len(insns)
 			for k := segStart; k < len(insns); k++ {
-				if insns[k].Op == ir.OpBsr {
+				if insns[k].Op == ir.OpBsr || fi.exact {
 					segEnd = k + 1
 					break
 				}
 			}
 			segLen := int64(segEnd - segStart)
+			var pc int32
 			if segStart == 0 && edges {
 				// Block entry: record the incoming edge even when the block
 				// is empty, then charge its first segment.
-				emit(uop{op: uChargeEdge, imm: segLen, aux: int64(bi) << 32})
+				pc = emit(uop{op: uChargeEdge, imm: segLen, aux: int64(bi) << 32})
 			} else if segLen > 0 {
-				emit(uop{op: uCharge, imm: segLen, aux: int64(bi)<<32 | int64(segStart)})
+				pc = emit(uop{op: uCharge, imm: segLen, aux: int64(bi)<<32 | int64(segStart)})
+			}
+			if fi.exact && segLen > 0 {
+				fi.pcAt[bi][segStart] = pc
 			}
 
 			k := segStart
@@ -787,26 +811,35 @@ func (m *machine) lowerInsn(in *ir.Instr, slot int32, idToIdx map[int]int,
 	}
 }
 
-// callU executes one function activation over the micro-op stream. The
-// budget checks (call depth, then stack) mirror call exactly. The depth
-// counter is decremented only on the successful-return path because every
-// error propagates straight out of Run and discards the machine (the
-// reference path's deferred decrement is equally unobservable there).
-func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, retFloat int64, err error) {
-	if m.depth++; m.depth > m.cfg.MaxCallDepth {
-		return 0, 0, ErrCallDepth
-	}
+// callU executes one function activation over the micro-op stream. A call
+// (at < 0) takes its A0..A5 and FA0..FA5 arguments from the caller's
+// register file in and sp from the caller; its budget checks (call depth,
+// then stack) mirror the reference interpreter's exactly. A resume (at >= 0,
+// see resume) continues an activation another image began: in is its whole
+// register file, sp its stack pointer, and dispatch starts at pc at with no
+// prologue. The depth counter is decremented only on the successful-return
+// path because every error propagates straight out of Run and discards the
+// machine.
+func (m *machine) callU(fi *uimage, in *[numURegs]int64, sp int64, at int32) (retInt int64, retFloat int64, err error) {
 	var regs [numURegs]int64
-	for i := 0; i < 6; i++ {
-		regs[int(ir.RegA0)+i] = args[i]
-		regs[int(ir.RegFA0)+i] = args[6+i]
+	if at < 0 {
+		if m.depth++; m.depth > m.cfg.MaxCallDepth {
+			return 0, 0, ErrCallDepth
+		}
+		for i := 0; i < 6; i++ {
+			regs[int(ir.RegA0)+i] = in[int(ir.RegA0)+i]
+			regs[int(ir.RegFA0)+i] = in[int(ir.RegFA0)+i]
+		}
+		sp -= fi.fn.FrameSize
+		if sp < m.heapTop {
+			return 0, 0, ErrStack
+		}
+		regs[ir.RegSP] = sp
+		fi.calls++
+		at = 0
+	} else {
+		regs = *in
 	}
-	sp -= fi.fn.FrameSize
-	if sp < m.heapTop {
-		return 0, 0, ErrStack
-	}
-	regs[ir.RegSP] = sp
-	fi.calls++
 
 	mem := m.mem
 	counts := m.counts
@@ -822,13 +855,13 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 	// target is a blockPC inside the same stream), so u can never leave
 	// fi.code.
 	base := unsafe.Pointer(unsafe.SliceData(fi.code))
-	u := (*uop)(base)
+	u := uat(base, uint32(at))
 	for {
 		switch u.op {
 		case uCharge:
 			if fuel < u.imm {
 				m.fuel = fuel
-				return m.refTail(fi, int(u.aux>>32), int(int32(uint32(u.aux))), &regs, sp)
+				return m.resume(fi, int(u.aux>>32), int(int32(uint32(u.aux))), &regs, sp)
 			}
 			fuel -= u.imm
 			u = uadd(u, 1)
@@ -846,7 +879,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 			prevBlk = bi
 			if fuel < u.imm {
 				m.fuel = fuel
-				return m.refTail(fi, int(bi), 0, &regs, sp)
+				return m.resume(fi, int(bi), 0, &regs, sp)
 			}
 			fuel -= u.imm
 			u = uadd(u, 1)
@@ -1589,7 +1622,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		case uChargeLd:
 			if fuel < u.aux>>40 {
 				m.fuel = fuel
-				return m.refTail(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
+				return m.resume(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
 			}
 			fuel -= u.aux >> 40
 			addr := regs[u.a] + u.imm
@@ -1601,7 +1634,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		case uChargeLda:
 			if fuel < u.aux>>40 {
 				m.fuel = fuel
-				return m.refTail(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
+				return m.resume(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
 			}
 			fuel -= u.aux >> 40
 			regs[u.dst] = u.imm
@@ -1772,7 +1805,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		case uChargeMov:
 			if fuel < u.aux>>40 {
 				m.fuel = fuel
-				return m.refTail(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
+				return m.resume(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
 			}
 			fuel -= u.aux >> 40
 			regs[u.dst] = regs[u.a]
@@ -1780,7 +1813,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		case uChargeLdi:
 			if fuel < u.aux>>40 {
 				m.fuel = fuel
-				return m.refTail(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
+				return m.resume(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
 			}
 			fuel -= u.aux >> 40
 			regs[u.dst] = u.imm
@@ -1788,7 +1821,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		case uChargeAddQ:
 			if fuel < u.aux>>40 {
 				m.fuel = fuel
-				return m.refTail(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
+				return m.resume(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
 			}
 			fuel -= u.aux >> 40
 			regs[u.dst] = regs[u.a] + regs[u.b]
@@ -1796,7 +1829,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		case uChargeAddQI:
 			if fuel < u.aux>>40 {
 				m.fuel = fuel
-				return m.refTail(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
+				return m.resume(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
 			}
 			fuel -= u.aux >> 40
 			regs[u.dst] = regs[u.a] + u.imm
@@ -1804,7 +1837,7 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 		case uChargeSt:
 			if fuel < u.aux>>40 {
 				m.fuel = fuel
-				return m.refTail(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
+				return m.resume(fi, int(u.aux>>20)&0xFFFFF, int(u.aux)&0xFFFFF, &regs, sp)
 			}
 			fuel -= u.aux >> 40
 			addr := regs[u.a] + u.imm
@@ -1930,13 +1963,8 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 			if len(callee.code) == 0 {
 				m.lowerFunc(callee)
 			}
-			var cargs [12]int64
-			for i := 0; i < 6; i++ {
-				cargs[i] = regs[int(ir.RegA0)+i]
-				cargs[6+i] = regs[int(ir.RegFA0)+i]
-			}
 			m.fuel = fuel
-			ri, rf, cerr := m.callU(callee, cargs, sp)
+			ri, rf, cerr := m.callU(callee, &regs, sp, -1)
 			if cerr != nil {
 				return 0, 0, cerr
 			}
@@ -1961,15 +1989,18 @@ func (m *machine) callU(fi *uimage, args [12]int64, sp int64) (retInt int64, ret
 	}
 }
 
-// refTail finishes the current activation on the reference interpreter,
-// entering it at the original (block, instruction) coordinates of a fuel
-// charge that could not be covered. The activation's depth increment and
-// stack reservation already happened in callU, so the reference loop is
-// entered directly rather than through call.
-func (m *machine) refTail(fi *uimage, blockIdx, startPC int, regs *[numURegs]int64, sp int64) (int64, int64, error) {
-	m.buildImages()
-	rfi := m.funcs[fi.fn.Name]
-	var r [ir.NumRegs]int64
-	copy(r[:], regs[:ir.NumRegs])
-	return m.refLoop(rfi, &r, sp, blockIdx, startPC)
+// resume finishes the activation on a fuel charge that fi could not cover,
+// at block blk's instruction insn: it lowers fi's exact twin if this is the
+// function's first fuel-out and continues there with the same registers.
+// In the twin every charge covers one instruction, so an uncovered charge
+// there is the reference interpreter's exact ErrFuel point.
+func (m *machine) resume(fi *uimage, blk, insn int, regs *[numURegs]int64, sp int64) (int64, int64, error) {
+	if fi.exact {
+		return 0, 0, ErrFuel
+	}
+	if fi.twin == nil {
+		fi.twin = &uimage{fn: fi.fn, idx: fi.idx, exact: true}
+		m.lowerFunc(fi.twin)
+	}
+	return m.callU(fi.twin, regs, sp, fi.twin.pcAt[blk][insn])
 }

@@ -56,8 +56,8 @@ func NewCSRFromDense(xs [][]float64, cols int) *CSR {
 // indices idx, ascending, and their values val) into h (length Hidden) and
 // returns the network output. It is the one float forward pass: training
 // runs it on every row, and serving on every encoded feature vector
-// (features.Encoder.AppendRow). Bit-identical to ForwardInto on the
-// equivalent dense row, which survives as its test oracle. Allocates
+// (features.Encoder.AppendRow). Bit-identical to the dense ForwardInto on
+// the equivalent dense row, its test oracle (dense_test.go). Allocates
 // nothing.
 func (n *Net) ForwardSparse(h []float64, idx []int32, val []float64) float64 {
 	copy(h, n.B)
@@ -69,9 +69,10 @@ func (n *Net) ForwardSparse(h []float64, idx []int32, val []float64) float64 {
 	return n.output(h)
 }
 
-// TrainCSR fits the network on sparse rows. It is the production training
-// kernel: bit-identical to the dense reference Train (same seed, same data,
-// same model and TrainResult) but roughly 3× faster, because it
+// TrainCSR fits the network on sparse rows. It is the training kernel:
+// bit-identical to the dense Train that the tests keep as its oracle
+// (dense_test.go; same seed, same data, same model and TrainResult) but
+// roughly 3× faster, because it
 //
 //   - walks only each row's nonzero columns (column-major weight layout,
 //     all hidden accumulators advanced per column); and
@@ -161,7 +162,7 @@ func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 		// The pass ran with the weights produced by the previous epoch's
 		// update, so its thresholded error is that epoch's early-stopping
 		// measurement. (The epoch-0 pass sees the initial weights, which
-		// the reference never evaluates — discard.)
+		// the dense oracle never evaluates — discard.)
 		if epoch > 0 && processThr(thr) {
 			res.StoppedEarly = true
 			stopped = true

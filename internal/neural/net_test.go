@@ -208,57 +208,3 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
-
-// TestForwardBatchValidatesLengths pins the previously-untested panic path:
-// a mismatched out slice fails loudly up front instead of indexing past the
-// end mid-batch.
-func TestForwardBatchValidatesLengths(t *testing.T) {
-	n := New(Config{Inputs: 3, Hidden: 4, Seed: 1})
-	h := make([]float64, n.Hidden)
-	xs := [][]float64{{1, 0, 0}, {0, 1, 0}}
-
-	for _, tc := range []struct {
-		name string
-		out  []float64
-	}{
-		{"short out", make([]float64, 1)},
-		{"long out", make([]float64, 3)},
-		{"nil out", nil},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: ForwardBatch did not panic", tc.name)
-				}
-			}()
-			n.ForwardBatch(h, xs, tc.out)
-		}()
-	}
-}
-
-// TestForwardBatchEmpty asserts the empty batch is an explicit no-op for
-// every nil/empty combination, including a nil scratch buffer.
-func TestForwardBatchEmpty(t *testing.T) {
-	n := New(Config{Inputs: 3, Hidden: 4, Seed: 1})
-	n.ForwardBatch(nil, nil, nil)
-	n.ForwardBatch(make([]float64, n.Hidden), [][]float64{}, []float64{})
-}
-
-// TestForwardBatchMatchesForward asserts the batch hook is exactly the
-// per-row forward pass.
-func TestForwardBatchMatchesForward(t *testing.T) {
-	n := New(Config{Inputs: 5, Hidden: 6, Seed: 2})
-	xs := [][]float64{
-		{1, 0, 0, -2, 0.5},
-		{0, 0, 0, 0, 0},
-		{-1, 1, -1, 1, -1},
-	}
-	h := make([]float64, n.Hidden)
-	out := make([]float64, len(xs))
-	n.ForwardBatch(h, xs, out)
-	for i, x := range xs {
-		if want := n.Forward(x); out[i] != want {
-			t.Errorf("row %d: batch %v, forward %v", i, out[i], want)
-		}
-	}
-}

@@ -82,41 +82,3 @@ func sameBehaviour(want, got *interp.Profile) error {
 	}
 	return nil
 }
-
-// TestGuidedReferencePathAgrees cross-checks the two interpreter
-// implementations on a sample of guided binaries: the micro-op path and
-// the reference path must agree instruction for instruction even after
-// layout has rewritten every function.
-func TestGuidedReferencePathAgrees(t *testing.T) {
-	names := []string{"compress", "espresso", "tomcatv", "boyer"}
-	for _, name := range names {
-		e, ok := corpus.ByName(name)
-		if !ok {
-			t.Fatalf("corpus entry %q missing", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			ast, err := e.Parse()
-			if err != nil {
-				t.Fatal(err)
-			}
-			guided, err := Optimize(ast, e.Language, Fixed(NewHeuristic()), DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := e.RunConfig()
-			run.CollectEdges = true
-			a, err := interp.Run(guided, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := interp.RunReference(guided, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatal("micro-op and reference interpreters disagree on guided binary")
-			}
-		})
-	}
-}
