@@ -1,14 +1,13 @@
-// Zero-allocation request path for the vectors-only /predict shape.
+// The pooled request arena behind every /predict answer.
 //
-// The serving hot path — a client submitting pre-extracted feature vectors —
-// previously paid encoding/json twice (decode and encode) plus per-request
-// slices, a job struct, and a done channel. This file replaces all of it
-// with a pooled request arena: one sync.Pool'd struct owns the body buffer,
-// the decoded vectors, a reusable prediction job, and the response buffer,
-// so a steady-state vectors request performs zero heap allocations between
-// reading the body and writing the response bytes (asserted by
-// TestArenaPipelineZeroAlloc; the net/http connection machinery around it is
-// outside the pooled region).
+// One sync.Pool'd struct owns a request's working set: the body buffer, the
+// fast-scanned vectors, a reusable prediction job, and the response buffer.
+// Every request is answered through the arena's job and rendered by
+// encodeResponse, which writes exactly the bytes json.NewEncoder(w).Encode
+// writes for the same PredictResponse. A steady-state vectors request thus
+// performs zero heap allocations between reading the body and writing the
+// response (asserted by TestArenaPipelineZeroAlloc; the net/http connection
+// machinery around it is outside the pooled region).
 //
 // The decoder is a hand-rolled scanner for the one fixed shape
 //
@@ -16,29 +15,32 @@
 //
 // and nothing else: any other key, a malformed body, an over-limit vector
 // count, a wrong-arity row, or an exotic escape (\uXXXX) makes it bail out,
-// and the handler falls back to the encoding/json slow path, which
-// reproduces the exact legacy behavior and error messages. The fast path
-// therefore never has to be bug-for-bug compatible with encoding/json on
-// weird inputs — it only has to win the common case and get out of the way.
+// and the handler re-decodes the body with encoding/json, which owns source
+// requests and every error message. The scanner only has to win the common
+// case and get out of the way.
 //
 // Lifetime contract: decoded strings are unsafe.String views into the
 // arena's body and scratch buffers, so they are valid only until the arena
 // is released. The arena is released after the response is written — except
 // when the requester abandons a submitted job (timeout/cancel): the worker
-// may still be reading the arena's vectors, so the arena is abandoned to the
-// garbage collector instead of being returned to the pool (pool.submitJob
-// reports reusability).
+// may still read the job's vectors and write its probabilities, so the arena
+// is abandoned to the garbage collector instead of being returned to the
+// pool (pool.submitJob reports reusability).
 package serve
 
 import (
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/features"
+	"repro/internal/ir"
 )
 
 // requestArena is the pooled per-request working set.
@@ -90,17 +92,19 @@ func (ar *requestArena) readBody(r io.Reader) ([]byte, error) {
 	}
 }
 
-// prepareJob readies the arena's reusable job for one submission over the
-// decoded vectors.
-func (ar *requestArena) prepareJob(ctx context.Context) *job {
+// prepareJob readies the arena's reusable job for one submission over vecs:
+// the arena's own scanned vectors, or a compiled program's. The job only
+// reads vecs; they are never kept in ar.vecs, whose capacity the next scan
+// appends into.
+func (ar *requestArena) prepareJob(ctx context.Context, vecs []features.Vector) *job {
 	j := ar.job
-	n := len(ar.vecs)
+	n := len(vecs)
 	if cap(j.probs) < n {
 		j.probs = make([]float64, n)
 	}
 	j.probs = j.probs[:n]
 	j.ctx = ctx
-	j.vecs = ar.vecs
+	j.vecs = vecs
 	j.err = nil
 	j.started = time.Time{}
 	j.finished = time.Time{}
@@ -330,8 +334,11 @@ func (ar *requestArena) decode(data []byte, maxVectors int) bool {
 		p.ws()
 		switch key {
 		case "id":
+			// encoding/json decodes invalid UTF-8 to U+FFFD, so an id
+			// holding any takes its path: the echo must be what it decodes.
+			// Feature values need no check; both forms are unseen values.
 			s, ok := p.str()
-			if !ok {
+			if !ok || !utf8.ValidString(s) {
 				return false
 			}
 			ar.id = s
@@ -361,59 +368,83 @@ func (ar *requestArena) decode(data []byte, maxVectors int) bool {
 	return sawVectors && len(ar.vecs) > 0
 }
 
-// appendJSONString appends s as a JSON string literal. Control characters
-// escape as \u00XX; everything else (including multi-byte UTF-8) passes
-// through byte-for-byte, which is valid JSON.
+// appendJSONString appends s as encoding/json writes it. Printable ASCII
+// other than the quote, the backslash, and the HTML characters <, > and &
+// is copied as is; any other string is rendered by json.Marshal itself,
+// which allocates, but only for rare strings.
 func appendJSONString(out []byte, s string) []byte {
-	const hexDigits = "0123456789abcdef"
-	out = append(out, '"')
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			out = append(out, '\\', c)
-		case c >= 0x20:
-			out = append(out, c)
-		case c == '\n':
-			out = append(out, '\\', 'n')
-		case c == '\t':
-			out = append(out, '\\', 't')
-		case c == '\r':
-			out = append(out, '\\', 'r')
-		default:
-			out = append(out, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s)
+			return append(out, b...)
 		}
 	}
+	out = append(out, '"')
+	out = append(out, s...)
 	return append(out, '"')
 }
 
-// encodeResponse renders the fast-path PredictResponse into the arena's
-// reusable buffer: same fields, order, and trailing newline as the
-// encoding/json path, with branch refs synthesized as "#i" directly.
-func (ar *requestArena) encodeResponse(probs []float64) []byte {
-	out := ar.out[:0]
-	out = append(out, '{')
+// appendJSONFloat appends f as encoding/json writes a float64: the shortest
+// 'f' form, or the 'e' form outside [1e-6, 1e21) with a one-digit negative
+// exponent unpadded (e-07 becomes e-7).
+func appendJSONFloat(out []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	out = strconv.AppendFloat(out, f, format, -1, 64)
+	if n := len(out); format == 'e' && out[n-4] == 'e' && out[n-3] == '-' && out[n-2] == '0' {
+		out[n-2] = out[n-1]
+		out = out[:n-1]
+	}
+	return out
+}
+
+// encodeResponse renders a 200 /predict body into the arena's reusable
+// buffer: byte for byte what encoding/json writes for the PredictResponse
+// with the arena's id, the given program, flags, and one prediction per
+// vector, including the trailing newline. A branch is named by its vector's
+// Ref, or "#i" for a submitted vector, which has none.
+func (ar *requestArena) encodeResponse(program string, cached, degraded bool, vecs []features.Vector, probs []float64) []byte {
+	out := append(ar.out[:0], '{')
 	if ar.id != "" {
 		out = append(out, `"id":`...)
 		out = appendJSONString(out, ar.id)
 		out = append(out, ',')
 	}
-	out = append(out, `"cached":false,"predictions":[`...)
+	if program != "" {
+		out = append(out, `"program":`...)
+		out = appendJSONString(out, program)
+		out = append(out, ',')
+	}
+	out = append(out, `"cached":`...)
+	out = strconv.AppendBool(out, cached)
+	if degraded {
+		out = append(out, `,"degraded":true`...)
+	}
+	out = append(out, `,"predictions":[`...)
 	for i, p := range probs {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		out = append(out, `{"branch":"#`...)
-		out = strconv.AppendInt(out, int64(i), 10)
-		out = append(out, `","taken":`...)
+		out = append(out, `{"branch":`...)
+		if ref := vecs[i].Ref; ref == (ir.BranchRef{}) {
+			out = append(out, `"#`...)
+			out = strconv.AppendInt(out, int64(i), 10)
+			out = append(out, '"')
+		} else {
+			out = appendJSONString(out, ref.String())
+		}
+		out = append(out, `,"taken":`...)
 		out = strconv.AppendBool(out, p > 0.5)
 		out = append(out, `,"probability":`...)
 		start := len(out)
-		out = strconv.AppendFloat(out, p, 'g', -1, 64)
+		out = appendJSONFloat(out, p)
 		end := len(out)
 		out = append(out, `,"confidence":`...)
 		if p < 0.5 {
-			out = strconv.AppendFloat(out, 1-p, 'g', -1, 64)
+			out = appendJSONFloat(out, 1-p)
 		} else {
 			// The confidence is p itself: reuse its digits.
 			out = append(out, out[start:end]...)

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/features"
+	"repro/internal/ir"
 	"repro/internal/testutil"
 )
 
@@ -46,6 +49,9 @@ func TestArenaDecode(t *testing.T) {
 		`{"vectors":` + mustJSON(rows) + `,"id":"first","id":"second"}`,
 		// Empty strings normalize to Unknown.
 		`{"vectors":[[` + strings.Repeat(`"",`, features.NumFeatures-1) + `""]]}`,
+		// Raw HTML characters and valid non-ASCII, unescaped and escaped.
+		"{\"id\":\"<a&b>\u2028é日\",\"vectors\":" + mustJSON(rows) + "}",
+		"{\"id\":\"\\t<é\u2029\\b\",\"vectors\":" + mustJSON(rows) + "}",
 	}
 	for _, body := range fast {
 		ar := getArena()
@@ -84,6 +90,8 @@ func TestArenaDecode(t *testing.T) {
 		"wrong arity":      `{"vectors":[["BEQ"]]}`,
 		"row not strings":  `{"vectors":[[1,2]]}`,
 		"unicode escape":   `{"id":"\u0041","vectors":` + mustJSON(rows) + `}`,
+		"invalid UTF-8":    "{\"id\":\"a\xffb\",\"vectors\":" + mustJSON(rows) + "}",
+		"invalid escaped":  "{\"id\":\"\\t\xc3\",\"vectors\":" + mustJSON(rows) + "}",
 		"trailing garbage": arenaBody("x", rows) + "garbage",
 		"truncated":        arenaBody("x", rows)[:20],
 		"not an object":    `[1,2,3]`,
@@ -110,46 +118,91 @@ func mustJSON(v any) string {
 	return string(b)
 }
 
-// TestArenaResponseMatchesEncodingJSON checks the hand-rolled response
-// encoder against the encoding/json rendering of the same PredictResponse:
-// both must unmarshal to identical values (bit-exact probabilities included).
-func TestArenaResponseMatchesEncodingJSON(t *testing.T) {
-	probs := []float64{0.5, 0.25, 0.875, 1e-7, 0.9999999999999999, 1}
-	for _, id := range []string{"", "req-1", "needs \"escaping\"\n\tok\x01"} {
-		ar := getArena()
-		ar.id = id
-		got := append([]byte(nil), ar.encodeResponse(probs)...)
-		putArena(ar)
+// encodingJSONBody is the reference rendering of a /predict answer: what
+// json.NewEncoder(w).Encode writes for the PredictResponse the arena encoder
+// is handed the parts of.
+func encodingJSONBody(t *testing.T, id, program string, cached, degraded bool, vecs []features.Vector, probs []float64) []byte {
+	t.Helper()
+	resp := PredictResponse{ID: id, Program: program, Cached: cached, Degraded: degraded, Predictions: make([]Prediction, len(probs))}
+	for i, p := range probs {
+		branch := fmt.Sprintf("#%d", i)
+		if vecs[i].Ref != (ir.BranchRef{}) {
+			branch = vecs[i].Ref.String()
+		}
+		conf := p
+		if conf < 0.5 {
+			conf = 1 - conf
+		}
+		resp.Predictions[i] = Prediction{Branch: branch, Taken: p > 0.5, Probability: p, Confidence: conf}
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
-		want := PredictResponse{ID: id, Predictions: make([]Prediction, len(probs))}
-		for i, p := range probs {
-			conf := p
-			if conf < 0.5 {
-				conf = 1 - conf
+// hostilePieces are the string fragments encoding/json does not copy as is
+// (HTML characters, JSONP line separators, invalid UTF-8, short and \u00XX
+// control escapes, quotes) mixed with plain and non-ASCII text.
+var hostilePieces = []string{
+	"req", "-7", " ", "main", "<", ">", "&", "\u2028", "\u2029", "\xff", "\xc3",
+	"\b", "\f", "\n", "\r", "\t", "\x00", "\x01", "\x1f", "\x7f", `"`, `\`, "/",
+	"é", "日本", "\U0001F600", "\ufffd",
+}
+
+func randString(rng *rand.Rand) string {
+	var sb strings.Builder
+	for n := rng.Intn(5); n > 0; n-- {
+		sb.WriteString(hostilePieces[rng.Intn(len(hostilePieces))])
+	}
+	return sb.String()
+}
+
+func randProbability(rng *rand.Rand) float64 {
+	switch rng.Intn(7) {
+	case 0:
+		return []float64{0, 1, 0.5, 1e-6, 1e-4, math.Nextafter(1, 0), math.SmallestNonzeroFloat64}[rng.Intn(7)]
+	case 1: // the 'f' range where encoding/json writes 0.0000xxx
+		return 1e-6 + rng.Float64()*(1e-4-1e-6)
+	case 2: // the 'e' range, e-7 through e-9
+		return rng.Float64() * 1e-6
+	case 3: // deep 'e' exponents
+		return rng.Float64() * math.Pow(10, -float64(10+rng.Intn(300)))
+	case 4: // subnormals
+		return math.Float64frombits(rng.Uint64() & (1<<52 - 1))
+	case 5: // confidence 1-p near 1
+		return 1 - rng.Float64()*1e-5
+	default:
+		return rng.Float64()
+	}
+}
+
+// TestArenaResponseMatchesEncodingJSON is a seeded property test of the
+// arena encoder against encoding/json: over hostile ids and program names,
+// source branch refs and submitted "#i" vectors, both flags, and
+// probabilities across every float form, the bytes must be identical.
+func TestArenaResponseMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	ar := getArena()
+	defer putArena(ar)
+	for iter := 0; iter < 5000; iter++ {
+		n := rng.Intn(6)
+		vecs := make([]features.Vector, n)
+		probs := make([]float64, n)
+		for i := range vecs {
+			if rng.Intn(2) == 0 {
+				vecs[i].Ref = ir.BranchRef{Func: randString(rng), Block: rng.Intn(1000)}
 			}
-			want.Predictions[i] = Prediction{
-				Branch:      fmt.Sprintf("#%d", i),
-				Taken:       p > 0.5,
-				Probability: p,
-				Confidence:  conf,
-			}
+			probs[i] = randProbability(rng)
 		}
-		var fromArena, fromJSON PredictResponse
-		if err := json.Unmarshal(got, &fromArena); err != nil {
-			t.Fatalf("arena encoding is not valid JSON: %v\n%s", err, got)
-		}
-		ref, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(ref, &fromJSON); err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprintf("%+v", fromArena) != fmt.Sprintf("%+v", fromJSON) {
-			t.Errorf("id %q:\narena: %+v\njson:  %+v", id, fromArena, fromJSON)
-		}
-		if got[len(got)-1] != '\n' {
-			t.Error("arena encoding lost the trailing newline json.Encoder emits")
+		ar.id = randString(rng)
+		program := randString(rng)
+		cached, degraded := rng.Intn(2) == 0, rng.Intn(2) == 0
+		got := ar.encodeResponse(program, cached, degraded, vecs, probs)
+		want := encodingJSONBody(t, ar.id, program, cached, degraded, vecs, probs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("case %d: arena and encoding/json disagree\narena: %q\njson:  %q", iter, got, want)
 		}
 	}
 }
@@ -182,7 +235,7 @@ func TestArenaPipelineZeroAlloc(t *testing.T) {
 		if !ar.decode(data, srv.cfg.MaxVectors) {
 			t.Fatal("fast path refused the steady-state body")
 		}
-		j := ar.prepareJob(ctx)
+		j := ar.prepareJob(ctx, ar.vecs)
 		reusable, err := srv.currentVersion().pool.submitJob(j)
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +243,7 @@ func TestArenaPipelineZeroAlloc(t *testing.T) {
 		if !reusable {
 			t.Fatal("completed job reported not reusable")
 		}
-		ar.encodeResponse(j.probs)
+		ar.encodeResponse("", false, false, ar.vecs, j.probs)
 		putArena(ar)
 	}
 	run() // warm the arena pool and the job's probs buffer

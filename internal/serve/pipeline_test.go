@@ -5,15 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/features"
 )
 
 // predictPipeline runs the steady-state vectors request path without the
 // HTTP plumbing around it: arena decode → pooled batch submit →
-// hand-rendered response. The response bytes are appended to out (reusing
+// arena-rendered response. The response bytes are appended to out (reusing
 // its capacity; pass nil to allocate) and returned. The /predict handler
 // wraps exactly these stages.
 //
@@ -29,10 +29,10 @@ func (s *Server) predictPipeline(ctx context.Context, body, out []byte) ([]byte,
 	}
 	mv := s.pinned()
 	defer mv.unpin()
-	j := ar.prepareJob(ctx)
+	j := ar.prepareJob(ctx, ar.vecs)
 	reusable, err := mv.pool.submitJob(j)
 	if err == nil {
-		out = append(out[:0], ar.encodeResponse(j.probs)...)
+		out = append(out[:0], ar.encodeResponse("", false, false, ar.vecs, j.probs)...)
 	}
 	if reusable {
 		putArena(ar)
@@ -40,12 +40,23 @@ func (s *Server) predictPipeline(ctx context.Context, body, out []byte) ([]byte,
 	return out, err
 }
 
+// newJob allocates a one-shot job over vecs, as the request path did before
+// the arena kept a reusable one.
+func newJob(ctx context.Context, vecs []features.Vector) *job {
+	return &job{
+		ctx:      ctx,
+		vecs:     vecs,
+		probs:    make([]float64, len(vecs)),
+		done:     make(chan struct{}, 1),
+		enqueued: time.Now(),
+	}
+}
+
 // predictPipelineReference runs the same request through the pre-arena
 // pipeline: encoding/json decode, features.FromValues, a per-request job
 // allocation, encoding/json response. It is the frozen request path the
-// arena pipeline replaced, kept as its oracle and benchmark baseline. No
-// request handler calls it: handlePredict has its own encoding/json branch
-// for requests the arena scanner does not own.
+// arena pipeline replaced, kept as its oracle and benchmark baseline; no
+// request handler calls it.
 func (s *Server) predictPipelineReference(ctx context.Context, body []byte) ([]byte, error) {
 	var req PredictRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -69,12 +80,12 @@ func (s *Server) predictPipelineReference(ctx context.Context, body []byte) ([]b
 	}
 	mv := s.pinned()
 	defer mv.unpin()
-	probs, err := mv.pool.submit(ctx, vecs)
-	if err != nil {
+	j := newJob(ctx, vecs)
+	if _, err := mv.pool.submitJob(j); err != nil {
 		return nil, err
 	}
 	resp := PredictResponse{ID: req.ID, Predictions: make([]Prediction, len(vecs))}
-	for i, p := range probs {
+	for i, p := range j.probs {
 		conf := p
 		if conf < 0.5 {
 			conf = 1 - conf
@@ -118,29 +129,29 @@ func benchBody(t testing.TB, nvec int) []byte {
 }
 
 // TestPredictPipelineMatchesReference pins the arena pipeline to its
-// reference: same request, same predictions, on the same server.
+// reference: the same request on the same server answers with the same
+// bytes, for a plain id and for one encoding/json escapes.
 func TestPredictPipelineMatchesReference(t *testing.T) {
 	s := pipelineTestServer(t, Config{Workers: 1, MaxBatch: 4})
-	body := benchBody(t, 6)
+	_, data := testModel(t)
+	rows := mustJSON(vectorValues(data[0].Vectors[:6]))
 	ctx := context.Background()
 
-	fast, err := s.predictPipeline(ctx, body, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := s.predictPipelineReference(ctx, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fastResp, refResp PredictResponse
-	if err := json.Unmarshal(fast, &fastResp); err != nil {
-		t.Fatalf("fast-path response is not JSON: %v\n%s", err, fast)
-	}
-	if err := json.Unmarshal(ref, &refResp); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fastResp, refResp) {
-		t.Fatalf("pipelines disagree:\nfast %+v\nref  %+v", fastResp, refResp)
+	for _, body := range []string{
+		string(benchBody(t, 6)),
+		"{\"id\":\"<a&b>\u2028é\",\"vectors\":" + rows + "}",
+	} {
+		fast, err := s.predictPipeline(ctx, []byte(body), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := s.predictPipelineReference(ctx, []byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fast, ref) {
+			t.Fatalf("pipelines disagree on %q:\nfast %q\nref  %q", body, fast, ref)
+		}
 	}
 
 	if _, err := s.predictPipeline(ctx, []byte(`{"source":"int f(){}"}`), nil); err == nil {

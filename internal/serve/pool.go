@@ -57,7 +57,7 @@ type pool struct {
 
 	busy atomic.Int64 // workers currently inside a batch
 
-	// Approximate queue-age tracking: submit stamps enqueue times into a
+	// Approximate queue-age tracking: submitJob stamps enqueue times into a
 	// ring indexed by a send sequence number, workers advance a receive
 	// sequence number, and the age gauge reads the slot at the receive
 	// cursor. All cells are atomics, so the gauge is lock-free and at worst
@@ -106,32 +106,12 @@ func (p *pool) queueAge() time.Duration {
 	return age
 }
 
-// submit enqueues the vectors and blocks until a worker has predicted them
-// or the context expires. The returned slice is owned by the caller. On
-// success the queue-wait and forward stages are recorded into the context's
-// trace, if any.
-func (p *pool) submit(ctx context.Context, vecs []features.Vector) ([]float64, error) {
-	if len(vecs) == 0 {
-		return nil, nil
-	}
-	j := &job{
-		ctx:      ctx,
-		vecs:     vecs,
-		probs:    make([]float64, len(vecs)),
-		done:     make(chan struct{}, 1),
-		enqueued: time.Now(),
-	}
-	if _, err := p.submitJob(j); err != nil {
-		return nil, err
-	}
-	return j.probs, nil
-}
-
 // submitJob enqueues a caller-owned job and blocks until a worker completes
-// it or the job's context expires. The bool reports whether the caller may
-// reuse the job and the buffers it references: false means the caller
-// stopped waiting while a worker still owned them, so they must not be
-// pooled (abandon them to the garbage collector).
+// it or the job's context expires. On success the queue-wait and forward
+// stages are recorded into the context's trace, if any. The bool reports
+// whether the caller may reuse the job and the buffers it references: false
+// means the caller stopped waiting while a worker still owned them, so they
+// must not be pooled (abandon them to the garbage collector).
 func (p *pool) submitJob(j *job) (reusable bool, err error) {
 	p.mu.RLock()
 	if p.draining {

@@ -433,34 +433,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	featStart := time.Now()
 	if ar.decode(data, s.cfg.MaxVectors) {
-		// The zero-allocation fast path owns the well-formed vectors-only
-		// request end to end. The scan fuses parsing and featurization, so
-		// the featurize span covers the same wall time the two-step slow
-		// path reports separately.
+		// The scan fuses parsing and featurization, so the featurize span
+		// covers the same wall time the two-step encoding/json decode
+		// reports separately.
 		endDecode()
 		tr.AddSpan(obs.StageFeaturize, featStart, time.Since(featStart))
-		s.predictPooled(w, r, tr, ar, mv)
+		s.answer(r.Context(), w, mv, ar, "", false, ar.vecs)
 		return
 	}
 	// Anything else — source submissions, malformed bodies, over-limit or
 	// wrong-arity vectors — re-parses through encoding/json, which carries
-	// the full semantics and error reporting.
+	// the full semantics and error reporting. The decoded request owns its
+	// strings, so the arena goes back now rather than pinning the body
+	// buffer through a compile; the answer takes a fresh one.
 	var req PredictRequest
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
-		putArena(ar)
-		endDecode()
+	err = json.NewDecoder(bytes.NewReader(data)).Decode(&req)
+	putArena(ar)
+	endDecode()
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	putArena(ar)
-	endDecode()
 
 	var (
-		resp PredictResponse
-		vecs []features.Vector
-		refs []string
+		program string
+		cached  bool
+		vecs    []features.Vector
 	)
-	resp.ID = req.ID
 	switch {
 	case req.Source != "" && len(req.Vectors) > 0:
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "request has both source and vectors"})
@@ -471,7 +470,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				errorResponse{Error: fmt.Sprintf("source exceeds %d bytes", s.cfg.MaxSourceBytes)})
 			return
 		}
-		img, cached, err := s.compile(tr, &req)
+		img, hit, err := s.compile(tr, &req)
 		switch {
 		case err == nil:
 		case errors.Is(err, guard.ErrBudgetExceeded):
@@ -486,13 +485,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
-		resp.Program = img.Name
-		resp.Cached = cached
-		vecs = img.Vectors
-		refs = make([]string, len(vecs))
-		for i, v := range vecs {
-			refs[i] = v.Ref.String()
-		}
+		program, cached, vecs = img.Name, hit, img.Vectors
 	case len(req.Vectors) > 0:
 		if len(req.Vectors) > s.cfg.MaxVectors {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
@@ -501,33 +494,46 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		endFeaturize := tr.StartSpan(obs.StageFeaturize)
 		vecs = make([]features.Vector, len(req.Vectors))
-		refs = make([]string, len(req.Vectors))
 		for i, vals := range req.Vectors {
-			v, err := features.FromValues(vals)
-			if err != nil {
+			if vecs[i], err = features.FromValues(vals); err != nil {
 				writeJSON(w, http.StatusBadRequest,
 					errorResponse{Error: fmt.Sprintf("vector %d: %v", i, err)})
 				return
 			}
-			vecs[i] = v
-			refs[i] = fmt.Sprintf("#%d", i)
 		}
 		endFeaturize()
 	default:
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "request needs source or vectors"})
 		return
 	}
+	ar = getArena()
+	ar.id = req.ID
+	s.answer(r.Context(), w, mv, ar, program, cached, vecs)
+}
 
+// answer is the one tail of every /predict request that decoded: a single
+// submission of the arena's job over vecs, the one failure switch (drain,
+// cancel, timeout, and the heuristic degrade), and the arena encoder for
+// every 200 body. A program with no branch sites skips the pool. The arena
+// goes back to the pool only when no worker may still own its job.
+func (s *Server) answer(ctx context.Context, w http.ResponseWriter, mv *modelVersion, ar *requestArena, program string, cached bool, vecs []features.Vector) {
+	tr := obs.FromContext(ctx)
+	reusable := true
 	var probs []float64
-	err = faultinject.Fire(siteSubmit)
-	if err == nil {
-		probs, err = mv.pool.submit(r.Context(), vecs)
+	err := faultinject.Fire(siteSubmit)
+	if err == nil && len(vecs) > 0 {
+		j := ar.prepareJob(ctx, vecs)
+		reusable, err = mv.pool.submitJob(j)
+		probs = j.probs
+	}
+	timedOut := errors.Is(err, context.DeadlineExceeded)
+	if timedOut {
+		s.metrics.timeouts.Add(1)
 	}
 	switch {
 	case errors.Is(err, ErrDraining):
 		s.metrics.rejectedDrain.Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
 	case errors.Is(err, context.Canceled):
 		// The client has gone; nobody is reading a degraded answer. This is
 		// client behaviour, not a server deadline, so it is accounted
@@ -535,106 +541,24 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.metrics.canceled.Add(1)
 		tr.SetError(err)
 		writeJSON(w, statusClientClosedRequest, errorResponse{Error: err.Error()})
-		return
-	case err != nil:
-		timedOut := errors.Is(err, context.DeadlineExceeded)
+	case err != nil && s.cfg.NoDegrade:
+		tr.SetError(err)
+		status := http.StatusInternalServerError
 		if timedOut {
-			s.metrics.timeouts.Add(1)
+			status = http.StatusGatewayTimeout
 		}
-		tr.SetError(err)
-		if s.cfg.NoDegrade {
-			status := http.StatusInternalServerError
-			if timedOut {
-				status = http.StatusGatewayTimeout
-			}
-			writeJSON(w, status, errorResponse{Error: err.Error()})
-			return
-		}
-		// Degraded mode: answer from the heuristic tier using the same
-		// feature vectors the model was going to see.
-		s.metrics.degraded.Add(1)
-		resp.Degraded = true
-		resp.Predictions = s.degradedPredictions(vecs, refs)
-		endEncode := tr.StartSpan(obs.StageEncode)
-		writeJSON(w, http.StatusOK, resp)
-		endEncode()
-		return
-	}
-
-	resp.Predictions = make([]Prediction, len(vecs))
-	for i, p := range probs {
-		conf := p
-		if conf < 0.5 {
-			conf = 1 - conf
-		}
-		resp.Predictions[i] = Prediction{
-			Branch:      refs[i],
-			Taken:       p > 0.5,
-			Probability: p,
-			Confidence:  conf,
-		}
-	}
-	endEncode := tr.StartSpan(obs.StageEncode)
-	writeJSON(w, http.StatusOK, resp)
-	endEncode()
-}
-
-// predictPooled serves a fast-path vectors request entirely from the arena:
-// the reusable job carries the decoded vectors through the worker pool and
-// the response is rendered by hand into the arena's buffer. Error paths fall
-// back to writeJSON (they are off the steady state, allocations there are
-// irrelevant); the arena is returned to the pool only when the worker no
-// longer owns it.
-func (s *Server) predictPooled(w http.ResponseWriter, r *http.Request, tr *obs.Trace, ar *requestArena, mv *modelVersion) {
-	reusable := true
-	err := faultinject.Fire(siteSubmit)
-	var j *job
-	if err == nil {
-		j = ar.prepareJob(r.Context())
-		reusable, err = mv.pool.submitJob(j)
-	}
-	switch {
-	case errors.Is(err, ErrDraining):
-		s.metrics.rejectedDrain.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-	case errors.Is(err, context.Canceled):
-		s.metrics.canceled.Add(1)
-		tr.SetError(err)
-		writeJSON(w, statusClientClosedRequest, errorResponse{Error: err.Error()})
-	case err != nil:
-		timedOut := errors.Is(err, context.DeadlineExceeded)
-		if timedOut {
-			s.metrics.timeouts.Add(1)
-		}
-		tr.SetError(err)
-		if s.cfg.NoDegrade {
-			status := http.StatusInternalServerError
-			if timedOut {
-				status = http.StatusGatewayTimeout
-			}
-			writeJSON(w, status, errorResponse{Error: err.Error()})
-			break
-		}
-		// Degraded mode answers from the heuristic tier over the same
-		// vectors. The worker only ever reads vecs, so sharing them with an
-		// unfinished job is safe; the arena itself stays un-pooled if the
-		// worker still owns it.
-		s.metrics.degraded.Add(1)
-		refs := make([]string, len(ar.vecs))
-		for i := range refs {
-			refs[i] = fmt.Sprintf("#%d", i)
-		}
-		resp := PredictResponse{
-			ID:          ar.id,
-			Degraded:    true,
-			Predictions: s.degradedPredictions(ar.vecs, refs),
-		}
-		endEncode := tr.StartSpan(obs.StageEncode)
-		writeJSON(w, http.StatusOK, resp)
-		endEncode()
+		writeJSON(w, status, errorResponse{Error: err.Error()})
 	default:
-		out := ar.encodeResponse(j.probs)
+		degraded := err != nil
+		if degraded {
+			// Degraded mode answers from the heuristic tier over the same
+			// vectors, into a fresh slice: a worker may still own the job's.
+			tr.SetError(err)
+			s.metrics.degraded.Add(1)
+			probs = s.fallbackProbabilities(vecs)
+		}
 		endEncode := tr.StartSpan(obs.StageEncode)
+		out := ar.encodeResponse(program, cached, degraded, vecs, probs)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(out)
@@ -653,25 +577,15 @@ func sourceKey(req *PredictRequest) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// degradedPredictions answers from the heuristic tier: the vector form of
+// fallbackProbabilities answers from the heuristic tier: the vector form of
 // the Dempster-Shafer combination over the Ball/Larus heuristics, a pure
 // function of each feature vector.
-func (s *Server) degradedPredictions(vecs []features.Vector, refs []string) []Prediction {
-	out := make([]Prediction, len(vecs))
+func (s *Server) fallbackProbabilities(vecs []features.Vector) []float64 {
+	probs := make([]float64, len(vecs))
 	for i := range vecs {
-		p, _ := s.fallback.TakenProbabilityFromVector(&vecs[i])
-		conf := p
-		if conf < 0.5 {
-			conf = 1 - conf
-		}
-		out[i] = Prediction{
-			Branch:      refs[i],
-			Taken:       p > 0.5,
-			Probability: p,
-			Confidence:  conf,
-		}
+		probs[i], _ = s.fallback.TakenProbabilityFromVector(&vecs[i])
 	}
-	return out
+	return probs
 }
 
 // compile resolves a source submission to a program image, consulting the

@@ -5,17 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/faultinject"
 	"repro/internal/features"
+	"repro/internal/obs"
 )
 
 // The test fixture: a small but real ESP model trained on a handful of
@@ -324,12 +328,158 @@ func TestPoolSubmitHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.submit(ctx, data[0].Vectors); err != context.Canceled {
+	if _, err := p.submitJob(newJob(ctx, data[0].Vectors)); err != context.Canceled {
 		t.Errorf("submit with canceled context: %v", err)
 	}
-	// An empty submission is a no-op.
-	if probs, err := p.submit(context.Background(), nil); err != nil || probs != nil {
-		t.Errorf("empty submit: %v %v", probs, err)
+}
+
+// postRaw posts body to /predict and returns the status and response bytes.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// checkEncodingJSON fails unless body is exactly what json.NewEncoder
+// writes for the PredictResponse it decodes to. Decoding and re-encoding is
+// an exact oracle: floats round-trip through their shortest digits, and a
+// string encoding/json would have escaped differently (or invalid UTF-8,
+// which decodes to U+FFFD) re-encodes to other bytes.
+func checkEncodingJSON(t *testing.T, body []byte) PredictResponse {
+	t.Helper()
+	var pr PredictResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatalf("response is not JSON: %v\n%q", err, body)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(pr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("response bytes differ from encoding/json\ngot:  %q\nwant: %q", body, want.Bytes())
+	}
+	return pr
+}
+
+// TestPredictFastAndSlowShapesAnswerSameBytes sends one vectors request in
+// the shape the arena scanner owns and again with an extra "name" key, which
+// sends it through encoding/json: with ids encoding/json escapes, the two
+// answers must be byte-identical, and both exactly encoding/json's.
+func TestPredictFastAndSlowShapesAnswerSameBytes(t *testing.T) {
+	_, data := testModel(t)
+	_, ts := testServer(t, Config{})
+	rows := mustJSON(vectorValues(data[0].Vectors[:5]))
+	for _, id := range []string{
+		"plain",
+		"<script>&amp;</script>",
+		"line\u2028sep\u2029é日本",
+		`tab\tff\fbs\b`, // JSON escapes the scanner decodes
+		"bad\xffutf8",   // invalid UTF-8: the scanner defers to encoding/json
+	} {
+		fastBody := `{"id":"` + id + `","vectors":` + rows + `}`
+		slowBody := `{"id":"` + id + `","name":"","vectors":` + rows + `}`
+		ar := getArena()
+		if scanned := ar.decode([]byte(fastBody), 4096); scanned != utf8.ValidString(id) {
+			t.Fatalf("id %q: scanner took the fast shape: %v", id, scanned)
+		}
+		putArena(ar)
+		fastStatus, fast := postRaw(t, ts.URL, fastBody)
+		slowStatus, slow := postRaw(t, ts.URL, slowBody)
+		if fastStatus != http.StatusOK || slowStatus != http.StatusOK {
+			t.Fatalf("id %q: status fast %d, slow %d", id, fastStatus, slowStatus)
+		}
+		if !bytes.Equal(fast, slow) {
+			t.Errorf("id %q: shapes answer different bytes\nfast: %q\nslow: %q", id, fast, slow)
+		}
+		checkEncodingJSON(t, fast)
+	}
+}
+
+// TestPredictBodiesAreEncodingJSON: every 200 /predict body — fast-scanned
+// or encoding/json-decoded vectors, compiled or cached source, model or
+// degraded answers — is byte for byte encoding/json's rendering.
+func TestPredictBodiesAreEncodingJSON(t *testing.T) {
+	_, data := testModel(t)
+	_, ts := testServer(t, Config{})
+	rows := mustJSON(vectorValues(data[1].Vectors))
+	src := mustJSON(chaosSource)
+	bodies := []string{
+		`{"id":"v<1>","vectors":` + rows + `}`,
+		`{"id":"v<1>","name":"n","vectors":` + rows + `}`,
+		`{"id":"s<1>","name":"chaos&co","source":` + src + `}`,
+		`{"id":"s<1>","name":"chaos&co","source":` + src + `}`, // cached
+	}
+	check := func(degraded bool) {
+		for _, body := range bodies {
+			status, out := postRaw(t, ts.URL, body)
+			if status != http.StatusOK {
+				t.Fatalf("status %d for %s", status, body)
+			}
+			if pr := checkEncodingJSON(t, out); pr.Degraded != degraded || len(pr.Predictions) == 0 {
+				t.Errorf("degraded=%v with %d predictions, want degraded=%v", pr.Degraded, len(pr.Predictions), degraded)
+			}
+		}
+	}
+	check(false)
+	deactivate := faultinject.Activate(faultinject.New(1, faultinject.Rule{
+		Site: "serve.forward", Kind: faultinject.Error, Rate: 1,
+	}))
+	defer deactivate()
+	check(true)
+}
+
+// TestPredictBranchlessSource: a program with no branch sites answers an
+// empty prediction list without a trip through the worker pool, so its trace
+// has no queue-wait or forward span.
+func TestPredictBranchlessSource(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	const src = "int main() { return 0; }"
+	if vecs := offlineVectors(t, "flat", src); len(vecs) != 0 {
+		t.Fatalf("fixture has %d branch sites, want none", len(vecs))
+	}
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/predict",
+		strings.NewReader(`{"name":"flat","source":`+mustJSON(src)+`}`))
+	req.Header.Set("X-Request-ID", "branchless")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, err %v", resp.StatusCode, err)
+	}
+	if want := `{"program":"flat","cached":false,"predictions":[]}` + "\n"; string(out) != want {
+		t.Errorf("body %q, want %q", out, want)
+	}
+	checkEncodingJSON(t, out)
+
+	var trace *obs.Trace
+	for deadline := time.Now().Add(5 * time.Second); trace == nil && time.Now().Before(deadline); {
+		for _, tr := range getDebugRequests(t, ts.URL) {
+			if tr.ID == "branchless" {
+				trace = tr
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if trace == nil {
+		t.Fatal("branchless request's trace not found in ring")
+	}
+	st := spanStages(trace)
+	if st[obs.StageQueueWait] || st[obs.StageForward] {
+		t.Errorf("branchless request went through the pool: %+v", trace.Spans)
+	}
+	if !st[obs.StageEncode] {
+		t.Errorf("branchless request has no encode span: %+v", trace.Spans)
 	}
 }
 
