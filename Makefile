@@ -56,6 +56,9 @@ cluster-chaos:
 	$(GO) test -race -run 'ClusterChaos|Peer|Router|Ring' ./internal/cluster
 
 # fuzz runs every fuzz target for a short budget, the same way CI does.
+# FuzzAnalysis minimizes each new input with a full compile and analysis per
+# candidate, which under the default 60 s minimize budget can use up its
+# whole 20 s; a 5 s bound leaves it time to fuzz.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=20s ./internal/minic
 	$(GO) test -run=NONE -fuzz=FuzzEncode -fuzztime=20s ./internal/features
@@ -63,7 +66,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzGenCorpus -fuzztime=20s ./internal/interp
 	$(GO) test -run=NONE -fuzz=FuzzLink -fuzztime=20s ./internal/corpus
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=20s ./internal/artifact
-	$(GO) test -run=NONE -fuzz=FuzzAnalysis -fuzztime=20s ./internal/cfg
+	$(GO) test -run=NONE -fuzz=FuzzAnalysis -fuzztime=20s -fuzzminimizetime=5s ./internal/cfg
 
 check: build vet fmt-check test race gencorpus-check chaos cluster-chaos perfbench-check
 

@@ -55,7 +55,7 @@ import (
 // interpreter or feature extractor, or the Record/Profile/Vector types
 // themselves. A bump invalidates every existing entry (old files fail the
 // version check and recompute); forgetting one serves stale results.
-const FormatVersion = "espa-5" // espa-5: a branch to its own block is backward (feature 2)
+const FormatVersion = "espa-6" // espa-6: linked programs key and store only their own code
 
 var (
 	magic      = [4]byte{'E', 'S', 'P', 'A'}
@@ -76,6 +76,36 @@ var (
 type Record struct {
 	Profile *interp.Profile
 	Vectors []features.Vector
+	// Image is, for the record of a program linked against a library
+	// image, the image's ID, and "" otherwise. A record with an Image holds
+	// only the vectors of the program's own functions (NewRecord);
+	// VectorsFor splices the image's back in.
+	Image string
+}
+
+// NewRecord returns the record of prog's analysis: its profile and
+// vectors, in site order, leaving out the vectors of prog's library image
+// when it has one.
+func NewRecord(prog *ir.Program, prof *interp.Profile, vecs []features.Vector) *Record {
+	if prog.Image == nil {
+		return &Record{Profile: prof, Vectors: vecs}
+	}
+	return &Record{Profile: prof, Vectors: features.OwnVectors(prog.Image, vecs), Image: prog.Image.ID}
+}
+
+// VectorsFor returns the record's vectors in site order for a program
+// linked against img (nil when there is none). A record that names no
+// image returns its own vectors; one that names img returns them spliced
+// with img's; and one that names any other image, one this process did not
+// build for the program, is unusable (ok=false).
+func (r *Record) VectorsFor(img *ir.Image) (vecs []features.Vector, ok bool) {
+	switch {
+	case r.Image == "":
+		return r.Vectors, true
+	case img == nil || img.ID != r.Image:
+		return nil, false
+	}
+	return features.SpliceVectors(img, r.Vectors), true
 }
 
 // Cache is an open cache directory. The zero value is not usable; a nil
@@ -121,12 +151,21 @@ func DefaultDir(flagVal string) string {
 // Key returns the content address of one analysis: sha256 over the format
 // version, the canonical IR bytes, and every Config field that can alter
 // execution, in fully-defaulted (Canonical) form so a zero config and an
-// explicit-default config address the same entry.
+// explicit-default config address the same entry. For a program linked
+// against a library image the IR part is the image's ID, a digest of its
+// IR computed once per image, followed by the program's canonical bytes
+// without the image's functions: what the marked program guarantees about
+// the library copies is exactly what the ID names.
 func Key(prog *ir.Program, cfg interp.Config) string {
 	h := sha256.New()
 	io.WriteString(h, FormatVersion)
-	h.Write([]byte{0})
-	h.Write(ir.AppendCanonical(nil, prog))
+	if img := prog.Image; img != nil {
+		fmt.Fprintf(h, "\x01%s\x00", img.ID)
+		h.Write(ir.AppendCanonical(nil, &ir.Program{Name: prog.Name, Funcs: prog.Own(), Globals: prog.Globals}))
+	} else {
+		h.Write([]byte{0})
+		h.Write(ir.AppendCanonical(nil, prog))
+	}
 	c := cfg.Canonical()
 	fmt.Fprintf(h, "\x00seed=%d maxinsns=%d memwords=%d depth=%d edges=%t input=%v",
 		c.Seed, c.MaxInsns, c.MemWords, c.MaxCallDepth, c.CollectEdges, c.Input)

@@ -118,6 +118,59 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestKeySensitivityLinked: a linked program's key covers its own IR, its
+// library image and the config, and differs from the key of the same IR
+// unmarked, whose record holds every vector.
+func TestKeySensitivityLinked(t *testing.T) {
+	prog, cfg := testProgram(t, "bc")
+	if prog.Image == nil {
+		t.Fatal("bc is not linked against the runtime library")
+	}
+	base := Key(prog, cfg)
+
+	own, _ := testProgram(t, "bc")
+	fn := own.Own()[len(own.Own())-1]
+	fn.Blocks[len(fn.Blocks)-1].Insns[0].Imm++
+	if Key(own, cfg) == base {
+		t.Fatal("a change to the program's own IR did not move the key")
+	}
+	global, _ := testProgram(t, "bc")
+	global.Globals = append(global.Globals, ir.Global{Name: "extra", Size: 1})
+	if Key(global, cfg) == base {
+		t.Fatal("a new global did not move the key")
+	}
+
+	fortran, err := corpus.LibraryImage(ir.LangFortran, codegen.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mips, err := corpus.LibraryImage(prog.Image.Funcs[0].Language, codegen.MIPSCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range []*ir.Image{fortran, mips} {
+		if img.ID == prog.Image.ID {
+			t.Fatal("two different library images share an ID")
+		}
+		other := *prog
+		other.Image = img
+		if Key(&other, cfg) == base {
+			t.Fatal("a different library image did not move the key")
+		}
+	}
+
+	mut := cfg
+	mut.Seed++
+	if Key(prog, mut) == base {
+		t.Fatal("a config change did not move the key")
+	}
+	plain := *prog
+	plain.Image = nil
+	if Key(&plain, cfg) == base {
+		t.Fatal("the marked and unmarked program share a key")
+	}
+}
+
 func entryPath(t *testing.T, c *Cache, key string) string {
 	t.Helper()
 	p := c.path(key)
@@ -139,6 +192,9 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 		"flipped magic":     func(b []byte) []byte { b[0] ^= 0xFF; return b },
 		"stale version": func(b []byte) []byte {
 			return bytes.Replace(b, []byte(FormatVersion), []byte("espa-0"), 1)
+		},
+		"previous version": func(b []byte) []byte {
+			return bytes.Replace(b, []byte(FormatVersion), []byte("espa-5"), 1)
 		},
 		"garbage": func([]byte) []byte { return []byte("not a cache entry at all") },
 	}

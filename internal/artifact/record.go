@@ -16,7 +16,7 @@ import (
 //
 //	strings   uvarint n, then n × (uvarint len, bytes); sorted, unique,
 //	          and every entry referenced (function names, call names, the
-//	          program name, feature values)
+//	          program name, the image ID, feature values)
 //	profile   str Program; varint Insns, CondExec, CondTaken, Result
 //	branches  map count, then n × (str func, varint block, varint executed,
 //	          varint taken), in (func, block) order
@@ -25,6 +25,7 @@ import (
 //	calls     map count, then n × (str name, varint count), in name order
 //	outputs   uvarint n, then n × varint
 //	foutputs  uvarint n, then n × 8-byte little-endian IEEE-754 bits
+//	image     uvarint 0 for no image, else 1 + the image ID's str index
 //	vectors   uvarint n, then n × (str func, varint block,
 //	          features.NumFeatures × str value)
 //
@@ -62,6 +63,9 @@ func encodeRecord(rec *Record) ([]byte, error) {
 	}
 	for name := range p.Calls {
 		intern(name)
+	}
+	if rec.Image != "" {
+		intern(rec.Image)
 	}
 	// Vector strings are interned per column (the function name, then each
 	// feature), so the shared table sees each column's distinct values once.
@@ -182,6 +186,12 @@ func encodeRecord(rec *Record) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(p.FOutputs)))
 	for _, x := range p.FOutputs {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+
+	if rec.Image == "" {
+		b = append(b, 0)
+	} else {
+		b = binary.AppendUvarint(b, index[rec.Image]+1)
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(rec.Vectors)))
@@ -325,8 +335,10 @@ func (r *recordReader) mapCount(minBytes int) (n int, present bool) {
 }
 
 // str reads a string-table reference, returning its index and value.
-func (r *recordReader) str() (uint64, string) {
-	i := r.uvarint()
+func (r *recordReader) str() (uint64, string) { return r.strAt(r.uvarint()) }
+
+// strAt returns string-table entry i and marks it used.
+func (r *recordReader) strAt(i uint64) (uint64, string) {
 	if i >= uint64(len(r.table)) {
 		r.fail()
 		return 0, ""
@@ -422,6 +434,13 @@ func decodeRecord(payload []byte) (*Record, bool) {
 		}
 	}
 
+	var image string
+	if i := r.uvarint(); i > 0 {
+		if _, image = r.strAt(i - 1); image == "" {
+			r.fail()
+		}
+	}
+
 	var vecs []features.Vector
 	if n := r.count(2 + features.NumFeatures); n > 0 {
 		vecs = make([]features.Vector, n)
@@ -443,5 +462,5 @@ func decodeRecord(payload []byte) (*Record, bool) {
 			return nil, false
 		}
 	}
-	return &Record{Profile: p, Vectors: vecs}, true
+	return &Record{Profile: p, Vectors: vecs, Image: image}, true
 }

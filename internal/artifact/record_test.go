@@ -81,6 +81,8 @@ func syntheticRecord() *artifact.Record {
 			FOutputs: []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 1.5},
 		},
 		Vectors: []features.Vector{v},
+		// An image ID that is also a function name shares its string.
+		Image: "main",
 	}
 }
 
@@ -173,6 +175,9 @@ func mapEncodeRecord(rec *artifact.Record) ([]byte, error) {
 	for name := range p.Calls {
 		intern(name)
 	}
+	if rec.Image != "" {
+		intern(rec.Image)
+	}
 	for i := range rec.Vectors {
 		v := &rec.Vectors[i]
 		intern(v.Ref.Func)
@@ -257,6 +262,12 @@ func mapEncodeRecord(rec *artifact.Record) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
 
+	if rec.Image == "" {
+		b = append(b, 0)
+	} else {
+		b = binary.AppendUvarint(b, index[rec.Image]+1)
+	}
+
 	b = binary.AppendUvarint(b, uint64(len(rec.Vectors)))
 	for i := range rec.Vectors {
 		v := &rec.Vectors[i]
@@ -294,7 +305,8 @@ func wideRecord(n int) *artifact.Record {
 
 // TestRecordEncoderMatchesOracle: encodeRecord's per-column interning
 // writes exactly the bytes of the map-interning oracle, for every corpus
-// program with edges off and on, one generated program per mix, and
+// program with edges off and on and as a linked program's record (image ID
+// and own vectors), one generated program per mix, and
 // synthetic records where columns share values or outgrow a 16-bit index.
 func TestRecordEncoderMatchesOracle(t *testing.T) {
 	var recs []*artifact.Record
@@ -321,6 +333,10 @@ func TestRecordEncoderMatchesOracle(t *testing.T) {
 			}
 			recs = append(recs, &artifact.Record{Profile: prof, Vectors: vecs})
 		}
+		if prog.Image == nil {
+			t.Fatalf("%s: Entry.Compile did not link the runtime library", e.Name)
+		}
+		recs = append(recs, artifact.NewRecord(prog, recs[len(recs)-1].Profile, vecs))
 	}
 	recs = append(recs, syntheticRecord(), wideRecord(1<<16+100))
 	for i, rec := range recs {
@@ -339,8 +355,9 @@ func TestRecordEncoderMatchesOracle(t *testing.T) {
 }
 
 // minimalPayload is the smallest valid payload: a one-string table, the
-// program name, four zero scalars, three nil maps and three empty slices.
-var minimalPayload = []byte{1, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+// program name, four zero scalars, three nil maps, two empty slices, no
+// image and no vectors.
+var minimalPayload = []byte{1, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 
 // TestRecordCodecRejects: malformed payloads are misses, not panics or
 // wrong records.
@@ -355,19 +372,26 @@ func TestRecordCodecRejects(t *testing.T) {
 		"truncated":     payload[:len(payload)-1],
 		"huge count":    {0xff, 0xff, 0xff, 0xff, 0x0f},
 		"non-minimal":   append([]byte{0x81, 0x00}, payload[1:]...),
-		"unused string": {2, 1, 'a', 1, 'b', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"unused string": {2, 1, 'a', 1, 'b', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		// Both strings used: the program name "b" and a call to "a".
-		"unsorted table": {2, 1, 'b', 1, 'a', 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0},
-		"bad index":      {1, 1, 'a', 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"unsorted table": {2, 1, 'b', 1, 'a', 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0},
+		"bad index":      {1, 1, 'a', 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		// An image must name a table string, and not the empty one.
+		"bad image index": {1, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0},
+		"empty image":     {2, 0, 1, 'a', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0},
 	}
 	for name, b := range cases {
 		if _, ok := artifact.DecodePayload(b); ok {
 			t.Errorf("%s payload decoded", name)
 		}
 	}
-	// The smallest valid record, for contrast.
+	// The smallest valid records, for contrast: without an image, and
+	// naming the program's own name as its image.
 	if _, ok := artifact.DecodePayload(minimalPayload); !ok {
 		t.Error("minimal record rejected")
+	}
+	if rec, ok := artifact.DecodePayload([]byte{1, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0}); !ok || rec.Image != "a" {
+		t.Error("minimal record with an image rejected")
 	}
 }
 

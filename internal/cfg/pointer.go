@@ -1,6 +1,8 @@
 package cfg
 
 import (
+	"bytes"
+
 	"repro/internal/ir"
 )
 
@@ -174,6 +176,21 @@ func (pi *PointerInfo) OperandIsPointer(b, i, operand int) bool {
 		return pi.ptrAt[b][i]&ptrOperandA != 0
 	}
 	return pi.ptrAt[b][i]&ptrOperandB != 0
+}
+
+// SameFacts reports whether pi and o mark the same operands pointer-valued
+// at every instruction: whether every OperandIsPointer query answers the
+// same on both.
+func (pi *PointerInfo) SameFacts(o *PointerInfo) bool {
+	if len(pi.ptrAt) != len(o.ptrAt) {
+		return false
+	}
+	for b, row := range pi.ptrAt {
+		if !bytes.Equal(row, o.ptrAt[b]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ProgramPointers computes pointer inference for every function of a

@@ -62,7 +62,8 @@ func TotalCompiles() int64 { return totalLowered.Load() }
 // lower emits IR for a checked program. A non-nil lib is a library image
 // lowered for the same language and target; copies of its globals follow
 // the program's own, and copies of its functions follow the program's own,
-// which is the order a compile of the concatenated source produces.
+// which is the order a compile of the concatenated source produces, and the
+// program is marked with the image.
 func lower(prog *minic.Program, lib *libImage, lang ir.Language, tgt Target, lim guard.Limits, plan *Plan, meta *Meta) (*ir.Program, error) {
 	totalLowered.Add(1)
 	out := &ir.Program{Name: prog.Name}
@@ -91,6 +92,7 @@ func lower(prog *minic.Program, lib *libImage, lang ir.Language, tgt Target, lim
 	}
 	if lib != nil {
 		out.Funcs = lib.appendFuncs(out.Funcs)
+		out.Image = lib.ir
 	}
 	if err := out.Verify(); err != nil {
 		return nil, fmt.Errorf("codegen: generated invalid IR: %w", err)

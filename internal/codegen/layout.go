@@ -61,7 +61,11 @@ type LayoutOptions struct {
 // code placement: a correctly-laid-out branch falls through on its common
 // path, paying neither the taken-redirect nor (because BTFNT predicts
 // forward branches not-taken) the misprediction penalty.
+//
+// The pass rewrites every function, library copies included, so it drops
+// a linked program's image mark (ir.Program.Image).
 func OptimizeLayout(p *ir.Program, g *EdgeGuidance, opt LayoutOptions) {
+	p.Image = nil
 	for _, f := range p.Funcs {
 		layoutFunc(f, g, opt)
 	}

@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"sync"
@@ -42,12 +44,15 @@ type libCell struct {
 
 // libImage is a library checked and lowered for one language and target.
 // Everything in it is read-only once built: links read the checked AST
-// (calls into the library resolve to its declarations) and copy the IR.
+// (calls into the library resolve to its declarations), copy the IR and
+// mark the linked program with the ir.Image.
 type libImage struct {
 	ast       *minic.Program
-	globals   []ir.Global
-	funcs     []*ir.Func
+	ir        *ir.Image
 	maxBlocks int // largest function CFG, for guard.Limits.CFGBlocks
+	// blocks and insns count the image's blocks and instructions, the
+	// sizes of a link's copies.
+	blocks, insns int
 }
 
 // NewLibrary wraps a parsed, unchecked library. The library must not
@@ -82,22 +87,40 @@ func buildImage(src *minic.Program, lang ir.Language, tgt Target) (*libImage, er
 		return nil, err
 	}
 	lib.Funcs = lib.Funcs[:nFuncs]
+	own := &ir.Program{Funcs: prog.Funcs[:nFuncs], Globals: prog.Globals[:len(lib.Globals)]}
+	sum := sha256.Sum256(ir.AppendCanonical(nil, own))
 	img := &libImage{
-		ast:     lib,
-		globals: prog.Globals[:len(lib.Globals)],
-		funcs:   prog.Funcs[:nFuncs],
+		ast: lib,
+		ir:  &ir.Image{ID: hex.EncodeToString(sum[:]), Funcs: own.Funcs, Globals: own.Globals},
 	}
-	for _, f := range img.funcs {
+	for _, f := range own.Funcs {
 		img.maxBlocks = max(img.maxBlocks, len(f.Blocks))
+		img.blocks += len(f.Blocks)
+		img.insns += f.NumInsns()
 	}
 	return img, nil
+}
+
+// Image returns the library compiled for lang and tgt, building it on
+// first use: the image that Compile marks its programs with.
+func (l *Library) Image(lang ir.Language, tgt Target) (*ir.Image, error) {
+	img, err := l.image(lang, tgt)
+	if err != nil {
+		return nil, err
+	}
+	return img.ir, nil
 }
 
 // Compile compiles a parsed, unchecked program linked against the library,
 // under lim like CompileBounded. Only the program's own functions are
 // unrolled, checked and lowered; the library's are copied from its image,
-// after the program's own. A library function over lim.CFGBlocks fails the
-// link just as it fails the concatenated compile.
+// after the program's own, and the program is marked with the image
+// (ir.Program.Image). A library function over lim.CFGBlocks fails the link
+// just as it fails the concatenated compile.
+//
+// Compile takes ownership of user: it unrolls and annotates the AST in
+// place, so a caller that compiles one parse more than once passes a
+// minic.CloneProgram of it.
 func (l *Library) Compile(user *minic.Program, lang ir.Language, tgt Target, lim guard.Limits) (*ir.Program, error) {
 	img, err := l.image(lang, tgt)
 	if err != nil {
@@ -107,24 +130,23 @@ func (l *Library) Compile(user *minic.Program, lang ir.Language, tgt Target, lim
 		return nil, fmt.Errorf("codegen: library CFG has %d blocks, limit %d: %w",
 			img.maxBlocks, lim.CFGBlocks, guard.ErrBudgetExceeded)
 	}
-	prog := minic.CloneProgram(user)
-	unrollProgram(prog, tgt, nil)
-	nGlobals, nFuncs := len(prog.Globals), len(prog.Funcs)
+	unrollProgram(user, tgt, nil)
+	nGlobals, nFuncs := len(user.Globals), len(user.Funcs)
 	linked := &minic.Program{
-		Name:    prog.Name,
-		Globals: append(prog.Globals, img.ast.Globals...),
-		Funcs:   append(prog.Funcs, img.ast.Funcs...),
+		Name:    user.Name,
+		Globals: append(user.Globals, img.ast.Globals...),
+		Funcs:   append(user.Funcs, img.ast.Funcs...),
 	}
 	if err := minic.CheckLinked(linked, len(img.ast.Globals), len(img.ast.Funcs)); err != nil {
-		return nil, fmt.Errorf("codegen: %s: %w", prog.Name, err)
+		return nil, fmt.Errorf("codegen: %s: %w", user.Name, err)
 	}
-	prog.Globals, prog.Funcs = linked.Globals[:nGlobals], linked.Funcs[:nFuncs]
-	return lower(prog, img, lang, tgt, lim, nil, nil)
+	user.Globals, user.Funcs = linked.Globals[:nGlobals], linked.Funcs[:nFuncs]
+	return lower(user, img, lang, tgt, lim, nil, nil)
 }
 
 // appendGlobals appends copies of the library's globals.
 func (img *libImage) appendGlobals(dst []ir.Global) []ir.Global {
-	for _, g := range img.globals {
+	for _, g := range img.ir.Globals {
 		g.Init = slices.Clone(g.Init)
 		dst = append(dst, g)
 	}
@@ -132,32 +154,35 @@ func (img *libImage) appendGlobals(dst []ir.Global) []ir.Global {
 }
 
 // appendFuncs appends deep copies of the library's functions, so a linked
-// program owns all of its IR. Each copy's blocks share one instruction
-// array, with every block's slice capped at its own length so an append to
-// one block cannot overwrite the next.
+// program owns all of its IR. The copies' functions, blocks and
+// instructions are each cut from one array, with every block's slice
+// capped at its own length so an append to one block cannot overwrite the
+// next.
 func (img *libImage) appendFuncs(dst []*ir.Func) []*ir.Func {
-	for _, f := range img.funcs {
-		n := 0
+	funcs := make([]ir.Func, len(img.ir.Funcs))
+	blocks := make([]ir.Block, 0, img.blocks)
+	ptrs := make([]*ir.Block, 0, img.blocks)
+	insns := make([]ir.Instr, 0, img.insns)
+	for k, f := range img.ir.Funcs {
+		first := len(ptrs)
 		for _, b := range f.Blocks {
-			n += len(b.Insns)
-		}
-		insns := make([]ir.Instr, 0, n)
-		blocks := make([]ir.Block, len(f.Blocks))
-		nf := *f
-		nf.Blocks = make([]*ir.Block, len(f.Blocks))
-		for i, b := range f.Blocks {
-			blocks[i] = *b
+			nb := *b
 			if b.Insns != nil {
 				start := len(insns)
-				for _, in := range b.Insns {
-					in.Targets = slices.Clone(in.Targets)
-					insns = append(insns, in)
+				insns = append(insns, b.Insns...)
+				for i := start; i < len(insns); i++ {
+					if insns[i].Targets != nil {
+						insns[i].Targets = slices.Clone(insns[i].Targets)
+					}
 				}
-				blocks[i].Insns = insns[start:len(insns):len(insns)]
+				nb.Insns = insns[start:len(insns):len(insns)]
 			}
-			nf.Blocks[i] = &blocks[i]
+			blocks = append(blocks, nb)
+			ptrs = append(ptrs, &blocks[len(blocks)-1])
 		}
-		dst = append(dst, &nf)
+		funcs[k] = *f
+		funcs[k].Blocks = ptrs[first:len(ptrs):len(ptrs)]
+		dst = append(dst, &funcs[k])
 	}
 	return dst
 }

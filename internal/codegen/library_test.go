@@ -62,14 +62,23 @@ func TestLibraryLinkMatchesConcatenated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := lib.Compile(user, ir.LangFortran, tgt, guard.Limits{})
+		// Compile owns the AST it is given, so each link gets its own.
+		got, err := lib.Compile(minic.CloneProgram(user), ir.LangFortran, tgt, guard.Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", tgt.Name, err)
 		}
+		img, err := lib.Image(ir.LangFortran, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Image != img {
+			t.Fatalf("%s: linked program is not marked with its image", tgt.Name)
+		}
+		got.Image = nil
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: linked program differs:\n%s\nwant:\n%s", tgt.Name, got.Disassemble(), want.Disassemble())
 		}
-		again, err := lib.Compile(user, ir.LangFortran, tgt, guard.Limits{})
+		again, err := lib.Compile(minic.CloneProgram(user), ir.LangFortran, tgt, guard.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -83,5 +84,47 @@ func TestAnalyzeCachedConfigMiss(t *testing.T) {
 	}
 	if interp.TotalRuns() == before {
 		t.Fatal("changed config served from cache")
+	}
+}
+
+// A record naming a library image other than the program's, one this
+// process does not build for it, is a miss: the analysis re-traces and
+// equals a fresh one.
+func TestAnalyzeCachedUnknownImageMiss(t *testing.T) {
+	e, _ := corpus.ByName("bc")
+	prog, err := e.Compile(codegen.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Image == nil {
+		t.Fatal("bc is not linked against the runtime library")
+	}
+	cache, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := AnalyzeCached(cache, prog, e.Language, e.RunConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := artifact.Key(prog, e.RunConfig())
+	rec, ok := cache.Load(key)
+	if !ok || rec.Image != prog.Image.ID || len(rec.Vectors) >= len(fresh.Vectors) {
+		t.Fatal("a linked program's record does not name its image or keeps library vectors")
+	}
+	rec.Image = strings.Repeat("0", len(rec.Image))
+	if err := cache.Store(key, rec); err != nil {
+		t.Fatal(err)
+	}
+	before := interp.TotalRuns()
+	got, err := AnalyzeCached(cache, prog, e.Language, e.RunConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interp.TotalRuns() == before {
+		t.Fatal("a record naming an unknown image was served")
+	}
+	if !reflect.DeepEqual(got.Profile, fresh.Profile) || !reflect.DeepEqual(got.Vectors, fresh.Vectors) {
+		t.Fatal("re-analysis differs")
 	}
 }

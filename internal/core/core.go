@@ -60,7 +60,9 @@ type AnalysisCache interface {
 // the cache holds an entry for this exact program and configuration. Site
 // structures hold pointers into the live IR, so they are rebuilt from prog
 // on every path; a hit is bit-identical to a fresh Analyze because both the
-// profile and the vectors are pure functions of (prog, runCfg). A nil cache
+// profile and the vectors are pure functions of (prog, runCfg). The record
+// of a program linked against a library image keeps only its own
+// functions' vectors, and a hit splices the image's back in. A nil cache
 // degrades to plain Analyze, and a failed store is ignored — the cache is
 // an optimization, never a correctness dependency.
 func AnalyzeCached(cache AnalysisCache, prog *ir.Program, lang ir.Language, runCfg interp.Config) (*ProgramData, error) {
@@ -69,16 +71,18 @@ func AnalyzeCached(cache AnalysisCache, prog *ir.Program, lang ir.Language, runC
 	}
 	key := artifact.Key(prog, runCfg)
 	if rec, ok := cache.Load(key); ok {
-		ps := features.Collect(prog)
-		if len(rec.Vectors) == len(ps.Sites) {
-			return &ProgramData{
-				Name:     prog.Name,
-				Language: lang,
-				Prog:     prog,
-				Sites:    ps,
-				Vectors:  rec.Vectors,
-				Profile:  rec.Profile,
-			}, nil
+		if vecs, ok := rec.VectorsFor(prog.Image); ok {
+			ps := features.Collect(prog)
+			if len(vecs) == len(ps.Sites) {
+				return &ProgramData{
+					Name:     prog.Name,
+					Language: lang,
+					Prog:     prog,
+					Sites:    ps,
+					Vectors:  vecs,
+					Profile:  rec.Profile,
+				}, nil
+			}
 		}
 	}
 	pd, err := Analyze(prog, lang, runCfg)
@@ -86,7 +90,7 @@ func AnalyzeCached(cache AnalysisCache, prog *ir.Program, lang ir.Language, runC
 		return nil, err
 	}
 	// Best effort: a full disk or injected fault costs only the warm start.
-	_ = cache.Store(key, &artifact.Record{Profile: pd.Profile, Vectors: pd.Vectors})
+	_ = cache.Store(key, artifact.NewRecord(prog, pd.Profile, pd.Vectors))
 	return pd, nil
 }
 

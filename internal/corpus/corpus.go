@@ -186,6 +186,13 @@ var stdlib = sync.OnceValue(func() *codegen.Library {
 	return codegen.NewLibrary(ast)
 })
 
+// LibraryImage returns the runtime library compiled for lang and tgt: the
+// image CompileLinked marks its programs with. It builds the image on
+// first use and compiles no program.
+func LibraryImage(lang ir.Language, tgt codegen.Target) (*ir.Image, error) {
+	return stdlib().Image(lang, tgt)
+}
+
 // stdlibWithin caches, per parse-depth limit, whether the runtime library
 // parses within that limit.
 var stdlibWithin sync.Map // minic.Limits -> bool

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/corpus"
+	"repro/internal/features"
 	"repro/internal/gencorpus"
 	"repro/internal/guard"
 	"repro/internal/ir"
@@ -61,8 +63,34 @@ func checkLink(t testing.TB, name, src string, lang ir.Language, tgt codegen.Tar
 		}
 	case !bytes.Equal(ir.AppendCanonical(nil, got), ir.AppendCanonical(nil, want)):
 		t.Fatalf("%s/%s %+v: linked IR differs from the concatenated compile", name, tgt.Name, lim)
+	case linked:
+		checkShared(t, name+"/"+tgt.Name, got, want)
 	}
 	return linked
+}
+
+// checkShared compares the analysis of a linked program, which shares its
+// library image's, with the full analysis of the concatenated compile:
+// the same sites with the same conditions and source locations, and the
+// same vectors.
+func checkShared(t testing.TB, name string, linked, concat *ir.Program) {
+	t.Helper()
+	if linked.Image == nil {
+		t.Fatalf("%s: linked program is not marked with its library image", name)
+	}
+	got, want := features.Collect(linked), features.Collect(concat)
+	if len(got.Sites) != len(want.Sites) {
+		t.Fatalf("%s: %d sites linked, %d concatenated", name, len(got.Sites), len(want.Sites))
+	}
+	for i, s := range got.Sites {
+		w := want.Sites[i]
+		if s.Ref != w.Ref || s.Cond != w.Cond || s.ProcType != w.ProcType || !slices.Equal(s.SourceLocs, w.SourceLocs) {
+			t.Fatalf("%s: site %s differs from the concatenated compile's", name, s.Ref)
+		}
+	}
+	if !slices.Equal(features.ExtractAll(got), features.ExtractAll(want)) {
+		t.Fatalf("%s: vectors differ from the concatenated compile's", name)
+	}
 }
 
 // TestLinkMatchesConcatenated: for every corpus program and a generated
@@ -91,6 +119,14 @@ func TestLinkMatchesConcatenated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			img, err := corpus.LibraryImage(e.Language, tgt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Image != img {
+				t.Fatalf("%s/%s: Entry.Compile is not marked with the runtime library image", e.Name, tgt.Name)
+			}
+			got.Image = nil
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/%s: Entry.Compile is not DeepEqual to the concatenated compile", e.Name, tgt.Name)
 			}

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/heuristics"
+	"repro/internal/ir"
 	"repro/internal/stats"
 )
 
@@ -18,13 +20,34 @@ type AblationPoint struct {
 }
 
 // cvMeanMiss cross-validates ESP over both language groups and returns the
-// mean per-program miss.
+// mean per-program miss. The default configuration's folds are the ones
+// Table 4 and the studies share; any other configuration is memoized as its
+// mean miss alone, so an ablation point keeps no fold models alive.
 func cvMeanMiss(ctx *Context, cfg core.Config) (float64, error) {
-	_, folds, err := ctx.studyFolds(cfg)
-	if err != nil {
-		return 0, err
+	if reflect.DeepEqual(cfg.Defaulted(), core.Config{}.Defaulted()) {
+		_, folds, err := ctx.studyFolds(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return core.MeanMiss(folds), nil
 	}
-	return core.MeanMiss(folds), nil
+	var data []*core.ProgramData
+	var groups [][]*core.ProgramData
+	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran} {
+		group, err := ctx.LanguageData(lang, codegen.Default)
+		if err != nil {
+			return 0, err
+		}
+		data = append(data, group...)
+		groups = append(groups, group)
+	}
+	return memoTrain(ctx, "miss", data, cfg, func() float64 {
+		var folds []core.FoldResult
+		for _, group := range groups {
+			folds = append(folds, core.CrossValidate(group, cfg)...)
+		}
+		return core.MeanMiss(folds)
+	}), nil
 }
 
 // AblationFeatureSets measures ESP with feature groups removed — the

@@ -260,8 +260,15 @@ func succEnds(g *cfg.Graph, succIdx int) string {
 // (FCorrSharedCond, FCorrDomCond) filled in.
 func ExtractAll(ps *ProgramSites) []Vector {
 	out := make([]Vector, 0, len(ps.Sites))
+	shared := ps.shared
 	// Collect sorts sites by function, so each function's sites are one run.
 	for start := 0; start < len(ps.Sites); {
+		if len(shared) > 0 && shared[0].start == start {
+			out = append(out, shared[0].vecs...)
+			start += len(shared[0].vecs)
+			shared = shared[1:]
+			continue
+		}
 		end := start + 1
 		for end < len(ps.Sites) && ps.Sites[end].Ref.Func == ps.Sites[start].Ref.Func {
 			end++

@@ -1,0 +1,113 @@
+package features
+
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/cfg"
+	"repro/internal/ir"
+)
+
+// imageSites is the analysis of one library image's functions on their
+// own, built once per image and shared read-only by every program linked
+// against it. The per-function slices are indexed like ir.Image.Funcs.
+type imageSites struct {
+	graphs []*cfg.Graph // frozen
+	ptrs   []*cfg.PointerInfo
+	sites  [][]Site   // each function's sites in block order, into the image's IR
+	vecs   [][]Vector // each function's vectors, in the same order
+	all    []Vector   // every vector, in site order
+	names  []string   // the image's function names, sorted
+}
+
+type imageCell struct {
+	once  sync.Once
+	sites *imageSites
+}
+
+// images maps each *ir.Image analyzed by this process to its *imageCell.
+var images sync.Map
+
+// imageOf returns img's analysis, building it on first use.
+func imageOf(img *ir.Image) *imageSites {
+	v, _ := images.LoadOrStore(img, &imageCell{})
+	c := v.(*imageCell)
+	c.once.Do(func() { c.sites = analyzeImage(img) })
+	return c.sites
+}
+
+// analyzeImage collects and extracts the image's functions as a program of
+// their own. Calls from the library into a linked program's functions do
+// not exist, so what a library function's sites depend on is its own IR
+// and its pointer facts, which Collect compares per program.
+func analyzeImage(img *ir.Image) *imageSites {
+	ps := collect(&ir.Program{Name: img.ID, Funcs: img.Funcs, Globals: img.Globals}, nil)
+	is := &imageSites{
+		graphs: make([]*cfg.Graph, len(img.Funcs)),
+		ptrs:   make([]*cfg.PointerInfo, len(img.Funcs)),
+		sites:  make([][]Site, len(img.Funcs)),
+		vecs:   make([][]Vector, len(img.Funcs)),
+		all:    ExtractAll(ps),
+		names:  make([]string, len(img.Funcs)),
+	}
+	byName := make(map[string]int, len(img.Funcs))
+	for k, fn := range img.Funcs {
+		g := ps.Graphs[fn.Name]
+		g.Freeze()
+		is.graphs[k], is.ptrs[k] = g, ps.Ptrs[fn.Name]
+		is.names[k] = fn.Name
+		byName[fn.Name] = k
+	}
+	slices.Sort(is.names)
+	for i := 0; i < len(ps.Sites); {
+		j := i + 1
+		for j < len(ps.Sites) && ps.Sites[j].Ref.Func == ps.Sites[i].Ref.Func {
+			j++
+		}
+		k := byName[ps.Sites[i].Ref.Func]
+		is.sites[k] = make([]Site, j-i)
+		for n, s := range ps.Sites[i:j] {
+			is.sites[k][n] = *s
+		}
+		is.vecs[k] = is.all[i:j:j]
+		i = j
+	}
+	return is
+}
+
+// OwnVectors returns the vectors of vecs, a linked program's vectors in
+// site order, that belong to its own functions rather than to img's. A
+// library function's vectors depend on its IR alone, never on pointer
+// facts, so SpliceVectors restores vecs from the result.
+func OwnVectors(img *ir.Image, vecs []Vector) []Vector {
+	is := imageOf(img)
+	out := make([]Vector, 0, max(len(vecs)-len(is.all), 0))
+	for i := 0; i < len(vecs); {
+		j := i + 1
+		for j < len(vecs) && vecs[j].Ref.Func == vecs[i].Ref.Func {
+			j++
+		}
+		if _, lib := slices.BinarySearch(is.names, vecs[i].Ref.Func); !lib {
+			out = append(out, vecs[i:j]...)
+		}
+		i = j
+	}
+	return out
+}
+
+// SpliceVectors merges own, the vectors of a linked program's own
+// functions in site order (OwnVectors), with img's vectors into the
+// program's vectors in site order: what ExtractAll returns for it.
+func SpliceVectors(img *ir.Image, own []Vector) []Vector {
+	lib := imageOf(img).all
+	out := make([]Vector, 0, len(own)+len(lib))
+	for len(own) > 0 && len(lib) > 0 {
+		if own[0].Ref.Func < lib[0].Ref.Func {
+			out, own = append(out, own[0]), own[1:]
+		} else {
+			out, lib = append(out, lib[0]), lib[1:]
+		}
+	}
+	out = append(out, own...)
+	return append(out, lib...)
+}

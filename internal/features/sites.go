@@ -139,6 +139,18 @@ type ProgramSites struct {
 	Ptrs   map[string]*cfg.PointerInfo
 	Sites  []*Site
 	byRef  map[ir.BranchRef]*Site
+
+	// shared lists, in site order, the functions whose sites were copied
+	// from the program's library image, with the image's vectors for
+	// them, which ExtractAll copies too.
+	shared []sharedRun
+}
+
+// sharedRun is one function's run of sites copied from an image: the
+// run starts at Sites[start], and vecs are its vectors.
+type sharedRun struct {
+	start int
+	vecs  []Vector
 }
 
 // totalCollects counts Collect calls process-wide. The generated-corpus
@@ -149,14 +161,44 @@ var totalCollects atomic.Int64
 func TotalCollects() int64 { return totalCollects.Load() }
 
 // Collect analyzes a program and returns all of its branch sites.
+//
+// A program marked with a library image (ir.Program.Image) pays only for
+// its own functions: each library function's graph is the image's graph
+// rebased onto the program's copy, and when the function's pointer facts,
+// computed over the whole linked program, equal the ones the image has
+// alone, its sites are the image's sites rebased too, and ExtractAll
+// copies the image's vectors for them. A function whose facts differ is
+// analyzed in full. Either way every site, graph and instruction pointer
+// refers to the program's own IR, and the result equals Collect on the
+// same IR unmarked.
 func Collect(prog *ir.Program) *ProgramSites {
 	totalCollects.Add(1)
+	var img *imageSites
+	if prog.Image != nil {
+		img = imageOf(prog.Image)
+	}
+	return collect(prog, img)
+}
+
+// collect is Collect, reusing img's analysis for the library functions
+// when img is non-nil.
+func collect(prog *ir.Program, img *imageSites) *ProgramSites {
 	ps := &ProgramSites{
 		Prog:   prog,
 		Graphs: make(map[string]*cfg.Graph, len(prog.Funcs)),
 	}
-	n := 0
-	for _, fn := range prog.Funcs {
+	nOwn := len(prog.Funcs)
+	nLib, n := 0, 0 // library and own sites
+	if img != nil {
+		nOwn -= len(img.graphs)
+		lib := cfg.Rebase(img.graphs, prog.Funcs[nOwn:])
+		for k := range lib {
+			ps.Graphs[lib[k].Fn.Name] = &lib[k]
+			nLib += len(img.sites[k])
+		}
+		ps.shared = make([]sharedRun, 0, len(lib))
+	}
+	for _, fn := range prog.Funcs[:nOwn] {
 		g := cfg.New(fn)
 		ps.Graphs[fn.Name] = g
 		for i := 0; i < g.N(); i++ {
@@ -168,15 +210,35 @@ func Collect(prog *ir.Program) *ProgramSites {
 	ps.Ptrs = cfg.ProgramPointers(prog, ps.Graphs)
 	// Sites are ordered by (function name, block ID): visit the functions
 	// by name and sort each function's sites by block.
-	fns := slices.Clone(prog.Funcs)
-	slices.SortStableFunc(fns, func(a, b *ir.Func) int { return cmp.Compare(a.Name, b.Name) })
-	slab := make([]Site, 0, n)
-	// Sites' SourceLocs rows are cut from one shared array; corpus sites
-	// average 1.2 locations. Should append ever move the array, rows already
-	// cut keep the old one, which nothing writes again.
+	order := make([]int, len(prog.Funcs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(prog.Funcs[a].Name, prog.Funcs[b].Name) })
+	slab := make([]Site, 0, nLib+n)
+	// Sites' SourceLocs rows are cut from one shared array (sites copied
+	// from an image keep the image's rows); corpus sites average 1.2
+	// locations. Should append ever move the array, rows already cut keep
+	// the old one, which nothing writes again.
 	locs := make([]MemLoc, 0, 2*n)
-	for _, fn := range fns {
+	for _, fi := range order {
+		fn := prog.Funcs[fi]
 		g := ps.Graphs[fn.Name]
+		if k := fi - nOwn; k >= 0 && ps.Ptrs[fn.Name].SameFacts(img.ptrs[k]) {
+			if len(img.sites[k]) > 0 {
+				ps.shared = append(ps.shared, sharedRun{start: len(slab), vecs: img.vecs[k]})
+			}
+			for _, s := range img.sites[k] {
+				s.Fn, s.G = fn, g
+				blk := g.Block(s.BlockIdx)
+				s.Branch = blk.Branch()
+				if s.DefIdx >= 0 {
+					s.DefInstr = &blk.Insns[s.DefIdx]
+				}
+				slab = append(slab, s)
+			}
+			continue
+		}
 		procType := procedureType(fn)
 		start := len(slab)
 		for i := 0; i < g.N(); i++ {

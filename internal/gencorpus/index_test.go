@@ -201,6 +201,20 @@ func TestSourceIndexDamageIsMiss(t *testing.T) {
 			}
 		}, 1, 1},
 		"corrupt record": {func(t *testing.T, _ *artifact.Cache, _, rec string) { flip(t, rec) }, 1, 1},
+		"previous-format record": {func(t *testing.T, _ *artifact.Cache, _, rec string) {
+			writeFile(t, rec, bytes.Replace(readFile(t, rec), []byte(artifact.FormatVersion), []byte("espa-5"), 1))
+		}, 1, 1},
+		"record naming an unknown image": {func(t *testing.T, c *artifact.Cache, _, rec string) {
+			key := strings.TrimSuffix(filepath.Base(rec), ".espa")
+			r, ok := c.Load(key)
+			if !ok || r.Image == "" {
+				t.Fatal("no linked program's record to rename the image of")
+			}
+			r.Image = strings.Repeat("f", 64)
+			if err := c.Store(key, r); err != nil {
+				t.Fatal(err)
+			}
+		}, 1, 1},
 	}
 	for name, d := range damages {
 		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {

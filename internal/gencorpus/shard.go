@@ -129,8 +129,14 @@ var binaryIdentity = artifact.BinaryIdentity
 // the entry compiles and analyzes through the cache.
 func (c *ShardedCorpus) examples(e corpus.Entry, tgt codegen.Target, hint artifact.IndexEntry) ([]core.Example, artifact.IndexEntry, error) {
 	if hint.IRKey != "" {
-		if rec, ok := c.Cache.Load(hint.IRKey); ok && len(rec.Vectors) == hint.Sites {
-			return core.ExamplesOf(rec.Vectors, rec.Profile), hint, nil
+		if rec, ok := c.Cache.Load(hint.IRKey); ok {
+			// The record of a linked program splices in the runtime library
+			// image the entry links, which this builds once per process
+			// without compiling a program; no image means a miss.
+			img, _ := corpus.LibraryImage(e.Language, tgt)
+			if vecs, ok := rec.VectorsFor(img); ok && len(vecs) == hint.Sites {
+				return core.ExamplesOf(vecs, rec.Profile), hint, nil
+			}
 		}
 	}
 	prog, err := e.Compile(tgt)

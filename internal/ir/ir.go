@@ -353,6 +353,35 @@ type Program struct {
 	Name    string
 	Funcs   []*Func
 	Globals []Global
+
+	// Image, when non-nil, marks a program linked against a runtime-library
+	// image: its last len(Image.Funcs) functions are unchanged copies of
+	// Image.Funcs, in order, and Image.Globals are copied among its
+	// globals. Analyses reuse the image's results for those functions, so
+	// any pass that rewrites a marked program's IR must set Image to nil
+	// first. The mark is not part of AppendCanonical.
+	Image *Image
+}
+
+// Image is a runtime library compiled once for one language and target
+// and linked, by copying, into many programs. It is read-only: linked
+// programs share it.
+type Image struct {
+	// ID names the image: the hex sha256 of its canonical encoding
+	// (AppendCanonical over its functions and globals), so equal IDs mean
+	// equal IR.
+	ID      string
+	Funcs   []*Func
+	Globals []Global
+}
+
+// Own returns the functions of p that are not copies of its image's: all
+// of them for an unmarked program.
+func (p *Program) Own() []*Func {
+	if p.Image == nil {
+		return p.Funcs
+	}
+	return p.Funcs[:len(p.Funcs)-len(p.Image.Funcs)]
 }
 
 // FuncByName returns the function with the given name, or nil.

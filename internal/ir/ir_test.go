@@ -344,6 +344,38 @@ func TestVerifyRequiresMain(t *testing.T) {
 	}
 }
 
+// TestVerifyMarkedProgram: a program marked with a library image checks
+// its own functions, against names that include the image's, and takes
+// the image's copies as checked when the image was built.
+func TestVerifyMarkedProgram(t *testing.T) {
+	lib := NewFuncBuilder("lib_f", LangC)
+	lib.Emit(Instr{Op: OpBne, A: R(1), Target: 99}) // a broken copy
+	lib.SetBlock(lib.NewBlock())
+	lib.Ret()
+	main := NewFuncBuilder("main", LangC)
+	main.Call("lib_f")
+	main.Ret()
+	img := &Image{ID: "img", Funcs: []*Func{lib.Func()}}
+	p := &Program{Name: "t", Funcs: []*Func{main.Func(), lib.Func()}, Image: img}
+	if got := p.Own(); len(got) != 1 || got[0].Name != "main" {
+		t.Fatalf("Own = %v, want [main]", got)
+	}
+	if err := p.Verify(); err != nil {
+		t.Fatalf("marked program rejected for its image's copy: %v", err)
+	}
+	p.Image = nil
+	if err := p.Verify(); err == nil {
+		t.Fatal("unmarked program with a broken function verified")
+	}
+	bad := NewFuncBuilder("main", LangC)
+	bad.Call("nope")
+	bad.Ret()
+	p = &Program{Name: "t", Funcs: []*Func{bad.Func(), lib.Func()}, Image: img}
+	if err := p.Verify(); err == nil || !strings.Contains(err.Error(), "func main") {
+		t.Fatalf("Verify = %v, want main's bad call", err)
+	}
+}
+
 func TestProgramQueries(t *testing.T) {
 	fn := buildDiamond(t)
 	fn.Name = "main"

@@ -13,6 +13,11 @@ import (
 //   - register operands are within the register file;
 //   - float/int register classes match the opcode where the ISA requires it.
 //
+// A program marked with a library image (Program.Image) checks only its own
+// functions against the whole program's names: the copies of the image's
+// functions were checked when the image was built, and names only added
+// since cannot make a check fail.
+//
 // It returns the first violation found, or nil.
 func (p *Program) Verify() error {
 	v := verifier{
@@ -25,7 +30,7 @@ func (p *Program) Verify() error {
 	for _, g := range p.Globals {
 		v.globals[g.Name] = true
 	}
-	for _, f := range p.Funcs {
+	for _, f := range p.Own() {
 		if err := v.verifyFunc(f); err != nil {
 			return fmt.Errorf("func %s: %w", f.Name, err)
 		}
