@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzGenCorpus -fuzztime=20s ./internal/interp
 	$(GO) test -run=NONE -fuzz=FuzzLink -fuzztime=20s ./internal/corpus
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=20s ./internal/artifact
+	$(GO) test -run=NONE -fuzz=FuzzDecodePack -fuzztime=20s ./internal/artifact
 	$(GO) test -run=NONE -fuzz=FuzzAnalysis -fuzztime=20s -fuzzminimizetime=5s ./internal/cfg
 
 check: build vet fmt-check test race gencorpus-check chaos cluster-chaos perfbench-check

@@ -10,8 +10,10 @@
 //	esptool train -gen 1000 -out model.json    # train on generated programs
 //
 // A killed `train -gen` resumes by rerunning the same command against the
-// same -cache-dir: finished analyses are artifact-cache hits, and the model
-// is bit-identical to an uninterrupted run's.
+// same -cache-dir: the programs analyze in shards of 64, each stored as one
+// pack of records once it finishes, so finished shards are artifact-cache
+// hits, the kill loses at most the shard in flight, and the model is
+// bit-identical to an uninterrupted run's.
 package main
 
 import (

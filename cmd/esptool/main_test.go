@@ -119,8 +119,16 @@ func TestTrainGenRerunBitIdentical(t *testing.T) {
 	if !bytes.Equal(models[0], models[1]) {
 		t.Error("the rerun against a warm cache wrote a different model")
 	}
-	if entries, _ := filepath.Glob(filepath.Join(cacheDir, "*.espa")); len(entries) != 12 {
-		t.Errorf("cache holds %d entries, want one per program (12)", len(entries))
+	// The 12 programs are one shard: one pack holds their records, one
+	// source-index entry lists them, and no program has a file of its own.
+	packs, _ := filepath.Glob(filepath.Join(cacheDir, "*.espa"))
+	index, _ := filepath.Glob(filepath.Join(cacheDir, "*.espi"))
+	all, _ := os.ReadDir(cacheDir)
+	if len(packs) != 1 || len(index) != 1 || len(all) != 2 {
+		t.Fatalf("cache holds %d .espa, %d .espi and %d files; want one pack and one index entry", len(packs), len(index), len(all))
+	}
+	if data, err := os.ReadFile(packs[0]); err != nil || !bytes.HasPrefix(data, []byte("ESPK")) {
+		t.Errorf("the one .espa file is not a pack (%v)", err)
 	}
 }
 

@@ -22,10 +22,15 @@
 // file under an entry's name, but the framing's checksum turns any such
 // file into a miss, so a torn entry is never accepted.
 //
-// Beside the records, dir/<index key>.espi files form a source index (see
-// index.go): framed the same way under the magic "ESPI", each maps a batch
-// of compile inputs to their records' keys, so a warm caller that starts
-// from source need not compile it. Index entries count toward SetMaxBytes
+// A batch of records analyzed together can instead be stored as one pack
+// (see pack.go), dir/<pack key>.espa under the magic "ESPK": a framed
+// header listing each record's key and frame length, then the records'
+// frames, each byte for byte the file above. A damaged or cut frame is a
+// miss for its record only, and a pack is evicted whole. Beside the
+// records, dir/<index key>.espi files form a source index (see index.go):
+// framed the same way under the magic "ESPI", each maps a batch of compile
+// inputs to their records' keys, so a warm caller that starts from source
+// need not compile it. Packs and index entries count toward SetMaxBytes
 // and are never served to peers.
 package artifact
 
@@ -275,11 +280,11 @@ func (c *Cache) Store(key string, rec *Record) error {
 	if err := faultinject.Fire(siteStore); err != nil {
 		return err
 	}
-	payload, err := encodeRecord(rec)
+	data, err := Frame(key, rec)
 	if err != nil {
 		return err
 	}
-	if err := c.writeAtomic(c.path(key), encodeFile(magic, key, payload)); err != nil {
+	if err := c.writeAtomic(c.path(key), data); err != nil {
 		return err
 	}
 	c.gc()

@@ -21,15 +21,15 @@ import (
 // the records its programs analyzed to, without compiling the sources or
 // rebuilding their sites. One index entry covers a batch of sources
 // analyzed together and lists, per source in order, the record key and
-// site count. The batch, not the source, is the unit because creating a
-// file is the dearest step of a store: an index file per program would
-// double the files a cold pass creates.
+// site count; the batch's records are stored as one pack, named by
+// PackKey over those keys. The batch, not the source, is the unit because
+// creating a file is the dearest step of a store.
 //
 // The records stay the source of truth: an index entry only says where to
 // look, and anything that does not check out (a missing or damaged entry,
-// an evicted or damaged record, a record with the wrong number of vectors)
-// sends that source down the full path, after which the caller rewrites
-// the entry.
+// an evicted pack, a damaged frame, a record with the wrong number of
+// vectors) sends that source down the full path, after which the caller
+// rewrites the pack and the entry.
 
 // Source is one compile input: everything besides the running binary that
 // determines the program a source compiles to and how it runs.

@@ -321,6 +321,18 @@ func (r *recordReader) count(minBytes int) int {
 	return int(n)
 }
 
+// lenPrefixed reads a uvarint length and that many bytes.
+func (r *recordReader) lenPrefixed() []byte {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return nil
+	}
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s
+}
+
 // mapCount reads a map count: present is false for a nil map.
 func (r *recordReader) mapCount(minBytes int) (n int, present bool) {
 	u := r.uvarint()

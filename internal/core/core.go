@@ -69,7 +69,12 @@ func AnalyzeCached(cache AnalysisCache, prog *ir.Program, lang ir.Language, runC
 	if cache == nil {
 		return Analyze(prog, lang, runCfg)
 	}
-	key := artifact.Key(prog, runCfg)
+	return AnalyzeCachedKey(cache, artifact.Key(prog, runCfg), prog, lang, runCfg)
+}
+
+// AnalyzeCachedKey is AnalyzeCached for a caller that already holds
+// artifact.Key(prog, runCfg), key, and a non-nil cache.
+func AnalyzeCachedKey(cache AnalysisCache, key string, prog *ir.Program, lang ir.Language, runCfg interp.Config) (*ProgramData, error) {
 	if rec, ok := cache.Load(key); ok {
 		if vecs, ok := rec.VectorsFor(prog.Image); ok {
 			ps := features.Collect(prog)

@@ -81,14 +81,52 @@ func indexPath(c *artifact.Cache, id []byte, entries []corpus.Entry) string {
 	return filepath.Join(c.Dir(), artifact.IndexKey(id, srcs)+".espi")
 }
 
-// recordPath is where a cache keeps e's record.
-func recordPath(t *testing.T, c *artifact.Cache, e corpus.Entry) string {
+// recordKeys returns the record keys of entries, compiling each.
+func recordKeys(t *testing.T, entries []corpus.Entry) []string {
 	t.Helper()
-	prog, err := e.Compile(codegen.Default)
-	if err != nil {
-		t.Fatal(err)
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		prog, err := e.Compile(codegen.Default)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = artifact.Key(prog, e.RunConfig())
 	}
-	return filepath.Join(c.Dir(), artifact.Key(prog, e.RunConfig())+".espa")
+	return keys
+}
+
+// packPath is where a cache keeps the pack of one shard of entries.
+func packPath(t *testing.T, c *artifact.Cache, entries []corpus.Entry) string {
+	t.Helper()
+	return filepath.Join(c.Dir(), artifact.PackKey(recordKeys(t, entries))+".espa")
+}
+
+// packFrames returns the offset in the pack file of each of the frames of
+// the shard of entries, the end of the last one, and the frames.
+func packFrames(t *testing.T, c *artifact.Cache, entries []corpus.Entry) (offsets []int, frames [][]byte) {
+	t.Helper()
+	keys := recordKeys(t, entries)
+	p, ok := c.LoadPack(artifact.PackKey(keys))
+	if !ok {
+		t.Fatal("no pack for the shard")
+	}
+	size := len(readFile(t, packPath(t, c, entries)))
+	frames = make([][]byte, len(keys))
+	var total int
+	for i, k := range keys {
+		_, f, ok := p.Record(i, k)
+		if !ok {
+			t.Fatalf("pack frame %d does not verify", i)
+		}
+		frames[i] = f
+		total += len(f)
+	}
+	off := size - total
+	for _, f := range frames {
+		offsets = append(offsets, off)
+		off += len(f)
+	}
+	return append(offsets, off), frames
 }
 
 func readFile(t *testing.T, path string) []byte {
@@ -149,18 +187,19 @@ func TestWarmExamplesDoNoWork(t *testing.T) {
 	}
 }
 
-// TestSourceIndexDamageIsMiss damages the index entry, or one program's
-// record, in each way a crash, an eviction, another binary or a bug could,
-// and requires the next pass to recompute what the damage touched — every
-// front end for a bad index entry, one program's for a bad record or site
-// count — overwrite the damage with the original bytes and return
+// TestSourceIndexDamageIsMiss damages the index entry, the shard's pack,
+// or one program's frame inside the pack, in each way a crash, an eviction,
+// another binary or a bug could, and requires the next pass to recompute
+// what the damage touched — every front end for a bad index entry, every
+// front end and run for an evicted pack, one program's for a bad frame or
+// site count — overwrite the damage with the original bytes and return
 // bit-identical examples; the pass after that is fully warm again.
 func TestSourceIndexDamageIsMiss(t *testing.T) {
 	entries := gencorpus.Spec{Seed: 17, N: 6}.Entries()
 	id := identity(t)
 	n := int64(len(entries))
 	type damage struct {
-		apply     func(t *testing.T, c *artifact.Cache, ix, rec string)
+		apply     func(t *testing.T, c *artifact.Cache, ix, pack string)
 		frontEnds int64 // programs that must compile and collect again
 		runs      int64 // interpreter runs the recompute needs
 	}
@@ -168,6 +207,14 @@ func TestSourceIndexDamageIsMiss(t *testing.T) {
 		b := readFile(t, path)
 		b[len(b)-3] ^= 0x20
 		writeFile(t, path, b)
+	}
+	// frame0 applies edit to the bytes of the first program's frame inside
+	// the pack.
+	frame0 := func(t *testing.T, c *artifact.Cache, pack string, edit func([]byte)) {
+		offsets, _ := packFrames(t, c, entries)
+		b := readFile(t, pack)
+		edit(b[offsets[0]:offsets[1]])
+		writeFile(t, pack, b)
 	}
 	damages := map[string]damage{
 		"truncated index": {func(t *testing.T, _ *artifact.Cache, ix, _ string) {
@@ -195,23 +242,33 @@ func TestSourceIndexDamageIsMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, 1, 0},
-		"evicted record": {func(t *testing.T, _ *artifact.Cache, _, rec string) {
-			if err := os.Remove(rec); err != nil {
+		"evicted pack": {func(t *testing.T, _ *artifact.Cache, _, pack string) {
+			if err := os.Remove(pack); err != nil {
 				t.Fatal(err)
 			}
+		}, n, n},
+		"corrupt record": {func(t *testing.T, c *artifact.Cache, _, pack string) {
+			frame0(t, c, pack, func(f []byte) { f[len(f)-3] ^= 0x20 })
 		}, 1, 1},
-		"corrupt record": {func(t *testing.T, _ *artifact.Cache, _, rec string) { flip(t, rec) }, 1, 1},
-		"previous-format record": {func(t *testing.T, _ *artifact.Cache, _, rec string) {
-			writeFile(t, rec, bytes.Replace(readFile(t, rec), []byte(artifact.FormatVersion), []byte("espa-5"), 1))
+		"previous-format record": {func(t *testing.T, c *artifact.Cache, _, pack string) {
+			frame0(t, c, pack, func(f []byte) {
+				copy(f[bytes.Index(f, []byte(artifact.FormatVersion)):], "espa-5")
+			})
 		}, 1, 1},
-		"record naming an unknown image": {func(t *testing.T, c *artifact.Cache, _, rec string) {
-			key := strings.TrimSuffix(filepath.Base(rec), ".espa")
-			r, ok := c.Load(key)
+		"record naming an unknown image": {func(t *testing.T, c *artifact.Cache, _, _ string) {
+			_, frames := packFrames(t, c, entries)
+			keys := recordKeys(t, entries)
+			r, ok := artifact.DecodeRecord(frames[0], keys[0])
 			if !ok || r.Image == "" {
 				t.Fatal("no linked program's record to rename the image of")
 			}
 			r.Image = strings.Repeat("f", 64)
-			if err := c.Store(key, r); err != nil {
+			f, err := artifact.Frame(keys[0], r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[0] = f
+			if err := c.StorePack(keys, frames); err != nil {
 				t.Fatal(err)
 			}
 		}, 1, 1},
@@ -221,10 +278,10 @@ func TestSourceIndexDamageIsMiss(t *testing.T) {
 			cache := openCache(t, t.TempDir())
 			src := &gencorpus.ShardedCorpus{Entries: entries, Cache: cache}
 			want := examplesOf(t, src)
-			ix, rec := indexPath(cache, id, entries), recordPath(t, cache, entries[0])
-			goodIx, goodRec := readFile(t, ix), readFile(t, rec)
+			ix, pack := indexPath(cache, id, entries), packPath(t, cache, entries)
+			goodIx, goodPack := readFile(t, ix), readFile(t, pack)
 
-			d.apply(t, cache, ix, rec)
+			d.apply(t, cache, ix, pack)
 			before := snapshot()
 			got := examplesOf(t, src)
 			w := before.since()
@@ -235,7 +292,7 @@ func TestSourceIndexDamageIsMiss(t *testing.T) {
 			if !sameExamples(got, want) {
 				t.Fatal("examples after the damage differ")
 			}
-			if !bytes.Equal(readFile(t, ix), goodIx) || !bytes.Equal(readFile(t, rec), goodRec) {
+			if !bytes.Equal(readFile(t, ix), goodIx) || !bytes.Equal(readFile(t, pack), goodPack) {
 				t.Fatal("the recompute did not overwrite the damage")
 			}
 
@@ -248,6 +305,133 @@ func TestSourceIndexDamageIsMiss(t *testing.T) {
 				t.Fatal("examples after the repair differ")
 			}
 		})
+	}
+}
+
+// TestTornPack cuts a shard's pack at every frame boundary, at one offset
+// inside each frame and inside its header, as a crash mid-write could. The
+// next pass must run the interpreter for exactly the records the cut
+// removed, return bit-identical examples and rewrite the pack byte for
+// byte; the pass after that does no work.
+func TestTornPack(t *testing.T) {
+	entries := gencorpus.Spec{Seed: 37, N: 5}.Entries()
+	n := int64(len(entries))
+	cache := openCache(t, t.TempDir())
+	src := &gencorpus.ShardedCorpus{Entries: entries, Cache: cache}
+	want := examplesOf(t, src)
+	pack := packPath(t, cache, entries)
+	good := readFile(t, pack)
+	offsets, _ := packFrames(t, cache, entries)
+	if offsets[len(entries)] != len(good) {
+		t.Fatalf("frames end at %d, pack is %d bytes", offsets[len(entries)], len(good))
+	}
+
+	type cut struct {
+		at   int
+		lost int64 // records the cut removes
+	}
+	cuts := []cut{{offsets[0] / 2, n}}
+	for i := range entries {
+		cuts = append(cuts, cut{offsets[i], n - int64(i)}, cut{(offsets[i] + offsets[i+1]) / 2, n - int64(i)})
+	}
+	for _, c := range cuts {
+		writeFile(t, pack, good[:c.at])
+		before := snapshot()
+		got := examplesOf(t, src)
+		if w := before.since(); w.runs != c.lost || w.collects != c.lost {
+			t.Errorf("pack cut at byte %d: %d runs and %d collections; want %d of each", c.at, w.runs, w.collects, c.lost)
+		}
+		if !sameExamples(got, want) {
+			t.Fatalf("pack cut at byte %d: examples differ", c.at)
+		}
+		if !bytes.Equal(readFile(t, pack), good) {
+			t.Fatalf("pack cut at byte %d: the pass did not rewrite it byte for byte", c.at)
+		}
+		before = snapshot()
+		examplesOf(t, src)
+		if w := before.since(); w != (work{}) {
+			t.Errorf("pack cut at byte %d: the pass after the repair did work: %+v", c.at, w)
+		}
+	}
+}
+
+// TestResumeAtShardGranularity is what a killed `esptool train -gen`
+// relies on: after a pass over the first two shards, a pass over the whole
+// corpus analyzes only the entries after them, and returns the examples of
+// an uninterrupted pass.
+func TestResumeAtShardGranularity(t *testing.T) {
+	const size = 4
+	entries := gencorpus.Spec{Seed: 41, N: 2*size + 3}.Entries()
+	want := examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries, Size: size, Cache: openCache(t, t.TempDir())})
+
+	cache := openCache(t, t.TempDir())
+	examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries[:2*size], Size: size, Cache: cache})
+	before := snapshot()
+	got := examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries, Size: size, Cache: cache})
+	rest := int64(len(entries) - 2*size)
+	if w := before.since(); w.runs != rest || w.collects != rest || w.compiles > rest {
+		t.Errorf("resumed pass: %d compiles, %d collections, %d runs; want %d of each", w.compiles, w.collects, w.runs, rest)
+	}
+	if !sameExamples(got, want) {
+		t.Fatal("resumed examples differ from an uninterrupted pass")
+	}
+}
+
+// TestPerRecordFilesStillHit: a cache holding one record file per program,
+// as core.AnalyzeCached stores them for serving and the study path, and as
+// caches written before packs hold them, serves a shard with no
+// interpreter run; the pass then stores the shard's pack, and the pass
+// after that does no work.
+func TestPerRecordFilesStillHit(t *testing.T) {
+	entries := gencorpus.Spec{Seed: 47, N: 5}.Entries()
+	cache := openCache(t, t.TempDir())
+	for _, e := range entries {
+		prog, err := e.Compile(codegen.Default)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.AnalyzeCached(cache, prog, e.Language, e.RunConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries})
+	src := &gencorpus.ShardedCorpus{Entries: entries, Cache: cache}
+	before := snapshot()
+	got := examplesOf(t, src)
+	if w := before.since(); w.runs != 0 {
+		t.Errorf("pass over per-record files ran the interpreter %d times; want none", w.runs)
+	}
+	if !sameExamples(got, want) {
+		t.Fatal("examples from per-record files differ")
+	}
+	readFile(t, packPath(t, cache, entries))
+	before = snapshot()
+	examplesOf(t, src)
+	if w := before.since(); w != (work{}) {
+		t.Errorf("pass after the pack was stored did work: %+v", w)
+	}
+}
+
+// TestColdPassFileCount: a cold pass creates two files per shard, its pack
+// and its index entry, and no file per program.
+func TestColdPassFileCount(t *testing.T) {
+	entries := gencorpus.Spec{Seed: 43, N: 10}.Entries()
+	for _, size := range []int{1, 3, 4, 10, 64} {
+		dir := t.TempDir()
+		examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries, Size: size, Cache: openCache(t, dir)})
+		shards := (len(entries) + size - 1) / size
+		packs, _ := filepath.Glob(filepath.Join(dir, "*.espa"))
+		index, _ := filepath.Glob(filepath.Join(dir, "*.espi"))
+		all, _ := os.ReadDir(dir)
+		if len(packs) != shards || len(index) != shards || len(all) != 2*shards {
+			t.Errorf("size %d: %d packs, %d index entries, %d files; want %d, %d and %d",
+				size, len(packs), len(index), len(all), shards, shards, 2*shards)
+		}
+		for _, p := range packs {
+			if !bytes.HasPrefix(readFile(t, p), []byte("ESPK")) {
+				t.Errorf("size %d: %s is not a pack", size, filepath.Base(p))
+			}
+		}
 	}
 }
 
@@ -279,7 +463,8 @@ func TestSourceIndexOtherBinary(t *testing.T) {
 
 // TestSourceIndexWorkersAndFaults: cold and warm passes at one worker and
 // at full width, and passes under injected cache load and store faults,
-// all return the examples of a clean cold pass.
+// all return the examples of a clean cold pass. The faulted passes use
+// two-program shards, so each pass stores several packs and index entries.
 func TestSourceIndexWorkersAndFaults(t *testing.T) {
 	entries := gencorpus.Spec{Seed: 23, N: 10}.Entries()
 	want := examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries, Cache: openCache(t, t.TempDir())})
@@ -301,7 +486,7 @@ func TestSourceIndexWorkersAndFaults(t *testing.T) {
 			faultinject.Rule{Site: "artifact.store", Kind: faultinject.Error, Rate: 0.3})
 		deactivate := faultinject.Activate(inj)
 		for pass := 0; pass < 3; pass++ {
-			if got := examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries, Cache: cache}); !sameExamples(got, want) {
+			if got := examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries, Size: 2, Cache: cache}); !sameExamples(got, want) {
 				deactivate()
 				t.Fatalf("seed %d pass %d under faults: examples differ", seed, pass)
 			}
@@ -311,7 +496,7 @@ func TestSourceIndexWorkersAndFaults(t *testing.T) {
 			t.Errorf("seed %d: faults fired %d loads, %d stores; want both", seed,
 				inj.Fired("artifact.load"), inj.Fired("artifact.store"))
 		}
-		if got := examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries, Cache: cache}); !sameExamples(got, want) {
+		if got := examplesOf(t, &gencorpus.ShardedCorpus{Entries: entries, Size: 2, Cache: cache}); !sameExamples(got, want) {
 			t.Fatalf("seed %d: examples differ after the faults stop", seed)
 		}
 	}

@@ -7,37 +7,44 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/ir"
 	"repro/internal/par"
 )
 
 // ShardedCorpus feeds a corpus through the standard analysis pipeline —
 // Entry.Compile, then the cached profile/featurize path — on a worker pool,
-// so a model can train on thousands of generated programs. Examples returns
-// the whole corpus's training examples; Load returns one fixed-size shard's.
+// so a model can train on thousands of generated programs. Load returns one
+// fixed-size shard's training examples; Examples loads every shard in turn
+// and returns the whole corpus's.
 //
-// With a Cache, a warm pass reads one source-index entry and then one
-// record per program: the index entry, keyed by artifact.IndexKey over the
-// analyzed entries' names, languages, sources, target and run configs and
-// the running binary's identity, names each program's record and site
-// count, and the examples are built from the record alone — no compile, no
-// site collection, no interpreter run. An entry whose hint does not check
-// out (no index entry, a damaged one, an evicted or damaged record, a
-// record of the wrong site count) takes the full path, which stores its
-// record, and after the pass the index entry is rewritten if it no longer
-// lists what the entries found. Each call to
-// Load or Examples is one index entry. When the running binary cannot be
-// read, the index is off and every entry takes the full path.
+// With a Cache, the shard is the unit of caching: a shard's records live in
+// one artifact pack, and one source-index entry, keyed by
+// artifact.IndexKey over the shard's names, languages, sources, target and
+// run configs and the running binary's identity, lists each program's
+// record key and site count. A cold shard creates those two files; a warm
+// shard reads them and builds the examples from the records alone — no
+// compile, no site collection, no interpreter run. An entry whose hint does
+// not check out (a damaged or evicted pack frame, a record of the wrong
+// site count) takes the full path. Without a usable index entry (none, a
+// damaged one, another binary's, or the index off because the running
+// binary cannot be read) every entry of the shard compiles and keys first,
+// and the pack those keys name still serves each record it holds; a record
+// stored on its own by another caller serves too. After the shard, the
+// pack and the index entry are rewritten only if what the shard found
+// differs from what they held.
 //
 // Determinism: per-entry analysis is a pure function of (entry, target), and
 // although entries analyze in parallel, the returned examples are assembled
 // in entry order — so both methods are bit-identical across runs, worker
 // counts, and cache temperature. A killed training run resumes by running
-// again against the same Cache: finished analyses are cache hits.
+// again against the same Cache: every finished shard is a cache hit, so the
+// kill loses at most the shard in flight.
 type ShardedCorpus struct {
 	// Entries is the corpus in training order (e.g. Spec.Entries()).
 	Entries []corpus.Entry
 	// Size is the shard size in programs that Load partitions Entries by
-	// (default 64).
+	// (default 64). A shard is the unit of caching and of resume: its
+	// records are stored together once it finishes.
 	Size int
 	// Cache, when non-nil, backs analysis with the content-addressed
 	// artifact cache and its source index: a warm run compiles nothing,
@@ -61,10 +68,31 @@ func (c *ShardedCorpus) size() int {
 	return c.Size
 }
 
-// Examples compiles and analyzes every entry (in parallel, through the
-// artifact cache) and returns the pooled training examples in entry order.
+// Examples analyzes every shard in order, Load(0) through the last, and
+// returns the pooled training examples in entry order.
 func (c *ShardedCorpus) Examples() ([]core.Example, error) {
-	return c.analyze(c.Entries)
+	var shards [][]core.Example
+	for i := 0; i*c.size() < len(c.Entries); i++ {
+		ex, err := c.Load(i)
+		if err != nil {
+			return nil, err
+		}
+		shards = append(shards, ex)
+	}
+	return concat(shards), nil
+}
+
+// concat joins example slices into one of exactly their total length.
+func concat(parts [][]core.Example) []core.Example {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	out := make([]core.Example, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // Load compiles and analyzes every entry of shard i (in parallel, through
@@ -75,11 +103,21 @@ func (c *ShardedCorpus) Load(i int) ([]core.Example, error) {
 	return c.analyze(c.Entries[lo:min(lo+c.size(), len(c.Entries))])
 }
 
-// analyze runs entries on GOMAXPROCS workers (par.For) and concatenates
-// their examples in entry order. With a cache and a readable binary, the
-// entries' source index entry, when present, lets each entry skip its
-// front end; once all are done, the index entry is rewritten if what the
-// entries found differs from what it listed.
+// analyzed is what one entry of a shard contributes.
+type analyzed struct {
+	examples []core.Example
+	index    artifact.IndexEntry
+	// frame is the entry's record as a pack frame; packed says it is the
+	// loaded pack's own frame for the entry.
+	frame  []byte
+	packed bool
+}
+
+// analyze runs one shard's entries on GOMAXPROCS workers (par.For) and
+// concatenates their examples in entry order. With a cache, the shard's
+// index entry (when the binary is readable) and pack serve what they can;
+// once all entries are done, the pack and then the index entry are
+// rewritten if what the entries found differs from what was read.
 func (c *ShardedCorpus) analyze(entries []corpus.Entry) ([]core.Example, error) {
 	tgt := c.target()
 	var ixKey string
@@ -93,73 +131,137 @@ func (c *ShardedCorpus) analyze(entries []corpus.Entry) ([]core.Example, error) 
 		ixKey = artifact.IndexKey(id, srcs)
 		hints, _ = c.Cache.LoadIndex(ixKey, len(entries))
 	}
-	perEntry := make([][]core.Example, len(entries))
-	index := make([]artifact.IndexEntry, len(entries))
+	progs := make([]*ir.Program, len(entries))
+	keys := make([]string, len(entries))
+	var pack *artifact.Pack
+	switch {
+	case hints != nil:
+		for j, h := range hints {
+			keys[j] = h.IRKey
+		}
+		pack, _ = c.Cache.LoadPack(artifact.PackKey(keys))
+	case c.Cache != nil:
+		// No index entry: the pack is named by the records' keys, so key
+		// every entry before looking it up.
+		err := par.For(0, len(entries), func(j int) error {
+			prog, err := entries[j].Compile(tgt)
+			progs[j], keys[j] = prog, artifact.Key(prog, entries[j].RunConfig())
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		pack, _ = c.Cache.LoadPack(artifact.PackKey(keys))
+	}
+
+	res := make([]analyzed, len(entries))
 	err := par.For(0, len(entries), func(j int) error {
 		var hint artifact.IndexEntry
 		if hints != nil {
 			hint = hints[j]
 		}
+		prog := progs[j]
+		progs[j] = nil
 		var err error
-		perEntry[j], index[j], err = c.examples(entries[j], tgt, hint)
+		res[j], err = c.entry(entries[j], tgt, j, hint, pack, prog, keys[j])
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []core.Example
-	for _, ex := range perEntry {
-		out = append(out, ex...)
+	rewrite, complete := false, true
+	examples := make([][]core.Example, len(res))
+	frames := make([][]byte, len(res))
+	index := make([]artifact.IndexEntry, len(res))
+	for j, r := range res {
+		examples[j] = r.examples
+		rewrite = rewrite || !r.packed
+		complete = complete && r.frame != nil
+		frames[j], index[j], keys[j] = r.frame, r.index, r.index.IRKey
+	}
+	// Best effort, like every cache store: a lost pack costs the next pass
+	// the shard's interpreter runs, a lost index entry its front ends.
+	if c.Cache != nil && rewrite && complete {
+		_ = c.Cache.StorePack(keys, frames)
 	}
 	if ixKey != "" && !slices.Equal(index, hints) {
-		// Best effort, like the records' own stores: a lost index entry
-		// costs only the next run's front ends.
 		_ = c.Cache.StoreIndex(ixKey, index)
 	}
-	return out, nil
+	return concat(examples), nil
 }
 
 // binaryIdentity is artifact.BinaryIdentity; tests substitute another
 // binary's.
 var binaryIdentity = artifact.BinaryIdentity
 
-// examples returns one entry's training examples and its index entry.
-// When the cache holds hint's record (a zero hint names none) with the
-// hinted site count, the examples come from that record alone; otherwise
-// the entry compiles and analyzes through the cache.
-func (c *ShardedCorpus) examples(e corpus.Entry, tgt codegen.Target, hint artifact.IndexEntry) ([]core.Example, artifact.IndexEntry, error) {
-	if hint.IRKey != "" {
-		if rec, ok := c.Cache.Load(hint.IRKey); ok {
-			// The record of a linked program splices in the runtime library
-			// image the entry links, which this builds once per process
-			// without compiling a program; no image means a miss.
-			img, _ := corpus.LibraryImage(e.Language, tgt)
-			if vecs, ok := rec.VectorsFor(img); ok && len(vecs) == hint.Sites {
-				return core.ExamplesOf(vecs, rec.Profile), hint, nil
-			}
+// entry analyzes entry j of a shard. When pack holds the record hint names
+// (a zero hint names none) with the hinted site count, the examples come
+// from that record alone. Otherwise the entry compiles, unless prog is
+// already its compiled program under key, and analyzes through the cache,
+// which serves the pack's frame for the entry first.
+func (c *ShardedCorpus) entry(e corpus.Entry, tgt codegen.Target, j int, hint artifact.IndexEntry, pack *artifact.Pack, prog *ir.Program, key string) (analyzed, error) {
+	if rec, frame, ok := pack.Record(j, hint.IRKey); ok {
+		// The record of a linked program splices in the runtime library
+		// image the entry links, which this builds once per process
+		// without compiling a program; no image means a miss.
+		img, _ := corpus.LibraryImage(e.Language, tgt)
+		if vecs, ok := rec.VectorsFor(img); ok && len(vecs) == hint.Sites {
+			return analyzed{core.ExamplesOf(vecs, rec.Profile), hint, frame, true}, nil
 		}
 	}
-	prog, err := e.Compile(tgt)
-	if err != nil {
-		return nil, artifact.IndexEntry{}, err
+	if prog == nil {
+		var err error
+		if prog, err = e.Compile(tgt); err != nil {
+			return analyzed{}, err
+		}
+		if c.Cache == nil {
+			pd, err := core.Analyze(prog, e.Language, e.RunConfig())
+			if err != nil {
+				return analyzed{}, err
+			}
+			return analyzed{examples: pd.Examples()}, nil
+		}
+		key = artifact.Key(prog, e.RunConfig())
 	}
-	kc := &keyedCache{Cache: c.Cache}
-	pd, err := core.AnalyzeCached(kc, prog, e.Language, e.RunConfig())
+	pc := &packCache{Cache: c.Cache, pack: pack, j: j}
+	pd, err := core.AnalyzeCachedKey(pc, key, prog, e.Language, e.RunConfig())
 	if err != nil {
-		return nil, artifact.IndexEntry{}, err
+		return analyzed{}, err
 	}
-	return pd.Examples(), artifact.IndexEntry{IRKey: kc.key, Sites: len(pd.Sites.Sites)}, nil
+	packed := pc.frame != nil
+	if !packed {
+		// Encoding fails only for a record Store would refuse too; the
+		// shard then keeps its old pack.
+		pc.frame, _ = artifact.Frame(key, pc.rec)
+	}
+	return analyzed{pd.Examples(), artifact.IndexEntry{IRKey: key, Sites: len(pd.Sites.Sites)}, pc.frame, packed}, nil
 }
 
-// keyedCache is a cache as core.AnalysisCache that remembers the record
-// key AnalyzeCached looks up, so indexing a program does not hash its IR a
-// second time.
-type keyedCache struct {
+// packCache is the core.AnalysisCache of entry j of a shard. It serves the
+// record from the shard's pack, falling back to a record file of its own
+// (an older cache's, or one another caller stored), and captures the
+// record AnalyzeCached would store instead of writing it: the shard stores
+// every record in its pack.
+type packCache struct {
 	*artifact.Cache
-	key string
+	pack *artifact.Pack
+	j    int
+
+	rec   *artifact.Record // the record the entry's analysis rests on
+	frame []byte           // rec's pack frame, when the pack served it
 }
 
-func (k *keyedCache) Load(key string) (*artifact.Record, bool) {
-	k.key = key
-	return k.Cache.Load(key)
+func (p *packCache) Load(key string) (*artifact.Record, bool) {
+	if rec, frame, ok := p.pack.Record(p.j, key); ok {
+		p.rec, p.frame = rec, frame
+		return rec, true
+	}
+	rec, ok := p.Cache.Load(key)
+	p.rec = rec
+	return rec, ok
+}
+
+func (p *packCache) Store(_ string, rec *artifact.Record) error {
+	p.rec, p.frame = rec, nil
+	return nil
 }
