@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check check bench bench-hot bench-pgo bench-hwsim race fuzz chaos cluster-chaos gencorpus-check perfbench-check
+.PHONY: all build test vet fmt-check fma-check check bench bench-hot bench-pgo bench-hwsim race fuzz chaos cluster-chaos gencorpus-check perfbench-check
 
 all: check
 
@@ -16,6 +16,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# fma-check fails on any fused multiply-add the compiler emits for arm64 in
+# the packages whose float results are pinned bit for bit (core, features,
+# interp, serve, stats, heuristics, pgo) or in their test binaries; see
+# scripts/fma-check.sh.
+fma-check:
+	GO=$(GO) sh scripts/fma-check.sh
 
 # race runs the data-race detector over the concurrent packages (the par.For
 # fan-out behind parallel analysis and cross-validation folds, the prediction
@@ -69,7 +76,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodePack -fuzztime=20s ./internal/artifact
 	$(GO) test -run=NONE -fuzz=FuzzAnalysis -fuzztime=20s -fuzzminimizetime=5s ./internal/cfg
 
-check: build vet fmt-check test race gencorpus-check chaos cluster-chaos perfbench-check
+check: build vet fmt-check fma-check test race gencorpus-check chaos cluster-chaos perfbench-check
 
 # bench runs the full benchmark suite (every table/figure plus the component
 # micro-benchmarks). Expect several minutes.

@@ -440,7 +440,7 @@ func BenchmarkESPPrediction(b *testing.B) {
 	held := data[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		heuristics.MissRate(held.Sites, held.Profile, pred)
+		heuristics.MissRate(held.Vectors, held.Evidence(), held.Profile, pred)
 	}
 }
 

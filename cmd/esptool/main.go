@@ -261,13 +261,13 @@ func cmdPredict(args []string) {
 	model := loadModel(*modelPath)
 	data := analyzeCorpus([]corpus.Entry{e}, cache())[0]
 	pred := &core.Predictor{Model: model}
-	miss := heuristics.MissRate(data.Sites, data.Profile, pred)
-	aphc := heuristics.MissRate(data.Sites, data.Profile, heuristics.NewAPHC())
+	miss := heuristics.MissRate(data.Vectors, data.Evidence(), data.Profile, pred)
+	aphc := heuristics.MissRate(data.Vectors, data.Evidence(), data.Profile, heuristics.NewAPHC())
 	fmt.Printf("%s: ESP miss %s%%  (APHC %s%%, BTFNT %s%%)\n", e.Name,
 		stats.Pct1(miss), stats.Pct1(aphc),
-		stats.Pct1(heuristics.MissRate(data.Sites, data.Profile, heuristics.BTFNT{})))
+		stats.Pct1(heuristics.MissRate(data.Vectors, data.Evidence(), data.Profile, heuristics.BTFNT{})))
 	if *verbose {
-		for _, o := range heuristics.Outcomes(data.Sites, data.Profile, pred) {
+		for _, o := range heuristics.Outcomes(data.Vectors, data.Evidence(), data.Profile, pred) {
 			if o.Executed == 0 {
 				continue
 			}
@@ -298,9 +298,9 @@ func cmdEval(args []string) {
 	t := stats.NewTable("Program", "BTFNT", "APHC", "Perfect")
 	for _, pd := range data {
 		t.Row(pd.Name,
-			stats.Pct(heuristics.MissRate(pd.Sites, pd.Profile, heuristics.BTFNT{})),
-			stats.Pct(heuristics.MissRate(pd.Sites, pd.Profile, heuristics.NewAPHC())),
-			stats.Pct(heuristics.MissRate(pd.Sites, pd.Profile, &heuristics.Perfect{Prof: pd.Profile})))
+			stats.Pct(heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, heuristics.BTFNT{})),
+			stats.Pct(heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, heuristics.NewAPHC())),
+			stats.Pct(heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, &heuristics.Perfect{Prof: pd.Profile})))
 	}
 	fmt.Print(t.String())
 }

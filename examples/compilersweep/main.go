@@ -43,12 +43,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		b := heuristics.BreakdownOf(pd.Sites, pd.Profile, aphc)
+		b := heuristics.BreakdownOf(pd.Vectors, pd.Evidence(), pd.Profile, aphc)
 		fmt.Printf("%-14s %10d %12d %11.1f%% %9.1f%% %9.1f%% %9.1f%%\n",
 			tgt.Name, pd.Profile.Insns, pd.Profile.StaticSites(),
 			100-b.PctNonLoop(), pd.Profile.PercentTaken(),
-			100*heuristics.MissRate(pd.Sites, pd.Profile, aphc),
-			100*heuristics.MissRate(pd.Sites, pd.Profile, &heuristics.Perfect{Prof: pd.Profile}))
+			100*heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, aphc),
+			100*heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, &heuristics.Perfect{Prof: pd.Profile}))
 	}
 	fmt.Println("\nGEM's unrolling cuts the loop-branch share; conditional moves remove")
 	fmt.Println("short branches (raising the loop share); the gcc-style layout changes")

@@ -44,7 +44,7 @@ func groupMiss(data []*core.ProgramData) [heuristics.NumHeuristics]float64 {
 	var sum [heuristics.NumHeuristics]float64
 	var n [heuristics.NumHeuristics]int
 	for _, pd := range data {
-		per := heuristics.PerHeuristic(pd.Sites, pd.Profile, heuristics.Config{})
+		per := heuristics.PerHeuristic(pd.Vectors, pd.Evidence(), pd.Profile)
 		for h := range per {
 			if per[h].CoverageFraction() >= 0.01 {
 				sum[h] += per[h].MissRate()

@@ -19,7 +19,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/features"
 	"repro/internal/heuristics"
 	"repro/internal/ir"
 )
@@ -67,22 +66,23 @@ func main() {
 	var espErr, dshcErr, uniformErr, total float64
 	fmt.Printf("static profile estimation for %q (hottest sites):\n", name)
 	fmt.Printf("%-24s %9s %8s %8s %8s\n", "branch", "executed", "actual", "ESP", "DSHC")
-	for i, s := range held.Sites.Sites {
-		c := held.Profile.Branches[s.Ref]
+	ev := held.Evidence()
+	for i, v := range held.Vectors {
+		c := held.Profile.Branches[v.Ref]
 		if c == nil || c.Executed == 0 {
 			continue
 		}
 		w := float64(c.Executed)
 		actual := c.TakenFraction()
-		esp := model.TakenProbability(features.Of(s))
-		dp, _ := dshc.TakenProbability(s)
+		esp := model.TakenProbability(v)
+		dp, _ := dshc.TakenProbability(&ev[i])
 		espErr += w * math.Abs(esp-actual)
 		dshcErr += w * math.Abs(dp-actual)
 		uniformErr += w * math.Abs(0.5-actual)
 		total += w
 		if c.Executed >= held.Profile.CondExec/20 {
 			fmt.Printf("%-24s %9d %8.2f %8.2f %8.2f\n",
-				held.Sites.Sites[i].Ref, c.Executed, actual, esp, dp)
+				v.Ref, c.Executed, actual, esp, dp)
 		}
 	}
 	fmt.Printf("\nexecution-weighted |p_estimated - p_actual|:\n")

@@ -58,13 +58,13 @@ func main() {
 		esp,
 		&heuristics.Perfect{Prof: held.Profile},
 	} {
-		miss := heuristics.MissRate(held.Sites, held.Profile, p)
+		miss := heuristics.MissRate(held.Vectors, held.Evidence(), held.Profile, p)
 		fmt.Printf("  %-12s %5.1f%%\n", p.Name(), 100*miss)
 	}
 
 	// 4. Inspect a few individual predictions.
 	fmt.Println("\nhottest branch sites:")
-	outcomes := heuristics.Outcomes(held.Sites, held.Profile, esp)
+	outcomes := heuristics.Outcomes(held.Vectors, held.Evidence(), held.Profile, esp)
 	for _, o := range outcomes {
 		if o.Executed < 5000 {
 			continue

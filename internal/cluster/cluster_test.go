@@ -79,7 +79,8 @@ func degradedReference(vecs []features.Vector) []float64 {
 	d := heuristics.NewDSHCBallLarus()
 	out := make([]float64, len(vecs))
 	for i := range vecs {
-		out[i], _ = d.TakenProbabilityFromVector(&vecs[i])
+		ev := heuristics.VectorApply(&vecs[i])
+		out[i], _ = d.TakenProbability(&ev)
 	}
 	return out
 }

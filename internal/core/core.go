@@ -9,9 +9,11 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/features"
+	"repro/internal/heuristics"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
@@ -26,6 +28,17 @@ type ProgramData struct {
 	Sites    *features.ProgramSites
 	Vectors  []features.Vector
 	Profile  *interp.Profile
+
+	evOnce   sync.Once
+	evidence []heuristics.Evidence
+}
+
+// Evidence returns the heuristic evidence of every site, in the order of
+// Vectors. It is computed from Sites on first use, once per program, and
+// is safe for concurrent use; analysis never computes it.
+func (pd *ProgramData) Evidence() []heuristics.Evidence {
+	pd.evOnce.Do(func() { pd.evidence = heuristics.EvidenceOf(pd.Sites) })
+	return pd.evidence
 }
 
 // Analyze runs a compiled program under the given interpreter configuration

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/codegen"
@@ -91,7 +92,7 @@ func TestTrainAndPredict(t *testing.T) {
 	// The model must beat a coin on its own training programs.
 	p := &Predictor{Model: model}
 	for _, pd := range train {
-		miss := heuristics.MissRate(pd.Sites, pd.Profile, p)
+		miss := heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, p)
 		if miss >= 0.5 {
 			t.Errorf("%s: training-set miss %.2f not better than random", pd.Name, miss)
 		}
@@ -112,7 +113,7 @@ func TestTreeClassifier(t *testing.T) {
 		t.Fatal("no tree built")
 	}
 	p := &Predictor{Model: model}
-	miss := heuristics.MissRate(train[0].Sites, train[0].Profile, p)
+	miss := heuristics.MissRate(train[0].Vectors, train[0].Evidence(), train[0].Profile, p)
 	if miss >= 0.5 {
 		t.Errorf("tree training-set miss %.2f", miss)
 	}
@@ -315,8 +316,8 @@ func TestPredictorAlwaysPredicts(t *testing.T) {
 	pd := analyzeSrc(t, "a", loopy, nil)
 	model := Train([]*ProgramData{pd}, Config{})
 	p := &Predictor{Model: model}
-	for _, s := range pd.Sites.Sites {
-		if _, ok := p.PredictSite(s); !ok {
+	for i := range pd.Vectors {
+		if _, ok := p.Predict(&pd.Vectors[i], &pd.Evidence()[i]); !ok {
 			t.Fatal("ESP must predict every branch")
 		}
 	}
@@ -414,6 +415,28 @@ func TestFoldModelIsTrainModel(t *testing.T) {
 				t.Errorf("cfg %+v fold %d: %d epochs, Train ran %d",
 					cfg, k, fold.Model.TrainStats.Epochs, want.TrainStats.Epochs)
 			}
+		}
+	}
+}
+
+// TestEvidenceOnceUnderConcurrency: goroutines asking for a program's
+// evidence at once all get the one slice, equal to a fresh EvidenceOf.
+func TestEvidenceOnceUnderConcurrency(t *testing.T) {
+	pd := analyzeSrc(t, "a", loopy, nil)
+	got := make([][]heuristics.Evidence, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = pd.Evidence()
+		}()
+	}
+	wg.Wait()
+	want := heuristics.EvidenceOf(pd.Sites)
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) || &got[i][0] != &got[0][0] {
+			t.Fatalf("goroutine %d: evidence differs or was computed twice", i)
 		}
 	}
 }

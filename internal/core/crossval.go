@@ -101,7 +101,7 @@ func crossValidateFold(corpus []*ProgramData, preps []preparedProgram, hold int,
 	}
 	model := trainMasked(masked, targets, weights, cfg, gate)
 	held := corpus[hold]
-	miss := heuristics.MissRate(held.Sites, held.Profile, &Predictor{Model: model})
+	miss := heuristics.MissRate(held.Vectors, held.Evidence(), held.Profile, &Predictor{Model: model})
 	return FoldResult{
 		Held:          held.Name,
 		MissRate:      miss,

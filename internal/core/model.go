@@ -318,10 +318,9 @@ func (p *Predictor) Name() string {
 	return "ESP(" + p.Model.Cfg.Classifier.String() + ")"
 }
 
-// PredictSite implements heuristics.Predictor.
-func (p *Predictor) PredictSite(s *features.Site) (heuristics.Prediction, bool) {
-	prob := p.Model.TakenProbability(features.Of(s))
-	if prob > 0.5 {
+// Predict implements heuristics.Predictor.
+func (p *Predictor) Predict(v *features.Vector, _ *heuristics.Evidence) (heuristics.Prediction, bool) {
+	if p.Model.TakenProbability(*v) > 0.5 {
 		return heuristics.Taken, true
 	}
 	return heuristics.NotTaken, true

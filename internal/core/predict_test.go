@@ -41,12 +41,12 @@ func denseOracle(m *Model, v features.Vector) float64 {
 			continue
 		}
 		for i := range h {
-			h[i] += n.W[j*n.Hidden+i] * xv
+			h[i] += float64(n.W[j*n.Hidden+i] * xv)
 		}
 	}
 	z := n.A
 	for i, hv := range h {
-		z += n.V[i] * math.Tanh(hv)
+		z += float64(n.V[i] * math.Tanh(hv))
 	}
 	return 0.5 * (math.Tanh(z) + 1)
 }

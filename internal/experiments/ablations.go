@@ -176,7 +176,7 @@ func AblationCallPolarity(ctx *Context) ([]AblationPoint, error) {
 		a.Cfg = cfg
 		var sum float64
 		for _, pd := range data {
-			sum += heuristics.MissRate(pd.Sites, pd.Profile, a)
+			sum += heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, a)
 		}
 		return sum / float64(len(data))
 	}
@@ -218,13 +218,13 @@ func APHCOrderSearch(ctx *Context) (*OrderSearchResult, error) {
 	progExec := make([]int64, len(data))
 	loopMiss := make([]int64, len(data))
 	for pi, pd := range data {
-		for _, s := range pd.Sites.Sites {
-			c := pd.Profile.Branches[s.Ref]
+		for i, ev := range pd.Evidence() {
+			c := pd.Profile.Branches[pd.Vectors[i].Ref]
 			if c == nil || c.Executed == 0 {
 				continue
 			}
 			progExec[pi] += c.Executed
-			if p := heuristics.Apply(heuristics.LoopBranch, s, heuristics.Config{}); p != heuristics.None {
+			if p := ev[heuristics.LoopBranch]; p != heuristics.None {
 				if p == heuristics.Taken {
 					loopMiss[pi] += c.Executed - c.Taken
 				} else {
@@ -234,8 +234,7 @@ func APHCOrderSearch(ctx *Context) (*OrderSearchResult, error) {
 			}
 			si := siteInfo{prog: pi, executed: c.Executed, taken: c.Taken}
 			for h := heuristics.Heuristic(1); h < heuristics.NumHeuristics; h++ {
-				pred := heuristics.Apply(h, s, heuristics.Config{})
-				switch pred {
+				switch ev[h] {
 				case heuristics.Taken:
 					si.missIf[h] = c.Executed - c.Taken
 				case heuristics.NotTaken:

@@ -42,7 +42,7 @@ func CorpusSize(ctx *Context, sizes []int, cfg core.Config) (*CorpusSizeResult, 
 		folds := ctx.looFolds(sub, cfg)
 		var am float64
 		for i := range sub {
-			am += heuristics.MissRate(sub[i].Sites, sub[i].Profile, aphc)
+			am += heuristics.MissRate(sub[i].Vectors, sub[i].Evidence(), sub[i].Profile, aphc)
 		}
 		res.Points = append(res.Points, CorpusSizePoint{
 			Programs: size,
@@ -164,8 +164,8 @@ func CorpusSizeGen(ctx *Context, sw GenSweep, cfg core.Config) (*CorpusSizeGenRe
 		for mi, m := range mixes {
 			var em, am float64
 			for _, pd := range evalData[mi] {
-				em += heuristics.MissRate(pd.Sites, pd.Profile, pred)
-				am += heuristics.MissRate(pd.Sites, pd.Profile, aphc)
+				em += heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, pred)
+				am += heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, aphc)
 			}
 			k := float64(len(evalData[mi]))
 			point.PerMix = append(point.PerMix, GenMixMiss{Mix: m.String(), ESP: em / k, APHC: am / k})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -692,5 +693,42 @@ func TestAPHCOrderSearch(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "best order") {
 		t.Error("render broken")
+	}
+}
+
+// TestFoldMissIsOverStoredVectors: each leave-one-out fold's MissRate is
+// its model's miss over the held-out program's stored vectors, the ones
+// the corpus trains on, bit for bit, with and without the correlation
+// features (which only whole-program extraction fills).
+func TestFoldMissIsOverStoredVectors(t *testing.T) {
+	ctx := ctxForTest(t)
+	for _, cfg := range []core.Config{{}, {IncludeCorrelationFeatures: true}} {
+		data, folds, err := ctx.studyFolds(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, held := range data {
+			var miss, total float64
+			for _, v := range held.Vectors {
+				c := held.Profile.Branches[v.Ref]
+				if c == nil || c.Executed == 0 {
+					continue
+				}
+				total += float64(c.Executed)
+				if folds[k].Model.TakenProbability(v) > 0.5 {
+					miss += float64(c.Executed - c.Taken)
+				} else {
+					miss += float64(c.Taken)
+				}
+			}
+			want := 0.0
+			if total > 0 {
+				want = miss / total
+			}
+			if math.Float64bits(folds[k].MissRate) != math.Float64bits(want) {
+				t.Errorf("correlation features %v, %s held out: fold miss %v, its model's miss over the stored vectors %v",
+					cfg.IncludeCorrelationFeatures, held.Name, folds[k].MissRate, want)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/features"
+	"repro/internal/heuristics"
 	"repro/internal/hwsim"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -173,7 +174,8 @@ func matrixIndex(pred, seed string) int {
 // table (predictor state is sized by site count) and fans every branch
 // event out to all counters. It implements interp.TraceSink.
 type hwsimSink struct {
-	sites    *features.ProgramSites
+	vecs     []features.Vector
+	evidence []heuristics.Evidence
 	srcs     []pgo.ProbSource // HwsimSeeds order; nil = unseeded
 	counters []*hwsim.Counter // matrix order; built in BeginTrace
 }
@@ -183,7 +185,7 @@ func (s *hwsimSink) BeginTrace(refs []ir.BranchRef) {
 	hintSets := make([][]bool, len(s.srcs))
 	for i, src := range s.srcs {
 		if src != nil {
-			hintSets[i] = hwsim.Hints(src, s.sites, refs)
+			hintSets[i] = hwsim.Hints(src, s.vecs, s.evidence, refs)
 		}
 	}
 	builders := []func(h []bool) hwsim.Predictor{
@@ -217,8 +219,10 @@ func hwsimProgram(e corpus.Entry, model *core.Model) ([]*hwsim.Counter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profile run: %w", err)
 	}
+	ps := features.Collect(prog)
 	sink := &hwsimSink{
-		sites: features.Collect(prog),
+		vecs:     features.ExtractAll(ps),
+		evidence: heuristics.EvidenceOf(ps),
 		srcs: []pgo.ProbSource{
 			nil, // unseeded
 			hwsim.BTFNT{},

@@ -39,15 +39,16 @@ func ProfileEstimation(ctx *Context, cfg core.Config) (*ProfileEstimationResult,
 	for k, held := range data {
 		model := folds[k].Model
 		var espErr, dshcErr, uniErr, total float64
-		for i, s := range held.Sites.Sites {
-			c := held.Profile.Branches[s.Ref]
+		ev := held.Evidence()
+		for i := range held.Vectors {
+			c := held.Profile.Branches[held.Vectors[i].Ref]
 			if c == nil || c.Executed == 0 {
 				continue
 			}
 			w := float64(c.Executed)
 			actual := c.TakenFraction()
 			esp := model.TakenProbability(held.Vectors[i])
-			dp, _ := dshc.TakenProbability(s)
+			dp, _ := dshc.TakenProbability(&ev[i])
 			espErr += w * math.Abs(esp-actual)
 			dshcErr += w * math.Abs(dp-actual)
 			uniErr += w * math.Abs(0.5-actual)

@@ -33,12 +33,12 @@ func SchemeStudy(ctx *Context) (*SchemeStudyResult, error) {
 		return nil, err
 	}
 	res := &SchemeStudyResult{APHCMiss: make(map[string]float64)}
-	res.SchemeMiss, _ = perProgramHeuristicAvg(scheme, heuristics.Config{})
-	res.CMiss, _ = perProgramHeuristicAvg(cGroup, heuristics.Config{})
+	res.SchemeMiss, _ = perProgramHeuristicAvg(scheme)
+	res.CMiss, _ = perProgramHeuristicAvg(cGroup)
 	aphc := heuristics.NewAPHC()
 	for _, pd := range scheme {
 		res.Programs = append(res.Programs, pd.Name)
-		res.APHCMiss[pd.Name] = heuristics.MissRate(pd.Sites, pd.Profile, aphc)
+		res.APHCMiss[pd.Name] = heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, aphc)
 	}
 	return res, nil
 }

@@ -34,10 +34,10 @@ type Table4Result struct {
 }
 
 // MeasuredHeuristicMiss aggregates per-heuristic miss rates over a corpus.
-func MeasuredHeuristicMiss(data []*core.ProgramData, cfg heuristics.Config) [heuristics.NumHeuristics]float64 {
+func MeasuredHeuristicMiss(data []*core.ProgramData) [heuristics.NumHeuristics]float64 {
 	var cov, missed [heuristics.NumHeuristics]int64
 	for _, pd := range data {
-		per := heuristics.PerHeuristic(pd.Sites, pd.Profile, cfg)
+		per := heuristics.PerHeuristic(pd.Vectors, pd.Evidence(), pd.Profile)
 		for h := range per {
 			cov[h] += per[h].Covered
 			missed[h] += per[h].Missed
@@ -64,7 +64,7 @@ func Table4(ctx *Context, espCfg core.Config) (*Table4Result, error) {
 		return nil, err
 	}
 	res := &Table4Result{SuiteAvg: make(map[corpus.Suite]Table4Row)}
-	res.MeasuredMiss = MeasuredHeuristicMiss(data, heuristics.Config{})
+	res.MeasuredMiss = MeasuredHeuristicMiss(data)
 
 	// ESP: leave-one-out within the C and Fortran groups.
 	_, folds, err := ctx.studyFolds(espCfg)
@@ -84,12 +84,12 @@ func Table4(ctx *Context, espCfg core.Config) (*Table4Result, error) {
 		row := Table4Row{
 			Program:  pd.Name,
 			Suite:    entries[i].Suite,
-			BTFNT:    heuristics.MissRate(pd.Sites, pd.Profile, heuristics.BTFNT{}),
-			APHC:     heuristics.MissRate(pd.Sites, pd.Profile, aphc),
-			DSHCBL:   heuristics.MissRate(pd.Sites, pd.Profile, dshcBL),
-			DSHCOurs: heuristics.MissRate(pd.Sites, pd.Profile, dshcOurs),
+			BTFNT:    heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, heuristics.BTFNT{}),
+			APHC:     heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, aphc),
+			DSHCBL:   heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, dshcBL),
+			DSHCOurs: heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, dshcOurs),
 			ESP:      espMiss[pd.Name],
-			Perfect:  heuristics.MissRate(pd.Sites, pd.Profile, &heuristics.Perfect{Prof: pd.Profile}),
+			Perfect:  heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, &heuristics.Perfect{Prof: pd.Profile}),
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -33,7 +33,7 @@ func Table5(ctx *Context) (*Table5Result, error) {
 		res.Rows = append(res.Rows, Table5Row{
 			Program: pd.Name,
 			Suite:   entries[i].Suite,
-			B:       heuristics.BreakdownOf(pd.Sites, pd.Profile, aphc),
+			B:       heuristics.BreakdownOf(pd.Vectors, pd.Evidence(), pd.Profile, aphc),
 		})
 	}
 	return res, nil

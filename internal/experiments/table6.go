@@ -32,10 +32,10 @@ type Table6Result struct {
 // applies to at least 1% of that program's executed branches — the
 // inclusion rule of the paper's Table 6. The second result is the mean
 // coverage fraction per heuristic.
-func perProgramHeuristicAvg(data []*core.ProgramData, cfg heuristics.Config) (miss, cov [heuristics.NumHeuristics]float64) {
+func perProgramHeuristicAvg(data []*core.ProgramData) (miss, cov [heuristics.NumHeuristics]float64) {
 	var n [heuristics.NumHeuristics]int
 	for _, pd := range data {
-		per := heuristics.PerHeuristic(pd.Sites, pd.Profile, cfg)
+		per := heuristics.PerHeuristic(pd.Vectors, pd.Evidence(), pd.Profile)
 		for h := range per {
 			cov[h] += per[h].CoverageFraction()
 			if per[h].CoverageFraction() >= 0.01 {
@@ -74,10 +74,10 @@ func Table6(ctx *Context) (*Table6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.OursC, _ = perProgramHeuristicAvg(cData, heuristics.Config{})
-	res.OursFortran, _ = perProgramHeuristicAvg(fData, heuristics.Config{})
-	res.OursOverall, res.OverallCov = perProgramHeuristicAvg(all, heuristics.Config{})
-	res.OursMIPSTgt, res.MIPSTgtCov = perProgramHeuristicAvg(mipsAll, heuristics.Config{})
+	res.OursC, _ = perProgramHeuristicAvg(cData)
+	res.OursFortran, _ = perProgramHeuristicAvg(fData)
+	res.OursOverall, res.OverallCov = perProgramHeuristicAvg(all)
+	res.OursMIPSTgt, res.MIPSTgtCov = perProgramHeuristicAvg(mipsAll)
 	return res, nil
 }
 

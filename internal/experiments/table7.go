@@ -44,11 +44,11 @@ func Table7(ctx *Context) (*Table7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := heuristics.BreakdownOf(pd.Sites, pd.Profile, aphc)
+		b := heuristics.BreakdownOf(pd.Vectors, pd.Evidence(), pd.Profile, aphc)
 		res.Rows = append(res.Rows, Table7Row{
 			Compiler:        tgt.Name,
 			B:               b,
-			Perfect:         heuristics.MissRate(pd.Sites, pd.Profile, &heuristics.Perfect{Prof: pd.Profile}),
+			Perfect:         heuristics.MissRate(pd.Vectors, pd.Evidence(), pd.Profile, &heuristics.Perfect{Prof: pd.Profile}),
 			Insns:           pd.Profile.Insns,
 			PctLoopBranches: 100 - b.PctNonLoop(),
 		})

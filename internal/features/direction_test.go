@@ -39,13 +39,14 @@ func TestSelfLoopIsBackward(t *testing.T) {
 	if s.TakenIdx != s.BlockIdx || !s.Backward() {
 		t.Fatalf("site taken=%d block=%d Backward=%v, want a backward self-loop", s.TakenIdx, s.BlockIdx, s.Backward())
 	}
-	if got := features.Of(s).Values[features.FBrDirection]; got != "B" {
+	v, ev := &features.ExtractAll(ps)[0], &heuristics.EvidenceOf(ps)[0]
+	if got := v.Values[features.FBrDirection]; got != "B" {
 		t.Errorf("feature 2 = %q, want B", got)
 	}
-	if p, ok := (heuristics.BTFNT{}).PredictSite(s); !ok || p != heuristics.Taken {
+	if p, ok := (heuristics.BTFNT{}).Predict(v, ev); !ok || p != heuristics.Taken {
 		t.Errorf("heuristics.BTFNT = %v, %v; want taken", p, ok)
 	}
-	if p := (hwsim.BTFNT{}).Prob(s); p != 1 {
+	if p := (hwsim.BTFNT{}).Prob(v, ev); p != 1 {
 		t.Errorf("hwsim.BTFNT probability = %v, want 1", p)
 	}
 

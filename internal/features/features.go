@@ -50,7 +50,7 @@ const (
 	// this branch's source locations, and whether a *dominating* branch
 	// does — a dominating test of the same variable is the strongest static
 	// signal that two branches resolve together. They need whole-program
-	// context, so Of alone leaves them Unknown; ExtractAll fills them. Like
+	// context, so of alone leaves them Unknown; ExtractAll fills them. Like
 	// FLibraryProc they are excluded from the model by default
 	// (core.Config.IncludeCorrelationFeatures opts in), and an
 	// always-Unknown or masked feature contributes zero encoder columns, so
@@ -120,8 +120,8 @@ func FromValues(vals []string) (Vector, error) {
 	return v, nil
 }
 
-// Of extracts the Table 2 feature vector for a branch site.
-func Of(s *Site) Vector {
+// of extracts the Table 2 feature vector for a branch site.
+func of(s *Site) Vector {
 	v := Vector{Ref: s.Ref}
 	g := s.G
 
@@ -275,7 +275,7 @@ func ExtractAll(ps *ProgramSites) []Vector {
 		}
 		fnSites := ps.Sites[start:end]
 		for _, s := range fnSites {
-			v := Of(s)
+			v := of(s)
 			fillCorrelation(&v, s, fnSites)
 			out = append(out, v)
 		}

@@ -53,7 +53,7 @@ int main() {
 	}
 	var backSite *Site
 	for _, s := range sites {
-		v := Of(s)
+		v := of(s)
 		if v.Values[FTakenSuccBackedge] == "LB" {
 			backSite = s
 			if v.Values[FBrDirection] != "B" {
@@ -78,18 +78,18 @@ int main() { return leafFn(3) + selfFn(2); }`)
 	leaf := siteIn(ps, "leafFn")[0]
 	self := siteIn(ps, "selfFn")[0]
 	mainS := siteIn(ps, "main")
-	if v := Of(leaf); v.Values[FProcedureType] != "Leaf" {
+	if v := of(leaf); v.Values[FProcedureType] != "Leaf" {
 		t.Errorf("leafFn type = %s", v.Values[FProcedureType])
 	}
-	if v := Of(self); v.Values[FProcedureType] != "CallSelf" {
+	if v := of(self); v.Values[FProcedureType] != "CallSelf" {
 		t.Errorf("selfFn type = %s", v.Values[FProcedureType])
 	}
 	if len(mainS) > 0 {
-		if v := Of(mainS[0]); v.Values[FProcedureType] != "NonLeaf" {
+		if v := of(mainS[0]); v.Values[FProcedureType] != "NonLeaf" {
 			t.Errorf("main type = %s", v.Values[FProcedureType])
 		}
 	}
-	if v := Of(leaf); v.Values[FLanguage] != "C" {
+	if v := of(leaf); v.Values[FLanguage] != "C" {
 		t.Errorf("language = %s", v.Values[FLanguage])
 	}
 }
@@ -147,7 +147,7 @@ int main() {
 }`)
 	ps := Collect(prog)
 	s := siteIn(ps, "main")[0]
-	v := Of(s)
+	v := of(s)
 	// The branch skips the call: its fall-through contains the call and its
 	// taken side (the join) does not lead to one unconditionally... the
 	// then-block falls into the join, so taken side reaches no call.
@@ -313,7 +313,7 @@ int main() {
 	if len(s.SourceLocs) == 0 {
 		t.Fatal("branch has no source locations")
 	}
-	v := Of(s)
+	v := of(s)
 	// The then-block (fall-through) reads x first.
 	if v.Values[FNotTakenSuccUseDef] != "UBD" {
 		t.Errorf("use-before-def feature = %s, want UBD", v.Values[FNotTakenSuccUseDef])

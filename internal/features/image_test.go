@@ -65,9 +65,6 @@ func sameAnalysis(t *testing.T, name string, prog *ir.Program) *features.Program
 			s.Cond != w.Cond || s.ProcType != w.ProcType || !slices.Equal(s.SourceLocs, w.SourceLocs) {
 			t.Fatalf("%s: site %s differs from the full path's:\n got %+v\nwant %+v", name, s.Ref, *s, *w)
 		}
-		if got.Site(s.Ref) != s {
-			t.Fatalf("%s: Site(%s) does not return the site", name, s.Ref)
-		}
 	}
 	if !slices.Equal(gotVecs, wantVecs) {
 		t.Fatalf("%s: vectors differ from the full path's", name)
@@ -173,9 +170,10 @@ func TestSharedLibraryPointerFactsTakeFullPath(t *testing.T) {
 		t.Fatal("lib_same has no branch site")
 	}
 	ref := ps.Sites[i].Ref
-	if c := ps.Site(ref).Cond; !c.LeftPtr || !c.RightPtr || alone.Site(ref).Cond != (features.CondInfo{Kind: c.Kind}) {
+	linked, unlinked := siteOf(ps, ref), siteOf(alone, ref)
+	if c := linked.Cond; !c.LeftPtr || !c.RightPtr || unlinked.Cond != (features.CondInfo{Kind: c.Kind}) {
 		t.Fatalf("lib_same's comparison: linked %+v, image alone %+v; want pointers only when linked",
-			c, alone.Site(ref).Cond)
+			c, unlinked.Cond)
 	}
 
 	// The runtime library too: a program handing lib_checksum a global
@@ -232,4 +230,14 @@ func TestOptimizeLayoutDropsImage(t *testing.T) {
 	if artifact.Key(prog, cfgZero) == artifact.Key(&marked, cfgZero) {
 		t.Fatal("laid-out program keys like the marked original")
 	}
+}
+
+// siteOf returns ps's site for ref, or nil.
+func siteOf(ps *features.ProgramSites, ref ir.BranchRef) *features.Site {
+	for _, s := range ps.Sites {
+		if s.Ref == ref {
+			return s
+		}
+	}
+	return nil
 }

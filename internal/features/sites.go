@@ -138,7 +138,6 @@ type ProgramSites struct {
 	Graphs map[string]*cfg.Graph
 	Ptrs   map[string]*cfg.PointerInfo
 	Sites  []*Site
-	byRef  map[ir.BranchRef]*Site
 
 	// shared lists, in site order, the functions whose sites were copied
 	// from the program's library image, with the image's vectors for
@@ -269,15 +268,8 @@ func collect(prog *ir.Program, img *imageSites) *ProgramSites {
 	for i := range slab {
 		ps.Sites[i] = &slab[i]
 	}
-	ps.byRef = make(map[ir.BranchRef]*Site, len(ps.Sites))
-	for _, s := range ps.Sites {
-		ps.byRef[s.Ref] = s
-	}
 	return ps
 }
-
-// Site returns the site for a branch reference, or nil.
-func (ps *ProgramSites) Site(ref ir.BranchRef) *Site { return ps.byRef[ref] }
 
 // procedureType classifies the function: Leaf (no calls), CallSelf
 // (recursive), or NonLeaf — feature 8 of Table 2.

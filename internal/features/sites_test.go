@@ -31,9 +31,6 @@ func TestCollectOrdersSites(t *testing.T) {
 			t.Fatalf("%s: %d sites, want %d", e.Name, len(ps.Sites), want)
 		}
 		for i, s := range ps.Sites {
-			if ps.Site(s.Ref) != s {
-				t.Fatalf("%s: Site(%v) does not return the site", e.Name, s.Ref)
-			}
 			if s.G.Block(s.BlockIdx).ID != s.Ref.Block || s.Fn.Name != s.Ref.Func {
 				t.Fatalf("%s: site %v points at %s block %d", e.Name, s.Ref, s.Fn.Name, s.G.Block(s.BlockIdx).ID)
 			}

@@ -6,12 +6,13 @@ import (
 )
 
 // Predictor is any static branch predictor: it predicts a direction for a
-// branch site or declines (ok == false), in which case evaluation charges
-// the expected 50% miss rate of a uniform random prediction, exactly as the
-// paper treats uncovered branches.
+// branch site from the site's feature vector and heuristic evidence, or
+// declines (ok == false), in which case evaluation charges the expected
+// 50% miss rate of a uniform random prediction, exactly as the paper
+// treats uncovered branches.
 type Predictor interface {
 	Name() string
-	PredictSite(s *features.Site) (pred Prediction, ok bool)
+	Predict(v *features.Vector, ev *Evidence) (pred Prediction, ok bool)
 }
 
 // --- BTFNT -------------------------------------------------------------------
@@ -23,9 +24,9 @@ type BTFNT struct{}
 // Name implements Predictor.
 func (BTFNT) Name() string { return "BTFNT" }
 
-// PredictSite implements Predictor.
-func (BTFNT) PredictSite(s *features.Site) (Prediction, bool) {
-	if s.Backward() {
+// Predict implements Predictor.
+func (BTFNT) Predict(v *features.Vector, _ *Evidence) (Prediction, bool) {
+	if v.Values[features.FBrDirection] == "B" {
 		return Taken, true
 	}
 	return NotTaken, true
@@ -54,20 +55,20 @@ func NewAPHC() *APHC { return &APHC{Order: DefaultOrder} }
 // Name implements Predictor.
 func (a *APHC) Name() string { return "APHC" }
 
-// PredictSite implements Predictor.
-func (a *APHC) PredictSite(s *features.Site) (Prediction, bool) {
-	p, _, ok := a.PredictWith(s)
+// Predict implements Predictor.
+func (a *APHC) Predict(_ *features.Vector, ev *Evidence) (Prediction, bool) {
+	p, _, ok := a.PredictWith(ev)
 	return p, ok
 }
 
 // PredictWith additionally reports which heuristic fired.
-func (a *APHC) PredictWith(s *features.Site) (Prediction, Heuristic, bool) {
+func (a *APHC) PredictWith(ev *Evidence) (Prediction, Heuristic, bool) {
 	order := a.Order
 	if order == nil {
 		order = DefaultOrder
 	}
 	for _, h := range order {
-		if p := Apply(h, s, a.Cfg); p != None {
+		if p := a.Cfg.verdict(h, ev[h]); p != None {
 			return p, h, true
 		}
 	}
@@ -87,7 +88,6 @@ func (a *APHC) PredictWith(s *features.Site) (Prediction, Heuristic, bool) {
 type DSHC struct {
 	Name_ string
 	Prob  [NumHeuristics]float64 // probability the heuristic's prediction is correct
-	Cfg   Config
 }
 
 // BallLarusMIPSMiss holds the per-heuristic miss rates Ball and Larus report
@@ -145,11 +145,10 @@ func (d *DSHC) Name() string {
 
 // TakenProbability returns the Dempster-Shafer combined probability that the
 // branch is taken, and whether any heuristic applied.
-func (d *DSHC) TakenProbability(s *features.Site) (float64, bool) {
+func (d *DSHC) TakenProbability(ev *Evidence) (float64, bool) {
 	pTaken, pNot := 1.0, 1.0
 	applied := false
-	for h := Heuristic(0); h < NumHeuristics; h++ {
-		pred := Apply(h, s, d.Cfg)
+	for h, pred := range ev {
 		if pred == None {
 			continue
 		}
@@ -173,9 +172,9 @@ func (d *DSHC) TakenProbability(s *features.Site) (float64, bool) {
 	return pTaken / den, true
 }
 
-// PredictSite implements Predictor.
-func (d *DSHC) PredictSite(s *features.Site) (Prediction, bool) {
-	p, ok := d.TakenProbability(s)
+// Predict implements Predictor.
+func (d *DSHC) Predict(_ *features.Vector, ev *Evidence) (Prediction, bool) {
+	p, ok := d.TakenProbability(ev)
 	if !ok {
 		return None, false
 	}
@@ -200,9 +199,9 @@ type Perfect struct {
 // Name implements Predictor.
 func (p *Perfect) Name() string { return "Perfect" }
 
-// PredictSite implements Predictor.
-func (p *Perfect) PredictSite(s *features.Site) (Prediction, bool) {
-	c := p.Prof.Branches[s.Ref]
+// Predict implements Predictor.
+func (p *Perfect) Predict(v *features.Vector, _ *Evidence) (Prediction, bool) {
+	c := p.Prof.Branches[v.Ref]
 	if c == nil || c.Executed == 0 {
 		return NotTaken, true
 	}
@@ -223,7 +222,7 @@ type Fixed struct {
 // Name implements Predictor.
 func (f Fixed) Name() string { return "Fixed(" + f.Direction.String() + ")" }
 
-// PredictSite implements Predictor.
-func (f Fixed) PredictSite(*features.Site) (Prediction, bool) {
+// Predict implements Predictor.
+func (f Fixed) Predict(*features.Vector, *Evidence) (Prediction, bool) {
 	return f.Direction, true
 }

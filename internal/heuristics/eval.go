@@ -7,19 +7,20 @@ import (
 )
 
 // MissRate returns the dynamic misprediction rate of a predictor over a
-// program: mispredicted branch executions divided by total conditional
+// program, given its sites' vectors and evidence in site order and its
+// profile: mispredicted branch executions divided by total conditional
 // branch executions. Branches the predictor declines are charged the
 // expected 50% miss of a uniform random prediction, matching the paper's
 // treatment of branches no heuristic covers.
-func MissRate(ps *features.ProgramSites, prof *interp.Profile, p Predictor) float64 {
+func MissRate(vecs []features.Vector, ev []Evidence, prof *interp.Profile, p Predictor) float64 {
 	var miss, total float64
-	for _, s := range ps.Sites {
-		c := prof.Branches[s.Ref]
+	for i := range vecs {
+		c := prof.Branches[vecs[i].Ref]
 		if c == nil || c.Executed == 0 {
 			continue
 		}
 		total += float64(c.Executed)
-		miss += siteMisses(s, c, p)
+		miss += siteMisses(&vecs[i], &ev[i], c, p)
 	}
 	if total == 0 {
 		return 0
@@ -29,8 +30,8 @@ func MissRate(ps *features.ProgramSites, prof *interp.Profile, p Predictor) floa
 
 // siteMisses returns the (possibly fractional, for random defaults) number
 // of mispredicted executions of one branch site.
-func siteMisses(s *features.Site, c *interp.BranchCount, p Predictor) float64 {
-	pred, ok := p.PredictSite(s)
+func siteMisses(v *features.Vector, ev *Evidence, c *interp.BranchCount, p Predictor) float64 {
+	pred, ok := p.Predict(v, ev)
 	if !ok || pred == None {
 		return 0.5 * float64(c.Executed)
 	}
@@ -72,21 +73,20 @@ func (h HeuristicStats) CoverageFraction() float64 {
 // data behind Table 6. Following Ball and Larus, the Loop Branch heuristic
 // is measured on loop branches and the other heuristics on the remaining
 // (non-loop) branches only.
-func PerHeuristic(ps *features.ProgramSites, prof *interp.Profile, cfg Config) [NumHeuristics]HeuristicStats {
+func PerHeuristic(vecs []features.Vector, ev []Evidence, prof *interp.Profile) [NumHeuristics]HeuristicStats {
 	var out [NumHeuristics]HeuristicStats
 	var total int64
-	for _, s := range ps.Sites {
-		c := prof.Branches[s.Ref]
+	for i := range vecs {
+		c := prof.Branches[vecs[i].Ref]
 		if c == nil || c.Executed == 0 {
 			continue
 		}
 		total += c.Executed
-		isLoop := IsLoopBranch(s)
-		for h := Heuristic(0); h < NumHeuristics; h++ {
-			if (h == LoopBranch) != isLoop {
+		isLoop := ev[i][LoopBranch] != None
+		for h, pred := range ev[i] {
+			if (h == int(LoopBranch)) != isLoop {
 				continue
 			}
-			pred := Apply(h, s, cfg)
 			if pred == None {
 				continue
 			}
@@ -162,7 +162,7 @@ func (b Breakdown) MissWithDefault() float64 {
 	if b.NonLoopExec == 0 {
 		return 0
 	}
-	return (float64(b.CoveredMissed) + 0.5*float64(b.NonLoopExec-b.Covered)) /
+	return (float64(b.CoveredMissed) + float64(0.5*float64(b.NonLoopExec-b.Covered))) /
 		float64(b.NonLoopExec)
 }
 
@@ -173,26 +173,26 @@ func (b Breakdown) OverallMissRate() float64 {
 		return 0
 	}
 	miss := float64(b.LoopMissed) + float64(b.CoveredMissed) +
-		0.5*float64(b.NonLoopExec-b.Covered)
+		float64(0.5*float64(b.NonLoopExec-b.Covered))
 	return miss / float64(total)
 }
 
 // BreakdownOf computes the Table 5 decomposition for one program under the
 // given APHC order.
-func BreakdownOf(ps *features.ProgramSites, prof *interp.Profile, a *APHC) Breakdown {
+func BreakdownOf(vecs []features.Vector, ev []Evidence, prof *interp.Profile, a *APHC) Breakdown {
 	var b Breakdown
-	for _, s := range ps.Sites {
-		c := prof.Branches[s.Ref]
+	for i := range vecs {
+		c := prof.Branches[vecs[i].Ref]
 		if c == nil || c.Executed == 0 {
 			continue
 		}
-		if pred := applyLoopBranch(s); pred != None {
+		if pred := ev[i][LoopBranch]; pred != None {
 			b.LoopExec += c.Executed
 			b.LoopMissed += missesOf(pred, c)
 			continue
 		}
 		b.NonLoopExec += c.Executed
-		pred, _, ok := a.PredictWith(s)
+		pred, _, ok := a.PredictWith(&ev[i])
 		if !ok {
 			continue
 		}
@@ -220,16 +220,16 @@ type SiteOutcome struct {
 }
 
 // Outcomes evaluates a predictor site by site.
-func Outcomes(ps *features.ProgramSites, prof *interp.Profile, p Predictor) []SiteOutcome {
-	out := make([]SiteOutcome, 0, len(ps.Sites))
-	for _, s := range ps.Sites {
-		c := prof.Branches[s.Ref]
+func Outcomes(vecs []features.Vector, ev []Evidence, prof *interp.Profile, p Predictor) []SiteOutcome {
+	out := make([]SiteOutcome, 0, len(vecs))
+	for i := range vecs {
+		c := prof.Branches[vecs[i].Ref]
 		if c == nil {
 			c = &interp.BranchCount{}
 		}
-		pred, ok := p.PredictSite(s)
+		pred, ok := p.Predict(&vecs[i], &ev[i])
 		out = append(out, SiteOutcome{
-			Ref: s.Ref, Pred: pred, Covered: ok,
+			Ref: vecs[i].Ref, Pred: pred, Covered: ok,
 			Executed: c.Executed, Taken: c.Taken,
 		})
 	}

@@ -81,27 +81,54 @@ type Config struct {
 // Apply evaluates heuristic h on a branch site, returning Taken/NotTaken
 // when the heuristic applies and None otherwise.
 func Apply(h Heuristic, s *features.Site, cfg Config) Prediction {
+	var p Prediction
 	switch h {
 	case LoopBranch:
-		return applyLoopBranch(s)
+		p = applyLoopBranch(s)
 	case Pointer:
-		return applyPointer(s)
+		p = applyPointer(s)
 	case Opcode:
-		return applyOpcode(s)
+		p = applyOpcode(s)
 	case Guard:
-		return applyGuard(s)
+		p = applyGuard(s)
 	case LoopExit:
-		return applyLoopExit(s)
+		p = applyLoopExit(s)
 	case LoopHeader:
-		return applyLoopHeader(s)
+		p = applyLoopHeader(s)
 	case Call:
-		return applyCall(s, cfg)
+		p = applyCall(s)
 	case Store:
-		return applyStore(s)
+		p = applyStore(s)
 	case Return:
-		return applyReturn(s)
+		p = applyReturn(s)
 	}
-	return None
+	return cfg.verdict(h, p)
+}
+
+// verdict reads heuristic h's Config{} verdict p under c. This is the one
+// place a Config acts: CallPredictsTaken swaps the Call verdict's Taken
+// and NotTaken.
+func (c Config) verdict(h Heuristic, p Prediction) Prediction {
+	if h == Call && c.CallPredictsTaken && p != None {
+		return Taken + NotTaken - p
+	}
+	return p
+}
+
+// Evidence is one branch site's verdicts, indexed by Heuristic, under
+// Config{}: everything the heuristic predictors read of the site's CFG.
+type Evidence [NumHeuristics]Prediction
+
+// EvidenceOf evaluates every heuristic on every site of ps, in site order
+// (the order of features.ExtractAll).
+func EvidenceOf(ps *features.ProgramSites) []Evidence {
+	out := make([]Evidence, len(ps.Sites))
+	for i, s := range ps.Sites {
+		for h := range out[i] {
+			out[i][h] = Apply(Heuristic(h), s, Config{})
+		}
+	}
+	return out
 }
 
 // applyLoopBranch: "Predict that the edge back to the loop's head is taken
@@ -119,11 +146,6 @@ func applyLoopBranch(s *features.Site) Prediction {
 	}
 	return None
 }
-
-// IsLoopBranch reports whether the Loop Branch heuristic applies — the
-// paper's partition of dynamic branches into loop and non-loop branches
-// (Table 5).
-func IsLoopBranch(s *features.Site) bool { return applyLoopBranch(s) != None }
 
 // applyPointer: comparisons of a pointer against null or of two pointers
 // are predicted false.
@@ -224,19 +246,13 @@ func applyLoopHeader(s *features.Site) Prediction {
 // applyCall: a successor that contains a call and does not post-dominate the
 // branch is predicted not taken (Ball/Larus); Config.CallPredictsTaken flips
 // the polarity to the variant printed in this paper's Table 1.
-func applyCall(s *features.Site, cfg Config) Prediction {
+func applyCall(s *features.Site) Prediction {
 	g := s.G
-	predictAvoid := func(succTaken bool) Prediction {
-		if cfg.CallPredictsTaken == succTaken {
-			return Taken
-		}
+	if g.ReachesCallUncond(s.TakenIdx) && !g.PostDominates(s.TakenIdx, s.BlockIdx) {
 		return NotTaken
 	}
-	if g.ReachesCallUncond(s.TakenIdx) && !g.PostDominates(s.TakenIdx, s.BlockIdx) {
-		return predictAvoid(true)
-	}
 	if g.ReachesCallUncond(s.FallIdx) && !g.PostDominates(s.FallIdx, s.BlockIdx) {
-		return predictAvoid(false)
+		return Taken
 	}
 	return None
 }

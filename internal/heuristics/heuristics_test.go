@@ -289,8 +289,12 @@ int main() {
 	return s;
 }`)
 	var back, fwd int
-	for _, s := range sitesIn(ps, "main") {
-		p, ok := BTFNT{}.PredictSite(s)
+	vecs, ev := features.ExtractAll(ps), EvidenceOf(ps)
+	for i, s := range ps.Sites {
+		if s.Ref.Func != "main" {
+			continue
+		}
+		p, ok := BTFNT{}.Predict(&vecs[i], &ev[i])
 		if !ok {
 			t.Fatal("BTFNT must always predict")
 		}
@@ -328,14 +332,18 @@ int main() {
 	return g;
 }`)
 	a := NewAPHC()
-	for _, s := range sitesIn(ps, "main") {
-		pred, h, ok := a.PredictWith(s)
+	ev := EvidenceOf(ps)
+	for i, s := range ps.Sites {
+		if s.Ref.Func != "main" {
+			continue
+		}
+		pred, h, ok := a.PredictWith(&ev[i])
 		if !ok {
 			continue
 		}
 		// Loop branches must be claimed by the Loop Branch heuristic, never
 		// by later heuristics.
-		if IsLoopBranch(s) && h != LoopBranch {
+		if Apply(LoopBranch, s, Config{}) != None && h != LoopBranch {
 			t.Errorf("loop branch claimed by %v", h)
 		}
 		if pred == None {
@@ -369,8 +377,8 @@ func TestDSHCCombination(t *testing.T) {
 // combination with testing/quick: commutativity and boundedness.
 func TestDSHCProperties(t *testing.T) {
 	comb := func(a, b float64) float64 {
-		pt := a * b
-		pn := (1 - a) * (1 - b)
+		pt := float64(a * b)
+		pn := float64((1 - a) * (1 - b))
 		if pt+pn == 0 {
 			return 0.5
 		}
@@ -379,7 +387,7 @@ func TestDSHCProperties(t *testing.T) {
 	clamp := func(x float64) float64 {
 		x = math.Abs(x)
 		x = x - math.Floor(x) // (0,1)
-		return 0.01 + 0.98*x
+		return 0.01 + float64(0.98*x)
 	}
 	f := func(a, b, c float64) bool {
 		a, b, c = clamp(a), clamp(b), clamp(c)
@@ -431,11 +439,12 @@ int main() {
 		t.Fatal(err)
 	}
 	perfect := &Perfect{Prof: prof}
-	miss := MissRate(ps, prof, perfect)
+	vecs, ev := features.ExtractAll(ps), EvidenceOf(ps)
+	miss := MissRate(vecs, ev, prof, perfect)
 	// Perfect static prediction: per-branch miss = min(taken, not)/exec;
 	// no predictor can beat it.
 	for _, other := range []Predictor{BTFNT{}, NewAPHC(), NewDSHCBallLarus()} {
-		if m := MissRate(ps, prof, other); m < miss-1e-12 {
+		if m := MissRate(vecs, ev, prof, other); m < miss-1e-12 {
 			t.Errorf("%s (%.3f) beat perfect (%.3f)", other.Name(), m, miss)
 		}
 	}
@@ -455,8 +464,9 @@ int main() {
 		t.Fatal(err)
 	}
 	// Fixed taken vs fixed not-taken must sum to 1 over branch executions.
-	mt := MissRate(ps, prof, Fixed{Direction: Taken})
-	mn := MissRate(ps, prof, Fixed{Direction: NotTaken})
+	vecs, ev := features.ExtractAll(ps), EvidenceOf(ps)
+	mt := MissRate(vecs, ev, prof, Fixed{Direction: Taken})
+	mn := MissRate(vecs, ev, prof, Fixed{Direction: NotTaken})
 	if math.Abs(mt+mn-1) > 1e-12 {
 		t.Errorf("fixed-direction misses sum to %g, want 1", mt+mn)
 	}
@@ -478,7 +488,7 @@ int main() {
 		t.Fatal(err)
 	}
 	a := NewAPHC()
-	b := BreakdownOf(ps, prof, a)
+	b := BreakdownOf(features.ExtractAll(ps), EvidenceOf(ps), prof, a)
 	if b.LoopExec+b.NonLoopExec != prof.CondExec {
 		t.Errorf("breakdown misses executions: %d + %d != %d",
 			b.LoopExec, b.NonLoopExec, prof.CondExec)

@@ -2,12 +2,14 @@ package heuristics
 
 import "repro/internal/features"
 
-// This file evaluates the Ball/Larus heuristics directly on a Table 2
-// feature vector, without access to the program's CFG. It exists for the
-// serving stack's degraded mode: when the neural model path is unavailable
-// (inference failure, deadline, overload), espserve can still answer from
-// the same feature vectors it was going to feed the model, using the
-// heuristic tier the paper shows ESP only modestly beats (Tables 4-5).
+// This file builds a site's Evidence from a Table 2 feature vector alone,
+// without access to the program's CFG. The serving stack's degraded mode
+// needs it: when the neural model path is unavailable (inference failure,
+// deadline, overload), espserve answers from the feature vectors a client
+// sent or it extracted, through the same Dempster-Shafer combiner
+// (DSHC.TakenProbability) that scores the heuristic tier offline, the tier
+// the paper shows ESP only modestly beats (Tables 4-5). Offline, every
+// predictor reads the Evidence that EvidenceOf computes from the CFG.
 //
 // The Table 2 vector encodes most of what the heuristics inspect, but not
 // everything, so the vector forms fall into three classes:
@@ -30,12 +32,20 @@ import "repro/internal/features"
 // Everything here is a pure function of the vector, so degraded-mode
 // answers are deterministic and a test can recompute them offline.
 
-// VectorApply evaluates heuristic h on a Table 2 feature vector, returning
-// Taken/NotTaken when the heuristic's vector form applies and None
-// otherwise.
-func VectorApply(h Heuristic, v *features.Vector, cfg Config) Prediction {
+// VectorApply builds a site's Evidence from its Table 2 feature vector:
+// each heuristic's vector form under Config{}, None where it does not
+// apply.
+func VectorApply(v *features.Vector) Evidence {
+	var ev Evidence
+	for h := range ev {
+		ev[h] = vectorApply(Heuristic(h), v)
+	}
+	return ev
+}
+
+// vectorApply evaluates the vector form of heuristic h.
+func vectorApply(h Heuristic, v *features.Vector) Prediction {
 	val := func(i int) string { return v.Values[i] }
-	// Per-side helper: does the taken/not-taken successor carry flag f?
 	switch h {
 	case LoopBranch:
 		if val(features.FTakenSuccBackedge) == "LB" {
@@ -83,19 +93,13 @@ func VectorApply(h Heuristic, v *features.Vector, cfg Config) Prediction {
 			return NotTaken
 		}
 	case Call:
-		predictAvoid := func(succTaken bool) Prediction {
-			if cfg.CallPredictsTaken == succTaken {
-				return Taken
-			}
-			return NotTaken
-		}
 		if val(features.FTakenSuccCall) == "PC" &&
 			val(features.FTakenPostdominates) == "NPD" {
-			return predictAvoid(true)
+			return NotTaken
 		}
 		if val(features.FNotTakenSuccCall) == "PC" &&
 			val(features.FNotTakenPostdominates) == "NPD" {
-			return predictAvoid(false)
+			return Taken
 		}
 	case Return:
 		takenReturns := val(features.FTakenSuccEnds) == "RETURN"
@@ -109,50 +113,4 @@ func VectorApply(h Heuristic, v *features.Vector, cfg Config) Prediction {
 	}
 	// Pointer and Store: not recoverable from the vector.
 	return None
-}
-
-// TakenProbabilityFromVector combines the vector forms of the heuristics
-// with the Dempster-Shafer rule, mirroring TakenProbability but without CFG
-// access. The second result reports whether any heuristic applied.
-func (d *DSHC) TakenProbabilityFromVector(v *features.Vector) (float64, bool) {
-	pTaken, pNot := 1.0, 1.0
-	applied := false
-	for h := Heuristic(0); h < NumHeuristics; h++ {
-		pred := VectorApply(h, v, d.Cfg)
-		if pred == None {
-			continue
-		}
-		applied = true
-		p := d.Prob[h]
-		if pred == Taken {
-			pTaken *= p
-			pNot *= 1 - p
-		} else {
-			pTaken *= 1 - p
-			pNot *= p
-		}
-	}
-	if !applied {
-		return 0.5, false
-	}
-	den := pTaken + pNot
-	if den == 0 {
-		return 0.5, true
-	}
-	return pTaken / den, true
-}
-
-// PredictVector runs APHC's fixed-order first-match combination over the
-// vector forms of the heuristics, reporting which heuristic fired.
-func (a *APHC) PredictVector(v *features.Vector) (Prediction, Heuristic, bool) {
-	order := a.Order
-	if order == nil {
-		order = DefaultOrder
-	}
-	for _, h := range order {
-		if p := VectorApply(h, v, a.Cfg); p != None {
-			return p, h, true
-		}
-	}
-	return None, 0, false
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/corpus"
 	"repro/internal/features"
+	"repro/internal/heuristics"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/pgo"
@@ -180,11 +181,11 @@ func TestCorpusIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := features.Collect(prog)
+	ps := features.Collect(prog)
 
 	var mux Mux
 	perfect := &pgo.Measured{Prof: prof}
-	pre := &preMux{mux: &mux, sites: sites, perfect: perfect}
+	pre := &preMux{mux: &mux, vecs: features.ExtractAll(ps), evidence: heuristics.EvidenceOf(ps), perfect: perfect}
 	prof2, err := interp.RunTrace(prog, cfg, pre)
 	if err != nil {
 		t.Fatal(err)
@@ -206,13 +207,14 @@ func TestCorpusIntegration(t *testing.T) {
 // preMux defers predictor construction until BeginTrace delivers the site
 // table (predictor tables are sized by site count), then relays events.
 type preMux struct {
-	mux     *Mux
-	sites   *features.ProgramSites
-	perfect pgo.ProbSource
+	mux      *Mux
+	vecs     []features.Vector
+	evidence []heuristics.Evidence
+	perfect  pgo.ProbSource
 }
 
 func (p *preMux) BeginTrace(refs []ir.BranchRef) {
-	hints := Hints(p.perfect, p.sites, refs)
+	hints := Hints(p.perfect, p.vecs, p.evidence, refs)
 	p.mux.Counters = []*Counter{
 		NewCounter(NewTwoBit(len(refs), nil)),
 		NewCounter(NewTwoBit(len(refs), hints)),

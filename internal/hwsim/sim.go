@@ -2,6 +2,7 @@ package hwsim
 
 import (
 	"repro/internal/features"
+	"repro/internal/heuristics"
 	"repro/internal/ir"
 	"repro/internal/pgo"
 )
@@ -16,8 +17,8 @@ type BTFNT struct{}
 func (BTFNT) Name() string { return "btfnt" }
 
 // Prob implements pgo.ProbSource.
-func (BTFNT) Prob(s *features.Site) float64 {
-	if s.Backward() {
+func (BTFNT) Prob(v *features.Vector, _ *heuristics.Evidence) float64 {
+	if v.Values[features.FBrDirection] == "B" {
 		return 1
 	}
 	return 0
@@ -25,14 +26,19 @@ func (BTFNT) Prob(s *features.Site) float64 {
 
 // Hints derives one static hint bit per dense branch site: taken when the
 // source's probability estimate is at least 1/2. refs is the interpreter's
-// site table (TraceSink.BeginTrace order); sites the program's collected
-// branch sites. A site the collector cannot see (never happens for two-way
+// site table (TraceSink.BeginTrace order); vecs and ev are the feature
+// vectors and heuristic evidence of the program's collected branch sites,
+// in site order. A site the collector cannot see (never happens for two-way
 // conditional branches, but defended anyway) hints not-taken.
-func Hints(src pgo.ProbSource, sites *features.ProgramSites, refs []ir.BranchRef) []bool {
+func Hints(src pgo.ProbSource, vecs []features.Vector, ev []heuristics.Evidence, refs []ir.BranchRef) []bool {
+	at := make(map[ir.BranchRef]int, len(vecs))
+	for i := range vecs {
+		at[vecs[i].Ref] = i
+	}
 	hints := make([]bool, len(refs))
 	for i, ref := range refs {
-		if s := sites.Site(ref); s != nil {
-			hints[i] = src.Prob(s) >= 0.5
+		if k, ok := at[ref]; ok {
+			hints[i] = src.Prob(&vecs[k], &ev[k]) >= 0.5
 		}
 	}
 	return hints

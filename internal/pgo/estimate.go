@@ -4,6 +4,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/codegen"
 	"repro/internal/features"
+	"repro/internal/heuristics"
 	"repro/internal/ir"
 )
 
@@ -48,17 +49,18 @@ func (e *Estimate) Guidance() *codegen.EdgeGuidance {
 }
 
 // EstimateProfile propagates the source's branch probabilities to block
-// frequencies and function weights over the whole program. ps must be the
-// site collection of prog.
-func EstimateProfile(prog *ir.Program, ps *features.ProgramSites, src ProbSource) *Estimate {
+// frequencies and function weights over the whole program. vecs and ev
+// must be the feature vectors and heuristic evidence of prog's sites, in
+// site order.
+func EstimateProfile(prog *ir.Program, vecs []features.Vector, ev []heuristics.Evidence, src ProbSource) *Estimate {
 	est := &Estimate{
 		Source: src.Name(),
 		Prob:   make(map[ir.BranchRef]float64),
 		Local:  make(map[string]map[int]float64, len(prog.Funcs)),
 		Weight: make(map[string]float64, len(prog.Funcs)),
 	}
-	for _, s := range ps.Sites {
-		est.Prob[s.Ref] = clampProb(src.Prob(s))
+	for i := range vecs {
+		est.Prob[vecs[i].Ref] = clampProb(src.Prob(&vecs[i], &ev[i]))
 	}
 	// Per-invocation block frequencies, function by function.
 	graphs := make(map[string]*cfg.Graph, len(prog.Funcs))
@@ -108,7 +110,7 @@ func EstimateProfile(prog *ir.Program, ps *features.ProgramSites, src ProbSource
 				continue
 			}
 			for callee, f := range outs {
-				next[callee] += cw * f
+				next[callee] += float64(cw * f)
 			}
 		}
 		for k, v := range next {
@@ -208,7 +210,7 @@ func propagateFunc(g *cfg.Graph, est *Estimate) []float64 {
 				continue // back edge
 			}
 			if p, ok := edgeP[u][v]; ok {
-				f += freq[u] * p
+				f += float64(freq[u] * p)
 			}
 		}
 		freq[v] = f * mult[v]

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/features"
+	"repro/internal/heuristics"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
@@ -50,7 +51,7 @@ func TestEstimateMeasuredMatchesRealCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := EstimateProfile(prog, ps, &Measured{Prof: prof})
+	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), &Measured{Prof: prof})
 
 	if got := est.Weight["main"]; got != 1 {
 		t.Fatalf("main weight = %v, want 1", got)
@@ -76,7 +77,7 @@ func TestEstimateMeasuredMatchesRealCounts(t *testing.T) {
 
 func TestEstimateUniformBoundedAndComplete(t *testing.T) {
 	prog, ps := compileEst(t, estSrc)
-	est := EstimateProfile(prog, ps, Uniform{})
+	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), Uniform{})
 	if est.Source != "uniform" {
 		t.Fatalf("source = %q", est.Source)
 	}
@@ -116,7 +117,7 @@ int main() {
 }
 `
 	prog, ps := compileEst(t, src)
-	est := EstimateProfile(prog, ps, Uniform{})
+	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), Uniform{})
 	w := est.Weight["fib"]
 	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 		t.Fatalf("fib weight = %v", w)
@@ -155,7 +156,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := EstimateProfile(prog, ps, &Measured{Prof: prof})
+	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), &Measured{Prof: prof})
 	plan := BuildPlan(meta, est, DefaultOptions())
 
 	hotLoop := minic.Pos{Line: 6, Col: 2}

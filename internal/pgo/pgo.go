@@ -26,10 +26,10 @@ import (
 )
 
 // ProbSource predicts the taken-probability of one static conditional
-// branch site.
+// branch site from the site's feature vector and heuristic evidence.
 type ProbSource interface {
 	Name() string
-	Prob(s *features.Site) float64
+	Prob(v *features.Vector, ev *heuristics.Evidence) float64
 }
 
 // Uniform is the uninformed baseline: every branch 50/50.
@@ -39,7 +39,7 @@ type Uniform struct{}
 func (Uniform) Name() string { return "uniform" }
 
 // Prob implements ProbSource.
-func (Uniform) Prob(*features.Site) float64 { return 0.5 }
+func (Uniform) Prob(*features.Vector, *heuristics.Evidence) float64 { return 0.5 }
 
 // Heuristic predicts with the Ball/Larus heuristics combined under
 // Dempster-Shafer evidence (the paper's strongest non-learned baseline).
@@ -52,8 +52,8 @@ func NewHeuristic() *Heuristic { return &Heuristic{d: heuristics.NewDSHCBallLaru
 func (*Heuristic) Name() string { return "heuristic" }
 
 // Prob implements ProbSource.
-func (h *Heuristic) Prob(s *features.Site) float64 {
-	if p, ok := h.d.TakenProbability(s); ok {
+func (h *Heuristic) Prob(_ *features.Vector, ev *heuristics.Evidence) float64 {
+	if p, ok := h.d.TakenProbability(ev); ok {
 		return p
 	}
 	return 0.5
@@ -68,8 +68,8 @@ type Model struct{ M *core.Model }
 func (*Model) Name() string { return "esp" }
 
 // Prob implements ProbSource.
-func (m *Model) Prob(s *features.Site) float64 {
-	return m.M.TakenProbability(features.Of(s))
+func (m *Model) Prob(v *features.Vector, _ *heuristics.Evidence) float64 {
+	return m.M.TakenProbability(*v)
 }
 
 // Measured is the perfect-profile source: probabilities read from a real
@@ -81,8 +81,8 @@ type Measured struct{ Prof *interp.Profile }
 func (*Measured) Name() string { return "perfect" }
 
 // Prob implements ProbSource.
-func (m *Measured) Prob(s *features.Site) float64 {
-	if c := m.Prof.Branches[s.Ref]; c != nil && c.Executed > 0 {
+func (m *Measured) Prob(v *features.Vector, _ *heuristics.Evidence) float64 {
+	if c := m.Prof.Branches[v.Ref]; c != nil && c.Executed > 0 {
 		return c.TakenFraction()
 	}
 	return 0.5
@@ -91,19 +91,19 @@ func (m *Measured) Prob(s *features.Site) float64 {
 // SourceFactory builds a probability source for one compilation of a
 // program. The pipeline estimates twice — on the baseline IR (for gating
 // decisions) and on the gated optimized IR (for layout) — and static
-// sources ignore the arguments, while the perfect source must re-profile
+// sources ignore the program, while the perfect source must re-profile
 // the exact IR it is asked about.
-type SourceFactory func(prog *ir.Program, ps *features.ProgramSites) (ProbSource, error)
+type SourceFactory func(prog *ir.Program) (ProbSource, error)
 
 // Fixed adapts a static source (uniform, heuristic, ESP) as a factory.
 func Fixed(s ProbSource) SourceFactory {
-	return func(*ir.Program, *features.ProgramSites) (ProbSource, error) { return s, nil }
+	return func(*ir.Program) (ProbSource, error) { return s, nil }
 }
 
 // MeasuredFactory profiles each compilation under run and serves its
 // measured taken-fractions — the perfect-profile upper bound.
 func MeasuredFactory(run interp.Config) SourceFactory {
-	return func(prog *ir.Program, _ *features.ProgramSites) (ProbSource, error) {
+	return func(prog *ir.Program) (ProbSource, error) {
 		prof, err := interp.Run(prog, run)
 		if err != nil {
 			return nil, fmt.Errorf("pgo: perfect-profile run of %s: %w", prog.Name, err)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/features"
+	"repro/internal/heuristics"
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
@@ -110,23 +111,20 @@ func Optimize(ast *minic.Program, lang ir.Language, srcFor SourceFactory, opt Op
 	if err != nil {
 		return nil, fmt.Errorf("pgo: baseline compile: %w", err)
 	}
-	ps := features.Collect(base)
-	src, err := srcFor(base, ps)
+	est, err := estimate(base, srcFor)
 	if err != nil {
 		return nil, err
 	}
-	plan := BuildPlan(meta, EstimateProfile(base, ps, src), opt)
+	plan := BuildPlan(meta, est, opt)
 
 	prog, _, err := codegen.CompilePlanned(ast, lang, opt.Target, plan)
 	if err != nil {
 		return nil, fmt.Errorf("pgo: guided compile: %w", err)
 	}
-	ps2 := features.Collect(prog)
-	src2, err := srcFor(prog, ps2)
+	est2, err := estimate(prog, srcFor)
 	if err != nil {
 		return nil, err
 	}
-	est2 := EstimateProfile(prog, ps2, src2)
 	codegen.OptimizeLayout(prog, est2.Guidance(), codegen.LayoutOptions{
 		SplitCold: true,
 		ColdBelow: opt.ColdBelow,
@@ -135,6 +133,17 @@ func Optimize(ast *minic.Program, lang ir.Language, srcFor SourceFactory, opt Op
 		return nil, fmt.Errorf("pgo: layout produced invalid IR for %s: %w", prog.Name, err)
 	}
 	return prog, nil
+}
+
+// estimate builds prog's source and estimates prog's profile from it over
+// the vectors and evidence of prog's sites.
+func estimate(prog *ir.Program, srcFor SourceFactory) (*Estimate, error) {
+	src, err := srcFor(prog)
+	if err != nil {
+		return nil, err
+	}
+	ps := features.Collect(prog)
+	return EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), src), nil
 }
 
 // Unguided compiles ast with the same optimizing target but no guidance:

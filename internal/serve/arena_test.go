@@ -164,7 +164,7 @@ func randProbability(rng *rand.Rand) float64 {
 	case 0:
 		return []float64{0, 1, 0.5, 1e-6, 1e-4, math.Nextafter(1, 0), math.SmallestNonzeroFloat64}[rng.Intn(7)]
 	case 1: // the 'f' range where encoding/json writes 0.0000xxx
-		return 1e-6 + rng.Float64()*(1e-4-1e-6)
+		return 1e-6 + float64(rng.Float64()*(1e-4-1e-6))
 	case 2: // the 'e' range, e-7 through e-9
 		return rng.Float64() * 1e-6
 	case 3: // deep 'e' exponents
@@ -172,7 +172,7 @@ func randProbability(rng *rand.Rand) float64 {
 	case 4: // subnormals
 		return math.Float64frombits(rng.Uint64() & (1<<52 - 1))
 	case 5: // confidence 1-p near 1
-		return 1 - rng.Float64()*1e-5
+		return 1 - float64(rng.Float64()*1e-5)
 	default:
 		return rng.Float64()
 	}

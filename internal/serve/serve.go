@@ -577,13 +577,14 @@ func sourceKey(req *PredictRequest) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// fallbackProbabilities answers from the heuristic tier: the vector form of
-// the Dempster-Shafer combination over the Ball/Larus heuristics, a pure
-// function of each feature vector.
+// fallbackProbabilities answers from the heuristic tier: the Dempster-Shafer
+// combination of the Ball/Larus evidence read from each feature vector
+// (heuristics.VectorApply), a pure function of the vector.
 func (s *Server) fallbackProbabilities(vecs []features.Vector) []float64 {
 	probs := make([]float64, len(vecs))
 	for i := range vecs {
-		probs[i], _ = s.fallback.TakenProbabilityFromVector(&vecs[i])
+		ev := heuristics.VectorApply(&vecs[i])
+		probs[i], _ = s.fallback.TakenProbability(&ev)
 	}
 	return probs
 }
