@@ -19,19 +19,20 @@ fmt-check:
 
 # fma-check fails on any fused multiply-add the compiler emits for arm64 in
 # the packages whose float results are pinned bit for bit (core, features,
-# interp, serve, stats, heuristics, pgo) or in their test binaries; see
-# scripts/fma-check.sh.
+# interp, serve, stats, heuristics, pgo, dtree, obs, hwsim, mbr) or in their
+# test binaries; see scripts/fma-check.sh.
 fma-check:
 	GO=$(GO) sh scripts/fma-check.sh
 
 # race runs the data-race detector over the concurrent packages (the par.For
 # fan-out behind parallel analysis and cross-validation folds, the prediction
 # scratch pool, the espserve batching worker pool, concurrent artifact-cache
-# readers/writers, and concurrent links against the shared runtime-library
-# image). This target is the one definition of the race gate: CI and
-# scripts/check.sh call it.
+# readers/writers, concurrent links against the shared runtime-library
+# image, and the image's IR, graphs, sites and recorded pointer facts that
+# every linked program reads). This target is the one definition of the race
+# gate: CI and scripts/check.sh call it.
 race:
-	$(GO) test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve ./internal/faultinject ./internal/artifact ./internal/experiments ./internal/obs ./internal/gencorpus ./internal/cluster ./internal/pgo ./internal/hwsim ./internal/corpus ./internal/par
+	$(GO) test -race ./internal/core ./internal/neural ./internal/interp ./internal/serve ./internal/faultinject ./internal/artifact ./internal/experiments ./internal/obs ./internal/gencorpus ./internal/cluster ./internal/pgo ./internal/hwsim ./internal/corpus ./internal/par ./internal/features ./internal/codegen ./internal/cfg
 
 # gencorpus-check is the short generative soak CI runs on every push: the
 # generator property suite (~200 programs across the five mixes, each

@@ -489,6 +489,41 @@ func BenchmarkShardedCorpusWarm(b *testing.B) {
 	reportPerProgram(b, len(src.Entries))
 }
 
+// BenchmarkStudyWarm times the warm study pass perfbench reports as
+// analyze_warm_ms_per_program: for each of the 43 study programs in turn,
+// Entry.Compile (linked against the runtime library) and
+// core.AnalyzeCached from a filled cache, which keys, reads the record and
+// collects the program's sites.
+func BenchmarkStudyWarm(b *testing.B) {
+	cache, err := artifact.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := corpus.Study()
+	pass := func() {
+		for _, e := range entries {
+			prog, err := e.Compile(codegen.Default)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.AnalyzeCached(cache, prog, e.Language, e.RunConfig()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass()
+	runs := interp.TotalRuns()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	if interp.TotalRuns() != runs {
+		b.Fatal("a warm pass ran the interpreter")
+	}
+	reportPerProgram(b, len(entries))
+}
+
 // reportPerProgram reports the timed wall time per analyzed program.
 func reportPerProgram(b *testing.B, programs int) {
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*programs), "ms/program")

@@ -21,3 +21,22 @@ func PointerResult(pi *PointerInfo) (ptrAt [][]uint8, callArgs map[string]uint8,
 	}
 	return pi.ptrAt, callArgs, pi.returnsPtr
 }
+
+// PointerFacts exposes every result of a PointerInfo exactly: the operand
+// marks, the pointer-argument mask of each direct call in layout order,
+// and whether the function returns a pointer.
+func PointerFacts(pi *PointerInfo) (ptrAt [][]uint8, callArgs []uint8, returnsPtr bool) {
+	return pi.ptrAt, pi.callArgs, pi.returnsPtr
+}
+
+// Recorded reports whether pi is one of the results l recorded.
+func Recorded(l *LibraryPointers, pi *PointerInfo) bool {
+	for _, entries := range l.memo {
+		for _, e := range entries {
+			if e.pi == pi {
+				return true
+			}
+		}
+	}
+	return false
+}

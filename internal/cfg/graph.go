@@ -92,31 +92,12 @@ func New(fn *ir.Func) *Graph {
 
 // Freeze computes every lazy analysis of g (dominators, post-dominators
 // and loops). A frozen graph is never written again, so concurrent readers
-// and the graphs Rebase derives from it may share its analyses.
+// (every program linked against a library image reads the image's graphs)
+// may share it.
 func (g *Graph) Freeze() {
 	g.Idom()
 	g.Ipdom()
 	g.Loops()
-}
-
-// Rebase returns the graphs of fns, where fns[i] must be an unchanged copy
-// of gs[i].Fn and gs[i] must be frozen: graph i's blocks are fns[i]'s, and
-// its edges and analyses are gs[i]'s, shared.
-func Rebase(gs []*Graph, fns []*ir.Func) []Graph {
-	out := make([]Graph, len(gs))
-	n := 0
-	for _, fn := range fns {
-		n += len(fn.Blocks)
-	}
-	blocks := make([]*ir.Block, 0, n)
-	for i, g := range gs {
-		out[i] = *g
-		out[i].Fn = fns[i]
-		start := len(blocks)
-		blocks = append(blocks, fns[i].Blocks...)
-		out[i].Blocks = blocks[start:len(blocks):len(blocks)]
-	}
-	return out
 }
 
 // appendTarget appends the dense index of branch target id, taken from

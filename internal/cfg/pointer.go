@@ -55,7 +55,10 @@ func regBit(r ir.Reg) uint64 { return 1 << (r & (ir.NumRegs - 1)) }
 // compute runs the inference into pi. entryArgs is the mask of argument
 // registers (bit n for An) that carry pointers into the function; retPtr
 // reports, for the k-th direct call, whether its callee returns a pointer.
-// The result depends on nothing else.
+// It is a pure function of (pi's graph, entryArgs, the retPtr bits): every
+// pass rewrites every operand mark and call mask, so nothing pi held
+// before reaches the result. LibraryPointers relies on this to reuse a
+// recorded result.
 func (pi *PointerInfo) compute(entryArgs uint8, retPtr func(k int) bool) {
 	g := pi.g
 	pi.returnsPtr = false
@@ -182,6 +185,9 @@ func (pi *PointerInfo) OperandIsPointer(b, i, operand int) bool {
 // at every instruction: whether every OperandIsPointer query answers the
 // same on both.
 func (pi *PointerInfo) SameFacts(o *PointerInfo) bool {
+	if pi == o {
+		return true
+	}
 	if len(pi.ptrAt) != len(o.ptrAt) {
 		return false
 	}
@@ -207,21 +213,163 @@ func (pi *PointerInfo) SameFacts(o *PointerInfo) bool {
 // facts has changed since its last analysis; otherwise its result, and so
 // every fact it would merge, is the one it already has.
 func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*PointerInfo {
-	// One state per distinct function name with a graph.
+	return pointers(p.Funcs, graphs, nil, nil)
+}
+
+// LibraryPointers is the pointer inference of a runtime-library image's
+// functions analyzed as a program of their own, kept for the programs
+// linked against the image: each function's graph and resolved direct
+// callees, and every result the image-alone run computed, keyed by the
+// inputs it was computed from. A compute is a pure function of the graph,
+// the entry-argument mask and the callees' return bits (PointerInfo's
+// compute), so a linked program whose run reaches the same inputs for a
+// library function takes the recorded result instead of computing it.
+// A LibraryPointers is read-only once built and safe for concurrent use;
+// so are the recorded PointerInfos that linked runs share.
+type LibraryPointers struct {
+	graphs  []*Graph       // indexed like the image's functions
+	index   map[string]int // function name -> index
+	callees [][]int        // index of each direct call's callee, or -1
+	memo    [][]memoEntry  // every compute of each function, in run order
+	infos   map[string]*PointerInfo
+}
+
+// memoEntry is one recorded compute: its inputs and its result.
+type memoEntry struct {
+	args uint8
+	rets []uint64 // bit k: the callee of the k-th direct call returned a pointer
+	pi   *PointerInfo
+}
+
+// NewLibraryPointers runs ProgramPointers over fns, a library's functions
+// as a program of their own, with graphs holding each one's graph by name,
+// and records every compute it makes. Every function must have a graph
+// and a name of its own. Facts returns the run's result.
+func NewLibraryPointers(fns []*ir.Func, graphs map[string]*Graph) *LibraryPointers {
+	l := &LibraryPointers{
+		graphs: make([]*Graph, len(fns)),
+		index:  make(map[string]int, len(fns)),
+		memo:   make([][]memoEntry, len(fns)),
+	}
+	for k, f := range fns {
+		l.graphs[k] = graphs[f.Name]
+		l.index[f.Name] = k
+	}
+	l.infos = pointers(fns, graphs, nil, l)
+	return l
+}
+
+// Facts returns the pointer facts of the library's functions alone, by
+// name: what ProgramPointers returns for them.
+func (l *LibraryPointers) Facts() map[string]*PointerInfo { return l.infos }
+
+// Linked computes what ProgramPointers computes for p, a program linked
+// against l's library: p's last functions are the library's, in order,
+// whose graphs are l's, and p's own functions, with graphs by name in
+// graphs, share no name with them. Only the own functions' instructions
+// are walked to set the run up. A library function's compute whose inputs
+// equal a recorded one's takes that result, shared and never written;
+// any other compute writes into storage of this run's own.
+func (l *LibraryPointers) Linked(p *ir.Program, graphs map[string]*Graph) map[string]*PointerInfo {
+	return pointers(p.Funcs[:len(p.Funcs)-len(l.graphs)], graphs, l, nil)
+}
+
+// find returns base plus the index of l's function named name, or -1 if
+// l is nil or has no such function.
+func (l *LibraryPointers) find(name string, base int) int {
+	if l != nil {
+		if k, ok := l.index[name]; ok {
+			return base + k
+		}
+	}
+	return -1
+}
+
+// lookup returns the recorded result of library function k's compute
+// from entry-argument mask args and the return bits ret gives each direct
+// call, or nil.
+func (l *LibraryPointers) lookup(k int, args uint8, ret func(call int) bool) *PointerInfo {
+	for _, e := range l.memo[k] {
+		if e.args != args {
+			continue
+		}
+		same := true
+		for call := range l.callees[k] {
+			if (e.rets[call/64]>>(call%64)&1 != 0) != ret(call) {
+				same = false
+				break
+			}
+		}
+		if same {
+			return e.pi
+		}
+	}
+	return nil
+}
+
+// record appends a copy of pi, computed for library function k from args
+// and the return bits ret gives each direct call, to k's memo.
+func (l *LibraryPointers) record(k int, args uint8, ret func(call int) bool, pi *PointerInfo) {
+	calls := len(pi.callArgs)
+	rets := make([]uint64, (calls+63)/64)
+	for call := 0; call < calls; call++ {
+		if ret(call) {
+			rets[call/64] |= 1 << (call % 64)
+		}
+	}
+	cp := newPointerInfo(pi.g, calls)
+	for b, row := range pi.ptrAt {
+		copy(cp.ptrAt[b], row)
+	}
+	copy(cp.callArgs, pi.callArgs)
+	cp.returnsPtr = pi.returnsPtr
+	l.memo[k] = append(l.memo[k], memoEntry{args: args, rets: rets, pi: cp})
+}
+
+// newPointerInfo returns empty storage for g's facts with room for calls
+// direct calls.
+func newPointerInfo(g *Graph, calls int) *PointerInfo {
+	n := 0
+	for _, b := range g.Blocks {
+		n += len(b.Insns)
+	}
+	pi := &PointerInfo{g: g, ptrAt: make([][]uint8, g.N()), callArgs: make([]uint8, calls)}
+	marks := make([]uint8, n)
+	for b, blk := range g.Blocks {
+		k := len(blk.Insns)
+		pi.ptrAt[b], marks = marks[:k:k], marks[k:]
+	}
+	return pi
+}
+
+// pointers runs the inference of ProgramPointers over own, the functions
+// that have graphs in graphs, followed by lib's functions when lib is
+// non-nil (Linked), and returns the facts by function name. With rec
+// non-nil, own is rec's library: every compute is recorded into rec, with
+// the callees each function's calls resolve to, and the facts returned
+// are the last recorded results (NewLibraryPointers).
+func pointers(own []*ir.Func, graphs map[string]*Graph, lib, rec *LibraryPointers) map[string]*PointerInfo {
+	// One state per distinct function name with a graph; a library
+	// function k's state is nOwn+k.
 	type fnState struct {
-		pi      *PointerInfo
-		callees []int // state index of each direct call's callee, or -1
-		args    uint8 // argument registers some caller passes a pointer in
-		ret     bool  // the function returns a pointer
+		pi *PointerInfo
+		// callees holds each direct call's callee state, less base, or -1;
+		// a library function's list is the library's, relative to nOwn.
+		callees []int
+		base    int
+		lib     int          // library function index, or -1
+		store   *PointerInfo // the run's own storage for a library function
+		args    uint8        // argument registers some caller passes a pointer in
+		ret     bool         // the function returns a pointer
 		// Fact-change times on the clock below; doneAt is when pi was last
 		// computed, -1 before the first time.
 		argsAt, retAt, doneAt int
 	}
-	byName := make(map[string]int, len(p.Funcs))
-	var names []string                // state index -> function name
-	slot := make([]int, len(p.Funcs)) // p.Funcs index -> state index, or -1
+	byName := make(map[string]int, len(own))
+	var names []string            // own state index -> function name
+	slot := make([]int, len(own)) // own index -> state index, or -1
 	blocks, insns, calls := 0, 0, 0
-	for fi, f := range p.Funcs {
+	for fi, f := range own {
 		slot[fi] = -1
 		g := graphs[f.Name]
 		if g == nil {
@@ -244,9 +392,13 @@ func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*Pointe
 			}
 		}
 	}
-	// Every function's results are carved out of shared slabs.
-	states := make([]fnState, len(names))
-	pis := make([]PointerInfo, len(names))
+	nOwn, nLib := len(names), 0
+	if lib != nil {
+		nLib = len(lib.graphs)
+	}
+	// Every own function's results are carved out of shared slabs.
+	states := make([]fnState, nOwn+nLib)
+	pis := make([]PointerInfo, nOwn)
 	rows := make([][]uint8, blocks)
 	marks := make([]uint8, insns)
 	callArgs := make([]uint8, calls)
@@ -264,7 +416,7 @@ func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*Pointe
 				if in := &blk.Insns[i]; in.Op == ir.OpBsr {
 					c, ok := byName[in.Sym]
 					if !ok {
-						c = -1
+						c = lib.find(in.Sym, nOwn)
 					}
 					callees = append(callees, c)
 				}
@@ -272,7 +424,21 @@ func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*Pointe
 		}
 		n := len(callees) - start
 		pi.callArgs, callArgs = callArgs[:n:n], callArgs[n:]
-		states[si] = fnState{pi: pi, callees: callees[start:len(callees):len(callees)], doneAt: -1}
+		states[si] = fnState{pi: pi, callees: callees[start:len(callees):len(callees)], lib: -1, doneAt: -1}
+	}
+	for k := 0; k < nLib; k++ {
+		states[nOwn+k] = fnState{callees: lib.callees[k], base: nOwn, lib: k, doneAt: -1}
+	}
+	// Each round visits the own functions in program order, then the
+	// library's.
+	order := make([]int, 0, len(own)+nLib)
+	for _, si := range slot {
+		if si >= 0 {
+			order = append(order, si)
+		}
+	}
+	for si := nOwn; si < len(states); si++ {
+		order = append(order, si)
 	}
 
 	clock := 0
@@ -281,7 +447,7 @@ func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*Pointe
 			return true
 		}
 		for _, c := range st.callees {
-			if c >= 0 && states[c].retAt > st.doneAt {
+			if c >= 0 && states[st.base+c].retAt > st.doneAt {
 				return true
 			}
 		}
@@ -289,19 +455,27 @@ func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*Pointe
 	}
 	for round := 0; round < 6; round++ {
 		changed := false
-		for fi := range p.Funcs {
-			si := slot[fi]
-			if si < 0 {
-				continue
-			}
+		for _, si := range order {
 			st := &states[si]
 			if !stale(st) {
 				continue
 			}
-			st.pi.compute(st.args, func(k int) bool {
+			ret := func(k int) bool {
 				c := st.callees[k]
-				return c >= 0 && states[c].ret
-			})
+				return c >= 0 && states[st.base+c].ret
+			}
+			if st.lib < 0 {
+				st.pi.compute(st.args, ret)
+			} else if st.pi = lib.lookup(st.lib, st.args, ret); st.pi == nil {
+				if st.store == nil {
+					st.store = newPointerInfo(lib.graphs[st.lib], len(st.callees))
+				}
+				st.pi = st.store
+				st.pi.compute(st.args, ret)
+			}
+			if rec != nil {
+				rec.record(si, st.args, ret, st.pi)
+			}
 			st.doneAt = clock
 			if st.pi.returnsPtr && !st.ret {
 				clock++
@@ -310,12 +484,16 @@ func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*Pointe
 			}
 			for k, mask := range st.pi.callArgs {
 				c := st.callees[k]
-				if c < 0 || states[c].args|mask == states[c].args {
+				if c < 0 {
+					continue
+				}
+				callee := &states[st.base+c]
+				if callee.args|mask == callee.args {
 					continue
 				}
 				clock++
-				states[c].args |= mask
-				states[c].argsAt = clock
+				callee.args |= mask
+				callee.argsAt = clock
 				changed = true
 			}
 		}
@@ -323,9 +501,19 @@ func ProgramPointers(p *ir.Program, graphs map[string]*Graph) map[string]*Pointe
 			break
 		}
 	}
-	infos := make(map[string]*PointerInfo, len(names))
+	infos := make(map[string]*PointerInfo, nOwn+nLib)
 	for si, name := range names {
 		infos[name] = states[si].pi
+	}
+	for k := 0; k < nLib; k++ {
+		infos[lib.graphs[k].Fn.Name] = states[nOwn+k].pi
+	}
+	if rec != nil {
+		rec.callees = make([][]int, nOwn)
+		for si, name := range names {
+			rec.callees[si] = states[si].callees
+			infos[name] = rec.memo[si][len(rec.memo[si])-1].pi
+		}
 	}
 	return infos
 }

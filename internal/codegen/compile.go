@@ -60,10 +60,11 @@ var totalLowered atomic.Int64
 func TotalCompiles() int64 { return totalLowered.Load() }
 
 // lower emits IR for a checked program. A non-nil lib is a library image
-// lowered for the same language and target; copies of its globals follow
-// the program's own, and copies of its functions follow the program's own,
-// which is the order a compile of the concatenated source produces, and the
-// program is marked with the image.
+// lowered for the same language and target; its globals follow the
+// program's own, and its functions follow the program's own, which is the
+// order a compile of the concatenated source produces. The program shares
+// the image's functions and its globals' Init arrays and is marked with the
+// image.
 func lower(prog *minic.Program, lib *libImage, lang ir.Language, tgt Target, lim guard.Limits, plan *Plan, meta *Meta) (*ir.Program, error) {
 	totalLowered.Add(1)
 	out := &ir.Program{Name: prog.Name}
@@ -71,7 +72,7 @@ func lower(prog *minic.Program, lib *libImage, lang ir.Language, tgt Target, lim
 		out.Globals = append(out.Globals, lowerGlobal(g))
 	}
 	if lib != nil {
-		out.Globals = lib.appendGlobals(out.Globals)
+		out.Globals = append(out.Globals, lib.ir.Globals...)
 	}
 	if tgt.RegSaveStores {
 		// The register save area the MIPS-style calling convention spills
@@ -91,7 +92,7 @@ func lower(prog *minic.Program, lib *libImage, lang ir.Language, tgt Target, lim
 		out.Funcs = append(out.Funcs, irFn)
 	}
 	if lib != nil {
-		out.Funcs = lib.appendFuncs(out.Funcs)
+		out.Funcs = append(out.Funcs, lib.ir.Funcs...)
 		out.Image = lib.ir
 	}
 	if err := out.Verify(); err != nil {

@@ -62,10 +62,12 @@ type LayoutOptions struct {
 // path, paying neither the taken-redirect nor (because BTFNT predicts
 // forward branches not-taken) the misprediction penalty.
 //
-// The pass rewrites every function, library copies included, so it drops
-// a linked program's image mark (ir.Program.Image).
+// The pass rewrites every function, library functions included, so it
+// first gives a linked program its own copy of the library and drops the
+// image mark (ir.Program.Unshare): the image and every other program
+// linked against it are left unchanged.
 func OptimizeLayout(p *ir.Program, g *EdgeGuidance, opt LayoutOptions) {
-	p.Image = nil
+	p.Unshare()
 	for _, f := range p.Funcs {
 		layoutFunc(f, g, opt)
 	}

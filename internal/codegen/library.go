@@ -1,10 +1,7 @@
 package codegen
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/guard"
@@ -16,7 +13,8 @@ import (
 // target) and linked into programs, the way the paper's binaries linked the
 // native OS libraries instead of recompiling them. Compiling a program
 // against a Library runs parse, sema and lowering over the program's own
-// source only; the library's lowered functions and globals are copied in.
+// source only; the program shares the library's lowered functions and
+// globals' initial values (ir.Program.Image).
 //
 // Linking is exact: for a program whose source parses and checks both
 // alone and concatenated with the library source, Compile returns the same
@@ -44,15 +42,12 @@ type libCell struct {
 
 // libImage is a library checked and lowered for one language and target.
 // Everything in it is read-only once built: links read the checked AST
-// (calls into the library resolve to its declarations), copy the IR and
-// mark the linked program with the ir.Image.
+// (calls into the library resolve to its declarations) and share the IR,
+// marking the linked program with the ir.Image.
 type libImage struct {
 	ast       *minic.Program
 	ir        *ir.Image
 	maxBlocks int // largest function CFG, for guard.Limits.CFGBlocks
-	// blocks and insns count the image's blocks and instructions, the
-	// sizes of a link's copies.
-	blocks, insns int
 }
 
 // NewLibrary wraps a parsed, unchecked library. The library must not
@@ -87,16 +82,9 @@ func buildImage(src *minic.Program, lang ir.Language, tgt Target) (*libImage, er
 		return nil, err
 	}
 	lib.Funcs = lib.Funcs[:nFuncs]
-	own := &ir.Program{Funcs: prog.Funcs[:nFuncs], Globals: prog.Globals[:len(lib.Globals)]}
-	sum := sha256.Sum256(ir.AppendCanonical(nil, own))
-	img := &libImage{
-		ast: lib,
-		ir:  &ir.Image{ID: hex.EncodeToString(sum[:]), Funcs: own.Funcs, Globals: own.Globals},
-	}
-	for _, f := range own.Funcs {
+	img := &libImage{ast: lib, ir: ir.NewImage(prog.Funcs[:nFuncs:nFuncs], prog.Globals[:len(lib.Globals):len(lib.Globals)])}
+	for _, f := range img.ir.Funcs {
 		img.maxBlocks = max(img.maxBlocks, len(f.Blocks))
-		img.blocks += len(f.Blocks)
-		img.insns += f.NumInsns()
 	}
 	return img, nil
 }
@@ -113,8 +101,8 @@ func (l *Library) Image(lang ir.Language, tgt Target) (*ir.Image, error) {
 
 // Compile compiles a parsed, unchecked program linked against the library,
 // under lim like CompileBounded. Only the program's own functions are
-// unrolled, checked and lowered; the library's are copied from its image,
-// after the program's own, and the program is marked with the image
+// unrolled, checked and lowered; the library's are its image's own, shared
+// and placed after the program's, and the program is marked with the image
 // (ir.Program.Image). A library function over lim.CFGBlocks fails the link
 // just as it fails the concatenated compile.
 //
@@ -142,47 +130,4 @@ func (l *Library) Compile(user *minic.Program, lang ir.Language, tgt Target, lim
 	}
 	user.Globals, user.Funcs = linked.Globals[:nGlobals], linked.Funcs[:nFuncs]
 	return lower(user, img, lang, tgt, lim, nil, nil)
-}
-
-// appendGlobals appends copies of the library's globals.
-func (img *libImage) appendGlobals(dst []ir.Global) []ir.Global {
-	for _, g := range img.ir.Globals {
-		g.Init = slices.Clone(g.Init)
-		dst = append(dst, g)
-	}
-	return dst
-}
-
-// appendFuncs appends deep copies of the library's functions, so a linked
-// program owns all of its IR. The copies' functions, blocks and
-// instructions are each cut from one array, with every block's slice
-// capped at its own length so an append to one block cannot overwrite the
-// next.
-func (img *libImage) appendFuncs(dst []*ir.Func) []*ir.Func {
-	funcs := make([]ir.Func, len(img.ir.Funcs))
-	blocks := make([]ir.Block, 0, img.blocks)
-	ptrs := make([]*ir.Block, 0, img.blocks)
-	insns := make([]ir.Instr, 0, img.insns)
-	for k, f := range img.ir.Funcs {
-		first := len(ptrs)
-		for _, b := range f.Blocks {
-			nb := *b
-			if b.Insns != nil {
-				start := len(insns)
-				insns = append(insns, b.Insns...)
-				for i := start; i < len(insns); i++ {
-					if insns[i].Targets != nil {
-						insns[i].Targets = slices.Clone(insns[i].Targets)
-					}
-				}
-				nb.Insns = insns[start:len(insns):len(insns)]
-			}
-			blocks = append(blocks, nb)
-			ptrs = append(ptrs, &blocks[len(blocks)-1])
-		}
-		funcs[k] = *f
-		funcs[k].Blocks = ptrs[first:len(ptrs):len(ptrs)]
-		dst = append(dst, &funcs[k])
-	}
-	return dst
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -42,7 +43,8 @@ int main() {
 // TestLibraryLinkMatchesConcatenated: linking a library with globals gives
 // the concatenated compile's program exactly, under every target (the
 // global order, the register save area, unrolled library loops), and
-// repeated links return programs that do not share IR.
+// OptimizeLayout on one linked program leaves another program and the
+// image unchanged.
 func TestLibraryLinkMatchesConcatenated(t *testing.T) {
 	libAST, err := minic.Parse("lib", testLib)
 	if err != nil {
@@ -78,15 +80,32 @@ func TestLibraryLinkMatchesConcatenated(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: linked program differs:\n%s\nwant:\n%s", tgt.Name, got.Disassemble(), want.Disassemble())
 		}
+
+		// Links share the image's IR; a pass that rewrites one linked
+		// program unshares it first, so neither the image nor another
+		// link sees the rewrite.
+		got.Image = img
+		imgBytes := ir.AppendCanonical(nil, &ir.Program{Funcs: img.Funcs, Globals: img.Globals})
 		again, err := lib.Compile(minic.CloneProgram(user), ir.LangFortran, tgt, guard.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := again.Funcs[len(again.Funcs)-1]
-		last.Blocks[0].Insns[0].Imm++
-		again.Globals[len(user.Globals)].Size++
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: mutating one linked program changed another", tgt.Name)
+		g := &EdgeGuidance{Prob: map[ir.BranchRef]float64{}}
+		for _, ref := range again.Branches() {
+			g.Prob[ref] = 0.9
+		}
+		OptimizeLayout(again, g, LayoutOptions{})
+		libOf := func(p *ir.Program) []byte {
+			return ir.AppendCanonical(nil, &ir.Program{Funcs: p.Funcs[len(p.Funcs)-len(img.Funcs):]})
+		}
+		if again.Image != nil || bytes.Equal(libOf(again), libOf(got)) {
+			t.Fatalf("%s: layout kept the mark or left the library functions alone; the check proves nothing", tgt.Name)
+		}
+		if got.Image = nil; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: OptimizeLayout on one linked program changed another", tgt.Name)
+		}
+		if !bytes.Equal(ir.AppendCanonical(nil, &ir.Program{Funcs: img.Funcs, Globals: img.Globals}), imgBytes) {
+			t.Fatalf("%s: OptimizeLayout on a linked program changed its image", tgt.Name)
 		}
 	}
 }

@@ -193,6 +193,25 @@ func LibraryImage(lang ir.Language, tgt codegen.Target) (*ir.Image, error) {
 	return stdlib().Image(lang, tgt)
 }
 
+// CheckLibraryImages returns an error naming the first runtime-library
+// image, over every language and target, whose IR has changed since it was
+// built (ir.Image.Intact). Linked programs share their image's IR, so a
+// write to a linked program's library functions shows here.
+func CheckLibraryImages() error {
+	for _, lang := range []ir.Language{ir.LangC, ir.LangFortran, ir.LangScheme} {
+		for _, tgt := range append([]codegen.Target{codegen.MIPSCC}, codegen.Compilers...) {
+			img, err := LibraryImage(lang, tgt)
+			if err != nil {
+				return err
+			}
+			if !img.Intact() {
+				return fmt.Errorf("corpus: runtime library image %s/%s was written to", lang, tgt.Name)
+			}
+		}
+	}
+	return nil
+}
+
 // stdlibWithin caches, per parse-depth limit, whether the runtime library
 // parses within that limit.
 var stdlibWithin sync.Map // minic.Limits -> bool

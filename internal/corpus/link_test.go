@@ -191,7 +191,9 @@ func TestLinkFallsBack(t *testing.T) {
 
 // TestLinkConcurrent links programs for several (language, target) pairs
 // from many goroutines at once, so first-use library builds race with
-// links that read the shared image. make race runs it under the detector.
+// links that read the shared image, and each worker unshares and writes
+// its program's library functions. make race runs it under the detector;
+// TestMain checks that the images are unchanged.
 func TestLinkConcurrent(t *testing.T) {
 	entries := corpus.All()[:8]
 	langs := []ir.Language{ir.LangC, ir.LangFortran, ir.LangScheme}
@@ -227,7 +229,9 @@ func TestLinkConcurrent(t *testing.T) {
 					errs <- e.Name + ": fell back"
 					return
 				}
-				// Mutate the copy: linked programs must own their IR.
+				// Linked programs share the image's IR; a writer unshares
+				// first and then owns every function it writes.
+				prog.Unshare()
 				prog.Funcs[len(prog.Funcs)-1].Blocks[0].Insns[0].Imm++
 				prog.Funcs[len(prog.Funcs)-1].Blocks[0].Insns[0].Imm--
 				if !bytes.Equal(ir.AppendCanonical(nil, prog), want[e.Name+"/"+string(lang)+"/"+tgt.Name]) {

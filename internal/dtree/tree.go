@@ -128,7 +128,7 @@ func entropy(taken, not float64) float64 {
 	for _, m := range [2]float64{taken, not} {
 		if m > 0 {
 			p := m / total
-			e -= p * math.Log(p)
+			e -= float64(p * math.Log(p))
 		}
 	}
 	return e
@@ -149,7 +149,7 @@ func splitEntropy(examples []Example, f int, total float64) float64 {
 	var e float64
 	for _, b := range buckets {
 		w := (b.taken + b.not) / total
-		e += w * entropy(b.taken, b.not)
+		e += float64(w * entropy(b.taken, b.not))
 	}
 	return e
 }

@@ -10,14 +10,16 @@ import (
 
 // imageSites is the analysis of one library image's functions on their
 // own, built once per image and shared read-only by every program linked
-// against it. The per-function slices are indexed like ir.Image.Funcs.
+// against it, whose library functions are the image's own (ir.Program.Image).
+// The per-function slices are indexed like ir.Image.Funcs.
 type imageSites struct {
 	graphs []*cfg.Graph // frozen
-	ptrs   []*cfg.PointerInfo
-	sites  [][]Site   // each function's sites in block order, into the image's IR
-	vecs   [][]Vector // each function's vectors, in the same order
-	all    []Vector   // every vector, in site order
-	names  []string   // the image's function names, sorted
+	ptrs   *cfg.LibraryPointers
+	facts  []*cfg.PointerInfo // each function's facts alone
+	sites  [][]*Site          // each function's sites in block order
+	vecs   [][]Vector         // each function's vectors, in the same order
+	all    []Vector           // every vector, in site order
+	names  []string           // the image's function names, sorted
 }
 
 type imageCell struct {
@@ -37,15 +39,22 @@ func imageOf(img *ir.Image) *imageSites {
 }
 
 // analyzeImage collects and extracts the image's functions as a program of
-// their own. Calls from the library into a linked program's functions do
-// not exist, so what a library function's sites depend on is its own IR
-// and its pointer facts, which Collect compares per program.
+// their own, recording the pointer inference's computes for linked runs
+// (cfg.LibraryPointers). Calls from the library into a linked program's
+// functions do not exist, so what a library function's sites depend on is
+// its own IR and its pointer facts, which Collect compares per program.
 func analyzeImage(img *ir.Image) *imageSites {
-	ps := collect(&ir.Program{Name: img.ID, Funcs: img.Funcs, Globals: img.Globals}, nil)
+	var lp *cfg.LibraryPointers
+	ps := collect(&ir.Program{Name: img.ID, Funcs: img.Funcs, Globals: img.Globals}, nil,
+		func(p *ir.Program, graphs map[string]*cfg.Graph) map[string]*cfg.PointerInfo {
+			lp = cfg.NewLibraryPointers(p.Funcs, graphs)
+			return lp.Facts()
+		})
 	is := &imageSites{
 		graphs: make([]*cfg.Graph, len(img.Funcs)),
-		ptrs:   make([]*cfg.PointerInfo, len(img.Funcs)),
-		sites:  make([][]Site, len(img.Funcs)),
+		ptrs:   lp,
+		facts:  make([]*cfg.PointerInfo, len(img.Funcs)),
+		sites:  make([][]*Site, len(img.Funcs)),
 		vecs:   make([][]Vector, len(img.Funcs)),
 		all:    ExtractAll(ps),
 		names:  make([]string, len(img.Funcs)),
@@ -54,7 +63,7 @@ func analyzeImage(img *ir.Image) *imageSites {
 	for k, fn := range img.Funcs {
 		g := ps.Graphs[fn.Name]
 		g.Freeze()
-		is.graphs[k], is.ptrs[k] = g, ps.Ptrs[fn.Name]
+		is.graphs[k], is.facts[k] = g, ps.Ptrs[fn.Name]
 		is.names[k] = fn.Name
 		byName[fn.Name] = k
 	}
@@ -65,10 +74,7 @@ func analyzeImage(img *ir.Image) *imageSites {
 			j++
 		}
 		k := byName[ps.Sites[i].Ref.Func]
-		is.sites[k] = make([]Site, j-i)
-		for n, s := range ps.Sites[i:j] {
-			is.sites[k][n] = *s
-		}
+		is.sites[k] = ps.Sites[i:j:j]
 		is.vecs[k] = is.all[i:j:j]
 		i = j
 	}

@@ -7,6 +7,7 @@ package features_test
 import (
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/artifact"
@@ -186,6 +187,69 @@ func TestSharedLibraryPointerFactsTakeFullPath(t *testing.T) {
 	ps = sameAnalysis(t, "checksum", rt)
 	if slices.Contains(features.SharedFuncs(ps), "lib_checksum") {
 		t.Fatal("lib_checksum shared the image's sites despite a pointer argument")
+	}
+}
+
+// TestSharedLibraryConcurrent collects linked programs from several
+// goroutines at once: first uses of an image's analysis race with collects
+// that read it, and every worker reads the shared graphs, sites and
+// recorded pointer facts while some compute library facts of their own.
+// make race runs it under the detector.
+func TestSharedLibraryConcurrent(t *testing.T) {
+	libAST, err := minic.Parse("lib", pointerLib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := codegen.NewLibrary(libAST)
+	targets := append([]codegen.Target{codegen.MIPSCC}, codegen.Compilers...)
+	// compile returns the i'th program of the run; the goroutines call it
+	// too, so it reports errors instead of failing the test.
+	compile := func(i int) (string, *ir.Program, error) {
+		tgt := targets[i%len(targets)]
+		if i%3 == 0 {
+			user, err := minic.Parse("prog", pointerUser)
+			if err != nil {
+				return "", nil, err
+			}
+			prog, err := lib.Compile(user, ir.LangC, tgt, guard.Limits{})
+			return "pointer/" + tgt.Name, prog, err
+		}
+		e := corpus.All()[i%len(corpus.All())]
+		prog, err := e.Compile(tgt)
+		return e.Name + "/" + tgt.Name, prog, err
+	}
+	const workers, perWorker = 4, 12
+	want := make([][]features.Vector, workers*perWorker)
+	for i := range want {
+		_, prog, err := compile(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = features.ExtractAll(features.Collect(unmarked(prog)))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w * perWorker; i < (w+1)*perWorker; i++ {
+				name, prog, err := compile(i)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if !slices.Equal(features.ExtractAll(features.Collect(prog)), want[i]) {
+					errs <- name + ": shared vectors differ from the full path's"
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }
 

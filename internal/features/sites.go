@@ -139,14 +139,14 @@ type ProgramSites struct {
 	Ptrs   map[string]*cfg.PointerInfo
 	Sites  []*Site
 
-	// shared lists, in site order, the functions whose sites were copied
-	// from the program's library image, with the image's vectors for
-	// them, which ExtractAll copies too.
+	// shared lists, in site order, the functions whose sites are the
+	// program's library image's, with the image's vectors for them, which
+	// ExtractAll copies.
 	shared []sharedRun
 }
 
-// sharedRun is one function's run of sites copied from an image: the
-// run starts at Sites[start], and vecs are its vectors.
+// sharedRun is one function's run of sites shared from an image: the run
+// starts at Sites[start], and vecs are its vectors.
 type sharedRun struct {
 	start int
 	vecs  []Vector
@@ -162,40 +162,39 @@ func TotalCollects() int64 { return totalCollects.Load() }
 // Collect analyzes a program and returns all of its branch sites.
 //
 // A program marked with a library image (ir.Program.Image) pays only for
-// its own functions: each library function's graph is the image's graph
-// rebased onto the program's copy, and when the function's pointer facts,
-// computed over the whole linked program, equal the ones the image has
-// alone, its sites are the image's sites rebased too, and ExtractAll
-// copies the image's vectors for them. A function whose facts differ is
-// analyzed in full. Either way every site, graph and instruction pointer
-// refers to the program's own IR, and the result equals Collect on the
-// same IR unmarked.
+// its own functions: each library function's graph is the image's frozen
+// graph, its pointer facts take the image's recorded results wherever the
+// linked program's inputs to them are the image's (cfg.LibraryPointers),
+// and when its facts equal the ones the image has alone, its sites are the
+// image's sites and ExtractAll copies the image's vectors for them. A
+// function whose facts differ is analyzed in full. The library's IR is the
+// image's own, so either way the result equals Collect on the same IR
+// unmarked; the shared graphs, facts and sites are read-only.
 func Collect(prog *ir.Program) *ProgramSites {
 	totalCollects.Add(1)
-	var img *imageSites
-	if prog.Image != nil {
-		img = imageOf(prog.Image)
+	if prog.Image == nil {
+		return collect(prog, nil, cfg.ProgramPointers)
 	}
-	return collect(prog, img)
+	img := imageOf(prog.Image)
+	return collect(prog, img, img.ptrs.Linked)
 }
 
 // collect is Collect, reusing img's analysis for the library functions
-// when img is non-nil.
-func collect(prog *ir.Program, img *imageSites) *ProgramSites {
+// when img is non-nil, with pointers computing the pointer facts of a
+// program over its graphs.
+func collect(prog *ir.Program, img *imageSites, pointers func(*ir.Program, map[string]*cfg.Graph) map[string]*cfg.PointerInfo) *ProgramSites {
 	ps := &ProgramSites{
 		Prog:   prog,
 		Graphs: make(map[string]*cfg.Graph, len(prog.Funcs)),
 	}
 	nOwn := len(prog.Funcs)
-	nLib, n := 0, 0 // library and own sites
+	n := 0 // sites analyzed here
 	if img != nil {
 		nOwn -= len(img.graphs)
-		lib := cfg.Rebase(img.graphs, prog.Funcs[nOwn:])
-		for k := range lib {
-			ps.Graphs[lib[k].Fn.Name] = &lib[k]
-			nLib += len(img.sites[k])
+		for _, g := range img.graphs {
+			ps.Graphs[g.Fn.Name] = g
 		}
-		ps.shared = make([]sharedRun, 0, len(lib))
+		ps.shared = make([]sharedRun, 0, len(img.graphs))
 	}
 	for _, fn := range prog.Funcs[:nOwn] {
 		g := cfg.New(fn)
@@ -206,7 +205,21 @@ func collect(prog *ir.Program, img *imageSites) *ProgramSites {
 			}
 		}
 	}
-	ps.Ptrs = cfg.ProgramPointers(prog, ps.Graphs)
+	ps.Ptrs = pointers(prog, ps.Graphs)
+	// A library function shares the image's sites when its facts are the
+	// image's; otherwise it is analyzed in full, like an own function.
+	var full []bool
+	nShared := 0
+	if img != nil {
+		full = make([]bool, len(img.graphs))
+		for k, g := range img.graphs {
+			if full[k] = !ps.Ptrs[g.Fn.Name].SameFacts(img.facts[k]); full[k] {
+				n += len(img.sites[k])
+			} else {
+				nShared += len(img.sites[k])
+			}
+		}
+	}
 	// Sites are ordered by (function name, block ID): visit the functions
 	// by name and sort each function's sites by block.
 	order := make([]int, len(prog.Funcs))
@@ -214,27 +227,21 @@ func collect(prog *ir.Program, img *imageSites) *ProgramSites {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(prog.Funcs[a].Name, prog.Funcs[b].Name) })
-	slab := make([]Site, 0, nLib+n)
-	// Sites' SourceLocs rows are cut from one shared array (sites copied
-	// from an image keep the image's rows); corpus sites average 1.2
-	// locations. Should append ever move the array, rows already cut keep
-	// the old one, which nothing writes again.
+	ps.Sites = make([]*Site, 0, n+nShared)
+	// The sites collected here are cut from one slab sized up front, so
+	// pointers into it stay valid; sites shared from an image are the
+	// image's. Their SourceLocs rows are cut from one shared array too;
+	// corpus sites average 1.2 locations. Should append ever move the
+	// array, rows already cut keep the old one, which nothing writes again.
+	slab := make([]Site, 0, n)
 	locs := make([]MemLoc, 0, 2*n)
 	for _, fi := range order {
 		fn := prog.Funcs[fi]
 		g := ps.Graphs[fn.Name]
-		if k := fi - nOwn; k >= 0 && ps.Ptrs[fn.Name].SameFacts(img.ptrs[k]) {
+		if k := fi - nOwn; k >= 0 && !full[k] {
 			if len(img.sites[k]) > 0 {
-				ps.shared = append(ps.shared, sharedRun{start: len(slab), vecs: img.vecs[k]})
-			}
-			for _, s := range img.sites[k] {
-				s.Fn, s.G = fn, g
-				blk := g.Block(s.BlockIdx)
-				s.Branch = blk.Branch()
-				if s.DefIdx >= 0 {
-					s.DefInstr = &blk.Insns[s.DefIdx]
-				}
-				slab = append(slab, s)
+				ps.shared = append(ps.shared, sharedRun{start: len(ps.Sites), vecs: img.vecs[k]})
+				ps.Sites = append(ps.Sites, img.sites[k]...)
 			}
 			continue
 		}
@@ -263,10 +270,9 @@ func collect(prog *ir.Program, img *imageSites) *ProgramSites {
 			}
 		}
 		slices.SortFunc(slab[start:], func(a, b Site) int { return cmp.Compare(a.Ref.Block, b.Ref.Block) })
-	}
-	ps.Sites = make([]*Site, len(slab))
-	for i := range slab {
-		ps.Sites[i] = &slab[i]
+		for i := start; i < len(slab); i++ {
+			ps.Sites = append(ps.Sites, &slab[i])
+		}
 	}
 	return ps
 }

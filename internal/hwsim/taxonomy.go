@@ -109,7 +109,7 @@ func binEntropy(p float64) float64 {
 	if p <= 0 || p >= 1 {
 		return 0
 	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
+	return -float64(p*math.Log2(p)) - float64((1-p)*math.Log2(1-p))
 }
 
 // Summary is the execution-weighted program-level aggregate of the
@@ -136,10 +136,10 @@ func (x *Taxonomy) Summarize() Summary {
 		sum.Sites++
 		sum.Events += s.Exec
 		w := float64(s.Exec)
-		wEnt += w * s.Entropy()
-		wBias += w * s.Bias()
-		wSelf += w * s.SelfAgree()
-		wPrev += w * s.PrevAgree()
+		wEnt += float64(w * s.Entropy())
+		wBias += float64(w * s.Bias())
+		wSelf += float64(w * s.SelfAgree())
+		wPrev += float64(w * s.PrevAgree())
 	}
 	if sum.Events > 0 {
 		n := float64(sum.Events)

@@ -186,18 +186,62 @@ func newMachine(p *ir.Program, cfg Config) *machine {
 	m.loDirty = min(max(base, 1), cfg.MemWords)
 	m.hiDirty = cfg.MemWords
 	// Every static branch site gets a slot up front (so StaticSites covers
-	// never-executed branches), in deterministic function/layout order.
+	// never-executed branches), in deterministic function/layout order. A
+	// linked program's library functions take theirs from the image's
+	// table, in the same order.
 	m.slotBase = make([]int32, len(p.Funcs))
-	for i, f := range p.Funcs {
-		m.slotBase[i] = int32(len(m.refs))
-		for _, b := range f.Blocks {
-			if hasSlot(b) {
-				m.refs = append(m.refs, ir.BranchRef{Func: f.Name, Block: b.ID})
-			}
+	own := p.Own()
+	m.refs = appendSlots(nil, m.slotBase, own)
+	if p.Image != nil {
+		lib := slotsOf(p.Image)
+		for k, base := range lib.base {
+			m.slotBase[len(own)+k] = int32(len(m.refs)) + base
 		}
+		m.refs = append(m.refs, lib.refs...)
 	}
 	m.counts = make([]BranchCount, len(m.refs))
 	return m
+}
+
+// imageSlots is the branch slots of a library image's functions, as
+// newMachine assigns them: every slot's site in function/layout order, and
+// each function's first slot counted from the image's first. It is built
+// once per image and shared read-only.
+type imageSlots struct {
+	refs []ir.BranchRef
+	base []int32
+}
+
+// slotTables maps each *ir.Image run by this process to a
+// func() *imageSlots that builds its table once.
+var slotTables sync.Map
+
+// slotsOf returns img's slot table, building it on first use.
+func slotsOf(img *ir.Image) *imageSlots {
+	v, ok := slotTables.Load(img)
+	if !ok {
+		v, _ = slotTables.LoadOrStore(img, sync.OnceValue(func() *imageSlots {
+			t := &imageSlots{base: make([]int32, len(img.Funcs))}
+			t.refs = appendSlots(nil, t.base, img.Funcs)
+			return t
+		}))
+	}
+	return v.(func() *imageSlots)()
+}
+
+// appendSlots appends the branch slots of funcs to refs, one per branch
+// block in function/layout order, and sets base[i] to the index of
+// funcs[i]'s first slot.
+func appendSlots(refs []ir.BranchRef, base []int32, funcs []*ir.Func) []ir.BranchRef {
+	for i, f := range funcs {
+		base[i] = int32(len(refs))
+		for _, b := range f.Blocks {
+			if hasSlot(b) {
+				refs = append(refs, ir.BranchRef{Func: f.Name, Block: b.ID})
+			}
+		}
+	}
+	return refs
 }
 
 // hasSlot reports whether a block owns a branch-count slot: its terminator

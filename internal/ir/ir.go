@@ -5,7 +5,11 @@
 // extraction, and branch-prediction heuristics all consume it.
 package ir
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+)
 
 // Reg names a machine register. Values 0..31 are the integer registers
 // R0..R31; values 32..63 are the floating-point registers F0..F31.
@@ -355,17 +359,17 @@ type Program struct {
 	Globals []Global
 
 	// Image, when non-nil, marks a program linked against a runtime-library
-	// image: its last len(Image.Funcs) functions are unchanged copies of
-	// Image.Funcs, in order, and Image.Globals are copied among its
-	// globals. Analyses reuse the image's results for those functions, so
-	// any pass that rewrites a marked program's IR must set Image to nil
-	// first. The mark is not part of AppendCanonical.
+	// image: its last len(Image.Funcs) functions are Image.Funcs
+	// themselves, in order, and its copies of Image.Globals share their
+	// Init arrays. That IR is shared by every program linked against the
+	// image and is never written, so a pass that rewrites a marked
+	// program's IR calls Unshare first. Analyses reuse the image's results
+	// for its functions. The mark is not part of AppendCanonical.
 	Image *Image
 }
 
 // Image is a runtime library compiled once for one language and target
-// and linked, by copying, into many programs. It is read-only: linked
-// programs share it.
+// and linked into many programs, which share its IR. It is read-only.
 type Image struct {
 	// ID names the image: the hex sha256 of its canonical encoding
 	// (AppendCanonical over its functions and globals), so equal IDs mean
@@ -375,13 +379,84 @@ type Image struct {
 	Globals []Global
 }
 
-// Own returns the functions of p that are not copies of its image's: all
-// of them for an unmarked program.
+// NewImage returns the image of funcs and globals, naming it by their
+// canonical encoding.
+func NewImage(funcs []*Func, globals []Global) *Image {
+	img := &Image{Funcs: funcs, Globals: globals}
+	img.ID = img.hash()
+	return img
+}
+
+// Intact reports whether the image's IR still encodes to its ID: whether
+// nothing has written to it since NewImage.
+func (img *Image) Intact() bool { return img.hash() == img.ID }
+
+func (img *Image) hash() string {
+	sum := sha256.Sum256(AppendCanonical(nil, &Program{Funcs: img.Funcs, Globals: img.Globals}))
+	return hex.EncodeToString(sum[:])
+}
+
+// Own returns the functions of p that are not its image's: all of them
+// for an unmarked program.
 func (p *Program) Own() []*Func {
 	if p.Image == nil {
 		return p.Funcs
 	}
 	return p.Funcs[:len(p.Funcs)-len(p.Image.Funcs)]
+}
+
+// Unshare gives a marked program its own deep copy of the image's
+// functions and globals and drops the mark, so the program's IR can be
+// rewritten without touching the image or any other program linked
+// against it. It does nothing to an unmarked program. The copies'
+// functions, blocks and instructions are each cut from one array, with
+// every block's slice capped at its own length so an append to one block
+// cannot overwrite the next.
+func (p *Program) Unshare() {
+	img := p.Image
+	if img == nil {
+		return
+	}
+	p.Image = nil
+	nBlocks, nInsns := 0, 0
+	for _, f := range img.Funcs {
+		nBlocks += len(f.Blocks)
+		nInsns += f.NumInsns()
+	}
+	// New Funcs and Globals slices, so a copy of the Program struct that
+	// shares them keeps its image's IR.
+	nOwn := len(p.Funcs) - len(img.Funcs)
+	p.Funcs = append(p.Funcs[:nOwn:nOwn], make([]*Func, len(img.Funcs))...)
+	p.Globals = append(p.Globals[:0:0], p.Globals...)
+	funcs := make([]Func, len(img.Funcs))
+	blocks := make([]Block, 0, nBlocks)
+	ptrs := make([]*Block, 0, nBlocks)
+	insns := make([]Instr, 0, nInsns)
+	for k, f := range img.Funcs {
+		first := len(ptrs)
+		for _, b := range f.Blocks {
+			nb := *b
+			if b.Insns != nil {
+				start := len(insns)
+				insns = append(insns, b.Insns...)
+				for i := start; i < len(insns); i++ {
+					if insns[i].Targets != nil {
+						insns[i].Targets = append(insns[i].Targets[:0:0], insns[i].Targets...)
+					}
+				}
+				nb.Insns = insns[start:len(insns):len(insns)]
+			}
+			blocks = append(blocks, nb)
+			ptrs = append(ptrs, &blocks[len(blocks)-1])
+		}
+		funcs[k] = *f
+		funcs[k].Blocks = ptrs[first:len(ptrs):len(ptrs)]
+		p.Funcs[nOwn+k] = &funcs[k]
+	}
+	for i := range p.Globals {
+		g := &p.Globals[i]
+		g.Init = append(g.Init[:0:0], g.Init...)
+	}
 }
 
 // FuncByName returns the function with the given name, or nil.

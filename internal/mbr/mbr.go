@@ -61,7 +61,7 @@ func New(examples []Example, cfg Config) *Model {
 	var wsum, tsum float64
 	for _, e := range examples {
 		wsum += e.Weight
-		tsum += e.Weight * e.Target
+		tsum += float64(e.Weight * e.Target)
 	}
 	if wsum > 0 {
 		m.Prior = tsum / wsum
@@ -83,8 +83,8 @@ func New(examples []Example, cfg Config) *Model {
 func (m *Model) computeInformationWeights() {
 	var wTaken, wNot float64
 	for _, e := range m.Memory {
-		wTaken += e.Weight * e.Target
-		wNot += e.Weight * (1 - e.Target)
+		wTaken += float64(e.Weight * e.Target)
+		wNot += float64(e.Weight * (1 - e.Target))
 	}
 	if wTaken+wNot <= 0 {
 		// A weightless memory carries no measurable information; keep the
@@ -101,14 +101,14 @@ func (m *Model) computeInformationWeights() {
 				b = &bucket{}
 				buckets[e.Values[f]] = b
 			}
-			b.taken += e.Weight * e.Target
-			b.not += e.Weight * (1 - e.Target)
+			b.taken += float64(e.Weight * e.Target)
+			b.not += float64(e.Weight * (1 - e.Target))
 		}
 		var cond float64
 		total := wTaken + wNot
 		for _, b := range buckets {
 			share := (b.taken + b.not) / total
-			cond += share * entropy(b.taken, b.not)
+			cond += float64(share * entropy(b.taken, b.not))
 		}
 		gain := base - cond
 		if gain < 0 {
@@ -128,7 +128,7 @@ func entropy(a, b float64) float64 {
 	for _, x := range [2]float64{a, b} {
 		if x > 0 {
 			p := x / total
-			e -= p * math.Log(p)
+			e -= float64(p * math.Log(p))
 		}
 	}
 	return e
@@ -177,9 +177,9 @@ func (m *Model) Predict(values [features.NumFeatures]string) float64 {
 		e := m.Memory[sc.idx]
 		// Blend by execution weight and similarity so hot, close memories
 		// dominate.
-		w := (e.Weight + 1e-6) * (sc.sim + 1e-6)
+		w := float64((e.Weight + 1e-6) * (sc.sim + 1e-6))
 		wsum += w
-		tsum += w * e.Target
+		tsum += float64(w * e.Target)
 	}
 	if wsum == 0 {
 		return m.Prior

@@ -104,7 +104,7 @@ func (s Snapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(s.Count)
+	rank := float64(q * float64(s.Count))
 	var cum int64
 	for i, c := range s.Counts {
 		if c == 0 {
@@ -123,7 +123,7 @@ func (s Snapshot) Quantile(q float64) float64 {
 			if frac < 0 {
 				frac = 0
 			}
-			return lower + (upper-lower)*frac
+			return lower + float64((upper-lower)*frac)
 		}
 		cum += c
 	}

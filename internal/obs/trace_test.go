@@ -18,7 +18,10 @@ func TestTraceSpanOrdering(t *testing.T) {
 	end = tr.StartSpan(StageCompile)
 	time.Sleep(time.Millisecond)
 	end()
-	mid := tr.Start.Add(5 * time.Millisecond)
+	// An externally timed span starting after the observed end of the
+	// previous one, however long the sleeps above overran.
+	last := tr.Spans[len(tr.Spans)-1]
+	mid := tr.Start.Add(time.Duration(last.StartUS+last.DurUS+1000) * time.Microsecond)
 	tr.AddSpan(StageForward, mid, 2*time.Millisecond)
 	tr.SetStatus(200)
 	tr.SetError(errors.New("boom"))
