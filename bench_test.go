@@ -450,9 +450,11 @@ const shardedPrograms = 300
 
 // BenchmarkShardedCorpusCold times ShardedCorpus.Examples over 300
 // generated programs into an empty artifact cache: every entry compiles,
-// profiles, collects its sites, and stores its record and index entry.
+// profiles and collects its sites, and each shard of 64 programs stores
+// one pack of its records and one source-index entry.
 func BenchmarkShardedCorpusCold(b *testing.B) {
 	entries := gencorpus.Spec{Seed: 1, N: shardedPrograms}.Entries()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -469,8 +471,9 @@ func BenchmarkShardedCorpusCold(b *testing.B) {
 }
 
 // BenchmarkShardedCorpusWarm times ShardedCorpus.Examples over the same
-// programs from a filled cache: each entry is a source-index read and a
-// record read.
+// programs from a filled cache: each shard reads its source-index entry
+// and its pack, and each entry decodes its record from the pack and builds
+// its examples from the record and the runtime library image.
 func BenchmarkShardedCorpusWarm(b *testing.B) {
 	cache, err := artifact.Open(b.TempDir())
 	if err != nil {
@@ -480,6 +483,7 @@ func BenchmarkShardedCorpusWarm(b *testing.B) {
 	if _, err := src.Examples(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := src.Examples(); err != nil {

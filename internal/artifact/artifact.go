@@ -84,7 +84,8 @@ type Record struct {
 	// Image is, for the record of a program linked against a library
 	// image, the image's ID, and "" otherwise. A record with an Image holds
 	// only the vectors of the program's own functions (NewRecord);
-	// VectorsFor splices the image's back in.
+	// VectorsFor splices the image's back in, and ImageFor names the image
+	// to merge them with.
 	Image string
 }
 
@@ -98,19 +99,35 @@ func NewRecord(prog *ir.Program, prof *interp.Profile, vecs []features.Vector) *
 	return &Record{Profile: prof, Vectors: features.OwnVectors(prog.Image, vecs), Image: prog.Image.ID}
 }
 
-// VectorsFor returns the record's vectors in site order for a program
-// linked against img (nil when there is none). A record that names no
-// image returns its own vectors; one that names img returns them spliced
-// with img's; and one that names any other image, one this process did not
-// build for the program, is unusable (ok=false).
-func (r *Record) VectorsFor(img *ir.Image) (vecs []features.Vector, ok bool) {
+// ImageFor returns the image whose vectors merge with the record's own
+// (features.EachLinked) into the vectors of a program linked against img
+// (nil when there is none). A record that names no image needs none
+// (lib == nil); one that names img needs img; and one that names any other
+// image, one this process did not build for the program, is unusable
+// (ok=false).
+func (r *Record) ImageFor(img *ir.Image) (lib *ir.Image, ok bool) {
 	switch {
 	case r.Image == "":
-		return r.Vectors, true
+		return nil, true
 	case img == nil || img.ID != r.Image:
 		return nil, false
 	}
-	return features.SpliceVectors(img, r.Vectors), true
+	return img, true
+}
+
+// VectorsFor returns the record's vectors in site order for a program
+// linked against img (nil when there is none): its own vectors when it
+// names no image, spliced with img's when it names img, and ok=false as
+// ImageFor.
+func (r *Record) VectorsFor(img *ir.Image) (vecs []features.Vector, ok bool) {
+	lib, ok := r.ImageFor(img)
+	switch {
+	case !ok:
+		return nil, false
+	case lib == nil:
+		return r.Vectors, true
+	}
+	return features.SpliceVectors(lib, r.Vectors), true
 }
 
 // Cache is an open cache directory. The zero value is not usable; a nil

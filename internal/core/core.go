@@ -137,18 +137,34 @@ func (pd *ProgramData) Examples() []Example {
 // examples without its sites: ExtractAll gives Vectors[i] the Ref of
 // Sites.Sites[i].
 func ExamplesOf(vecs []features.Vector, prof *interp.Profile) []Example {
-	out := make([]Example, 0, len(vecs))
-	for i := range vecs {
-		ref := vecs[i].Ref
-		c := prof.Branches[ref]
-		if c == nil || c.Executed == 0 {
-			continue
+	return LinkedExamples(nil, vecs, prof)
+}
+
+// LinkedExamples is ExamplesOf(features.SpliceVectors(img, own), prof)
+// without the splice: the examples of a program linked against img (nil
+// for none) whose own functions' vectors are own, as a cached record holds
+// them (artifact.Record.ImageFor). It walks the vectors in site order
+// (features.EachLinked) twice, first counting the executed sites, so it
+// allocates exactly their examples and copies no other vector.
+func LinkedExamples(img *ir.Image, own []features.Vector, prof *interp.Profile) []Example {
+	n := 0
+	features.EachLinked(img, own, func(v *features.Vector) {
+		if c := prof.Branches[v.Ref]; c != nil && c.Executed > 0 {
+			n++
 		}
-		out = append(out, Example{
-			Vector: vecs[i],
-			Target: c.TakenFraction(),
-			Weight: prof.NormalizedWeight(ref),
-		})
-	}
+	})
+	out := make([]Example, 0, n)
+	features.EachLinked(img, own, func(v *features.Vector) {
+		c := prof.Branches[v.Ref]
+		if c == nil || c.Executed == 0 {
+			return
+		}
+		// Weight is prof.NormalizedWeight(v.Ref), from the count in hand.
+		var w float64
+		if prof.CondExec != 0 {
+			w = float64(c.Executed) / float64(prof.CondExec)
+		}
+		out = append(out, Example{Vector: *v, Target: c.TakenFraction(), Weight: w})
+	})
 	return out
 }

@@ -267,7 +267,7 @@ func APHCOrderSearch(ctx *Context) (*OrderSearchResult, error) {
 				}
 			}
 			if !charged {
-				miss[s.prog] += 0.5 * float64(s.executed)
+				miss[s.prog] += float64(0.5 * float64(s.executed))
 			}
 		}
 		var sum float64

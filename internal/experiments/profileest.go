@@ -49,9 +49,9 @@ func ProfileEstimation(ctx *Context, cfg core.Config) (*ProfileEstimationResult,
 			actual := c.TakenFraction()
 			esp := model.TakenProbability(held.Vectors[i])
 			dp, _ := dshc.TakenProbability(&ev[i])
-			espErr += w * math.Abs(esp-actual)
-			dshcErr += w * math.Abs(dp-actual)
-			uniErr += w * math.Abs(0.5-actual)
+			espErr += float64(w * math.Abs(esp-actual))
+			dshcErr += float64(w * math.Abs(dp-actual))
+			uniErr += float64(w * math.Abs(0.5-actual))
 			total += w
 		}
 		if total == 0 {

@@ -59,10 +59,10 @@ func TaxonomyStudy(ctx *Context, genN int) (*TaxonomyResult, error) {
 		w := float64(row.Events)
 		res.Corpus.Sites += row.Sites
 		res.Corpus.Events += row.Events
-		res.Corpus.Entropy += w * row.Entropy
-		res.Corpus.Bias += w * row.Bias
-		res.Corpus.SelfAgree += w * row.SelfAgree
-		res.Corpus.PrevAgree += w * row.PrevAgree
+		res.Corpus.Entropy += float64(w * row.Entropy)
+		res.Corpus.Bias += float64(w * row.Bias)
+		res.Corpus.SelfAgree += float64(w * row.SelfAgree)
+		res.Corpus.PrevAgree += float64(w * row.PrevAgree)
 		ev += w
 	}
 	if ev > 0 {

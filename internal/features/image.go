@@ -32,7 +32,10 @@ var images sync.Map
 
 // imageOf returns img's analysis, building it on first use.
 func imageOf(img *ir.Image) *imageSites {
-	v, _ := images.LoadOrStore(img, &imageCell{})
+	v, ok := images.Load(img)
+	if !ok {
+		v, _ = images.LoadOrStore(img, &imageCell{})
+	}
 	c := v.(*imageCell)
 	c.once.Do(func() { c.sites = analyzeImage(img) })
 	return c.sites
@@ -101,19 +104,50 @@ func OwnVectors(img *ir.Image, vecs []Vector) []Vector {
 	return out
 }
 
-// SpliceVectors merges own, the vectors of a linked program's own
-// functions in site order (OwnVectors), with img's vectors into the
-// program's vectors in site order: what ExtractAll returns for it.
-func SpliceVectors(img *ir.Image, own []Vector) []Vector {
-	lib := imageOf(img).all
-	out := make([]Vector, 0, len(own)+len(lib))
-	for len(own) > 0 && len(lib) > 0 {
-		if own[0].Ref.Func < lib[0].Ref.Func {
-			out, own = append(out, own[0]), own[1:]
+// EachLinked calls fn with each vector of a program linked against img,
+// in site order (what ExtractAll returns for it), merging own, the vectors
+// of its own functions in site order (OwnVectors), with img's. A nil img
+// stands for an unlinked program, whose vectors are all own. fn receives
+// pointers into own and into img's analysis, shared by every program
+// linked against it, and must not modify the vectors. This is the one
+// place the merge order is written: SpliceVectors and the examples of a
+// cached record both walk it.
+func EachLinked(img *ir.Image, own []Vector, fn func(*Vector)) {
+	var lib []Vector
+	if img != nil {
+		lib = imageOf(img).all
+	}
+	i, k := 0, 0
+	for i < len(own) && k < len(lib) {
+		if own[i].Ref.Func < lib[k].Ref.Func {
+			fn(&own[i])
+			i++
 		} else {
-			out, lib = append(out, lib[0]), lib[1:]
+			fn(&lib[k])
+			k++
 		}
 	}
-	out = append(out, own...)
-	return append(out, lib...)
+	for ; i < len(own); i++ {
+		fn(&own[i])
+	}
+	for ; k < len(lib); k++ {
+		fn(&lib[k])
+	}
+}
+
+// NumLinked returns how many vectors EachLinked(img, own, …) visits: the
+// site count of the linked program.
+func NumLinked(img *ir.Image, own []Vector) int {
+	if img == nil {
+		return len(own)
+	}
+	return len(own) + len(imageOf(img).all)
+}
+
+// SpliceVectors returns the vectors of a program linked against img in
+// site order, copied out of own and img's analysis (EachLinked).
+func SpliceVectors(img *ir.Image, own []Vector) []Vector {
+	out := make([]Vector, 0, NumLinked(img, own))
+	EachLinked(img, own, func(v *Vector) { out = append(out, *v) })
+	return out
 }

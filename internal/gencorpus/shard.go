@@ -7,6 +7,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/features"
 	"repro/internal/ir"
 	"repro/internal/par"
 )
@@ -68,18 +69,19 @@ func (c *ShardedCorpus) size() int {
 	return c.Size
 }
 
-// Examples analyzes every shard in order, Load(0) through the last, and
-// returns the pooled training examples in entry order.
+// Examples analyzes every shard in order, as Load(0) through the last
+// would, and returns the pooled training examples in entry order, copied
+// once into a slice of exactly their number.
 func (c *ShardedCorpus) Examples() ([]core.Example, error) {
-	var shards [][]core.Example
+	var parts [][]core.Example
 	for i := 0; i*c.size() < len(c.Entries); i++ {
-		ex, err := c.Load(i)
+		ex, err := c.analyze(c.shard(i))
 		if err != nil {
 			return nil, err
 		}
-		shards = append(shards, ex)
+		parts = append(parts, ex...)
 	}
-	return concat(shards), nil
+	return concat(parts), nil
 }
 
 // concat joins example slices into one of exactly their total length.
@@ -99,8 +101,17 @@ func concat(parts [][]core.Example) []core.Example {
 // the artifact cache) and returns the pooled training examples in entry
 // order.
 func (c *ShardedCorpus) Load(i int) ([]core.Example, error) {
+	ex, err := c.analyze(c.shard(i))
+	if err != nil {
+		return nil, err
+	}
+	return concat(ex), nil
+}
+
+// shard returns the entries of shard i.
+func (c *ShardedCorpus) shard(i int) []corpus.Entry {
 	lo := i * c.size()
-	return c.analyze(c.Entries[lo:min(lo+c.size(), len(c.Entries))])
+	return c.Entries[lo:min(lo+c.size(), len(c.Entries))]
 }
 
 // analyzed is what one entry of a shard contributes.
@@ -114,11 +125,11 @@ type analyzed struct {
 }
 
 // analyze runs one shard's entries on GOMAXPROCS workers (par.For) and
-// concatenates their examples in entry order. With a cache, the shard's
+// returns each entry's examples, in entry order. With a cache, the shard's
 // index entry (when the binary is readable) and pack serve what they can;
 // once all entries are done, the pack and then the index entry are
 // rewritten if what the entries found differs from what was read.
-func (c *ShardedCorpus) analyze(entries []corpus.Entry) ([]core.Example, error) {
+func (c *ShardedCorpus) analyze(entries []corpus.Entry) ([][]core.Example, error) {
 	tgt := c.target()
 	var ixKey string
 	var hints []artifact.IndexEntry
@@ -187,7 +198,7 @@ func (c *ShardedCorpus) analyze(entries []corpus.Entry) ([]core.Example, error) 
 	if ixKey != "" && !slices.Equal(index, hints) {
 		_ = c.Cache.StoreIndex(ixKey, index)
 	}
-	return concat(examples), nil
+	return examples, nil
 }
 
 // binaryIdentity is artifact.BinaryIdentity; tests substitute another
@@ -201,12 +212,13 @@ var binaryIdentity = artifact.BinaryIdentity
 // which serves the pack's frame for the entry first.
 func (c *ShardedCorpus) entry(e corpus.Entry, tgt codegen.Target, j int, hint artifact.IndexEntry, pack *artifact.Pack, prog *ir.Program, key string) (analyzed, error) {
 	if rec, frame, ok := pack.Record(j, hint.IRKey); ok {
-		// The record of a linked program splices in the runtime library
-		// image the entry links, which this builds once per process
-		// without compiling a program; no image means a miss.
+		// The record of a linked program merges its own vectors with those
+		// of the runtime library image the entry links, which this builds
+		// once per process without compiling a program; no image means a
+		// miss. Only the executed sites' vectors are copied.
 		img, _ := corpus.LibraryImage(e.Language, tgt)
-		if vecs, ok := rec.VectorsFor(img); ok && len(vecs) == hint.Sites {
-			return analyzed{core.ExamplesOf(vecs, rec.Profile), hint, frame, true}, nil
+		if lib, ok := rec.ImageFor(img); ok && features.NumLinked(lib, rec.Vectors) == hint.Sites {
+			return analyzed{core.LinkedExamples(lib, rec.Vectors, rec.Profile), hint, frame, true}, nil
 		}
 	}
 	if prog == nil {
