@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check fma-check check bench bench-hot bench-pgo bench-hwsim race fuzz chaos cluster-chaos gencorpus-check perfbench-check
+.PHONY: all build test vet fmt-check fma-check check bench bench-hot bench-pgo bench-hwsim study-check race fuzz chaos cluster-chaos gencorpus-check perfbench-check
 
 all: check
 
@@ -19,8 +19,8 @@ fmt-check:
 
 # fma-check fails on any fused multiply-add the compiler emits for arm64 in
 # the packages whose float results are pinned bit for bit (core, features,
-# interp, serve, stats, heuristics, pgo, dtree, obs, hwsim, mbr) or in their
-# test binaries; see scripts/fma-check.sh.
+# interp, serve, stats, heuristics, pgo, dtree, obs, hwsim, mbr, neural,
+# experiments) or in their test binaries; see scripts/fma-check.sh.
 fma-check:
 	GO=$(GO) sh scripts/fma-check.sh
 
@@ -105,3 +105,9 @@ bench-pgo:
 # committed as the co-simulation baseline.
 bench-hwsim:
 	$(GO) run ./cmd/espbench -hwsim -benchout .
+
+# study-check regenerates both study outputs and fails if either differs from
+# the committed copy: both studies are deterministic, so a difference means
+# the change moved a study result.
+study-check: bench-pgo bench-hwsim
+	git diff --exit-code -- BENCH_pgo.json BENCH_hwsim.json

@@ -75,7 +75,7 @@ func main() {
 		w := float64(c.Executed)
 		actual := c.TakenFraction()
 		esp := model.TakenProbability(v)
-		dp, _ := dshc.TakenProbability(&ev[i])
+		dp, _ := dshc.Prob(&held.Vectors[i], &ev[i])
 		espErr += w * math.Abs(esp-actual)
 		dshcErr += w * math.Abs(dp-actual)
 		uniformErr += w * math.Abs(0.5-actual)

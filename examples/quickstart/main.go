@@ -51,15 +51,18 @@ func main() {
 	// 3. Predict the held-out program and compare against the baselines.
 	esp := &core.Predictor{Model: model}
 	fmt.Printf("\nmiss rates on held-out %q:\n", heldOut)
-	for _, p := range []heuristics.Predictor{
-		heuristics.BTFNT{},
-		heuristics.NewAPHC(),
-		heuristics.NewDSHCBallLarus(),
-		esp,
-		&heuristics.Perfect{Prof: held.Profile},
+	for _, p := range []struct {
+		label string
+		pred  heuristics.Predictor
+	}{
+		{"BTFNT", heuristics.BTFNT{}},
+		{"APHC", heuristics.NewAPHC()},
+		{"DSHC(B&L)", heuristics.NewDSHCBallLarus()},
+		{"ESP(neural-net)", esp},
+		{"Perfect", &heuristics.Perfect{Prof: held.Profile}},
 	} {
-		miss := heuristics.MissRate(held.Vectors, held.Evidence(), held.Profile, p)
-		fmt.Printf("  %-12s %5.1f%%\n", p.Name(), 100*miss)
+		miss := heuristics.MissRate(held.Vectors, held.Evidence(), held.Profile, p.pred)
+		fmt.Printf("  %-12s %5.1f%%\n", p.label, 100*miss)
 	}
 
 	// 4. Inspect a few individual predictions.

@@ -80,7 +80,7 @@ func degradedReference(vecs []features.Vector) []float64 {
 	out := make([]float64, len(vecs))
 	for i := range vecs {
 		ev := heuristics.VectorApply(&vecs[i])
-		out[i], _ = d.TakenProbability(&ev)
+		out[i], _ = d.Prob(&vecs[i], &ev)
 	}
 	return out
 }

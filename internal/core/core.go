@@ -128,24 +128,18 @@ type Example struct {
 // Examples converts a program's profile into training examples, skipping
 // branches that never executed (they carry no evidence).
 func (pd *ProgramData) Examples() []Example {
-	return ExamplesOf(pd.Vectors, pd.Profile)
+	return LinkedExamples(nil, pd.Vectors, pd.Profile)
 }
 
-// ExamplesOf pairs each feature vector with its branch's counts in prof,
-// in vector order, skipping branches that never executed. It reads only
-// each vector's Ref, so a cached artifact.Record yields a program's
-// examples without its sites: ExtractAll gives Vectors[i] the Ref of
-// Sites.Sites[i].
-func ExamplesOf(vecs []features.Vector, prof *interp.Profile) []Example {
-	return LinkedExamples(nil, vecs, prof)
-}
-
-// LinkedExamples is ExamplesOf(features.SpliceVectors(img, own), prof)
-// without the splice: the examples of a program linked against img (nil
-// for none) whose own functions' vectors are own, as a cached record holds
-// them (artifact.Record.ImageFor). It walks the vectors in site order
-// (features.EachLinked) twice, first counting the executed sites, so it
-// allocates exactly their examples and copies no other vector.
+// LinkedExamples pairs each feature vector with its branch's counts in
+// prof, in site order, skipping branches that never executed: the examples
+// of a program linked against img (nil for none) whose own functions'
+// vectors are own, as a cached record holds them (artifact.Record.ImageFor).
+// It reads only each vector's Ref, so a record yields a program's examples
+// without its sites, and it never splices (features.SpliceVectors): it
+// walks the vectors in site order (features.EachLinked) twice, first
+// counting the executed sites, so it allocates exactly their examples and
+// copies no other vector.
 func LinkedExamples(img *ir.Image, own []features.Vector, prof *interp.Profile) []Example {
 	n := 0
 	features.EachLinked(img, own, func(v *features.Vector) {

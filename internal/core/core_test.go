@@ -117,9 +117,6 @@ func TestTreeClassifier(t *testing.T) {
 	if miss >= 0.5 {
 		t.Errorf("tree training-set miss %.2f", miss)
 	}
-	if p.Name() != "ESP(decision-tree)" {
-		t.Errorf("predictor name = %q", p.Name())
-	}
 }
 
 func TestSaveLoadRoundtrip(t *testing.T) {
@@ -317,16 +314,9 @@ func TestPredictorAlwaysPredicts(t *testing.T) {
 	model := Train([]*ProgramData{pd}, Config{})
 	p := &Predictor{Model: model}
 	for i := range pd.Vectors {
-		if _, ok := p.Predict(&pd.Vectors[i], &pd.Evidence()[i]); !ok {
+		if _, ok := p.Prob(&pd.Vectors[i], &pd.Evidence()[i]); !ok {
 			t.Fatal("ESP must predict every branch")
 		}
-	}
-	if p.Name() == "" {
-		t.Error("empty predictor name")
-	}
-	p.Label = "custom"
-	if p.Name() != "custom" {
-		t.Error("label override ignored")
 	}
 }
 

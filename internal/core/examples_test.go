@@ -2,8 +2,8 @@ package core_test
 
 // Differential and property tests of the example builder: the examples a
 // cached record yields from its own vectors and its image's, with no
-// spliced copy (core.LinkedExamples), must equal ExamplesOf over the
-// spliced vectors bit for bit, and every example slice holds exactly the
+// spliced copy (core.LinkedExamples), must equal the examples of the
+// spliced vectors with no image bit for bit, and every example slice holds exactly the
 // executed sites.
 
 import (
@@ -77,8 +77,8 @@ int main() { return a_sum(8); }
 // TestLinkedExamplesMatchSpliced: for every corpus program, one generated
 // program per mix and libraryLast, under MIPSCC and the four compilers
 // (codegen.Default is the first of them), the examples of the program's
-// record, built from its own vectors and its image's, equal ExamplesOf
-// over the spliced vectors and ProgramData.Examples bit for bit, and the
+// record, built from its own vectors and its image's, equal the examples
+// of the spliced vectors with no image and ProgramData.Examples bit for bit, and the
 // merged site count is the program's. The same analysis stored unlinked
 // (all vectors, no image) yields the same examples with no image. A linked
 // record offered another image, or none, is unusable.
@@ -125,7 +125,7 @@ func TestLinkedExamplesMatchSpliced(t *testing.T) {
 			if !slices.Equal(vecs, pd.Vectors) {
 				t.Fatalf("%s: spliced record vectors differ from the program's", name)
 			}
-			spliced := core.ExamplesOf(vecs, rec.Profile)
+			spliced := core.LinkedExamples(nil, vecs, rec.Profile)
 			got := core.LinkedExamples(lib, rec.Vectors, rec.Profile)
 			exact(t, name+" LinkedExamples", got)
 			if !sameExamples(got, spliced) || !sameExamples(got, want) {
@@ -163,8 +163,8 @@ func TestLinkedExamplesMatchSpliced(t *testing.T) {
 	}
 }
 
-// oracleExamples is the append-grown construction ExamplesOf used before
-// it counted first, weights through Profile.NormalizedWeight.
+// oracleExamples is the append-grown construction LinkedExamples replaced:
+// it does not count first, and it weighs through Profile.NormalizedWeight.
 func oracleExamples(vecs []features.Vector, prof *interp.Profile) []core.Example {
 	var out []core.Example
 	for i := range vecs {
@@ -180,8 +180,8 @@ func oracleExamples(vecs []features.Vector, prof *interp.Profile) []core.Example
 
 // TestExamplesOfExactProperty: over seeded random vectors and profiles
 // (branches missing, never executed, executed, and a zero CondExec),
-// ExamplesOf and LinkedExamples with no image equal the oracle bit for bit
-// in slices of exactly their length.
+// LinkedExamples with no image equals the oracle bit for bit in a slice of
+// exactly its length.
 func TestExamplesOfExactProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 2000; trial++ {
@@ -205,11 +205,10 @@ func TestExamplesOfExactProperty(t *testing.T) {
 			prof.CondExec = 0
 		}
 		want := oracleExamples(vecs, prof)
-		for _, got := range [][]core.Example{core.ExamplesOf(vecs, prof), core.LinkedExamples(nil, vecs, prof)} {
-			if !sameExamples(got, want) {
-				t.Fatalf("trial %d: examples differ from the oracle", trial)
-			}
-			exact(t, "trial "+strconv.Itoa(trial), got)
+		got := core.LinkedExamples(nil, vecs, prof)
+		if !sameExamples(got, want) {
+			t.Fatalf("trial %d: examples differ from the oracle", trial)
 		}
+		exact(t, "trial "+strconv.Itoa(trial), got)
 	}
 }

@@ -302,28 +302,16 @@ func (m *Model) TakenProbabilities(vs []features.Vector, out []float64) {
 }
 
 // Predictor adapts the model to the heuristics.Predictor interface used by
-// all evaluation code: a branch is predicted taken when the estimated
-// probability exceeds 0.5.
+// all evaluation, profile estimation and hint derivation: it never
+// declines, and a branch is predicted taken when the estimated probability
+// exceeds 0.5.
 type Predictor struct {
 	Model *Model
-	// Label overrides the reported name.
-	Label string
 }
 
-// Name implements heuristics.Predictor.
-func (p *Predictor) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return "ESP(" + p.Model.Cfg.Classifier.String() + ")"
-}
-
-// Predict implements heuristics.Predictor.
-func (p *Predictor) Predict(v *features.Vector, _ *heuristics.Evidence) (heuristics.Prediction, bool) {
-	if p.Model.TakenProbability(*v) > 0.5 {
-		return heuristics.Taken, true
-	}
-	return heuristics.NotTaken, true
+// Prob implements heuristics.Predictor.
+func (p *Predictor) Prob(v *features.Vector, _ *heuristics.Evidence) (float64, bool) {
+	return p.Model.TakenProbability(*v), true
 }
 
 // modelJSON is the serialized form of a model. Load decodes it with plain

@@ -12,7 +12,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/par"
-	"repro/internal/pgo"
 	"repro/internal/stats"
 )
 
@@ -171,21 +170,22 @@ func matrixIndex(pred, seed string) int {
 }
 
 // hwsimSink builds the predictor matrix when the trace delivers the site
-// table (predictor state is sized by site count) and fans every branch
-// event out to all counters. It implements interp.TraceSink.
+// table (predictor state is sized by site count); its Mux, whose Counters
+// are in matrix order, fans every branch event out to all counters. It
+// implements interp.TraceSink.
 type hwsimSink struct {
+	hwsim.Mux
 	vecs     []features.Vector
 	evidence []heuristics.Evidence
-	srcs     []pgo.ProbSource // HwsimSeeds order; nil = unseeded
-	counters []*hwsim.Counter // matrix order; built in BeginTrace
+	seeds    []heuristics.Predictor // HwsimSeeds order; nil = unseeded
 }
 
 func (s *hwsimSink) BeginTrace(refs []ir.BranchRef) {
 	n := len(refs)
-	hintSets := make([][]bool, len(s.srcs))
-	for i, src := range s.srcs {
-		if src != nil {
-			hintSets[i] = hwsim.Hints(src, s.vecs, s.evidence, refs)
+	hintSets := make([][]bool, len(s.seeds))
+	for i, pred := range s.seeds {
+		if pred != nil {
+			hintSets[i] = hwsim.Hints(pred, s.vecs, s.evidence, refs)
 		}
 	}
 	builders := []func(h []bool) hwsim.Predictor{
@@ -196,14 +196,8 @@ func (s *hwsimSink) BeginTrace(refs []ir.BranchRef) {
 	}
 	for _, build := range builders {
 		for _, hints := range hintSets {
-			s.counters = append(s.counters, hwsim.NewCounter(build(hints)))
+			s.Counters = append(s.Counters, hwsim.NewCounter(build(hints)))
 		}
-	}
-}
-
-func (s *hwsimSink) TraceBranch(site int32, taken bool) {
-	for _, c := range s.counters {
-		c.Observe(site, taken)
 	}
 }
 
@@ -223,12 +217,12 @@ func hwsimProgram(e corpus.Entry, model *core.Model) ([]*hwsim.Counter, error) {
 	sink := &hwsimSink{
 		vecs:     features.ExtractAll(ps),
 		evidence: heuristics.EvidenceOf(ps),
-		srcs: []pgo.ProbSource{
+		seeds: []heuristics.Predictor{
 			nil, // unseeded
-			hwsim.BTFNT{},
-			pgo.NewHeuristic(),
-			&pgo.Model{M: model},
-			&pgo.Measured{Prof: prof},
+			heuristics.BTFNT{},
+			heuristics.NewDSHCBallLarus(),
+			&core.Predictor{Model: model},
+			&heuristics.Perfect{Prof: prof},
 		},
 	}
 	tprof, err := interp.RunTrace(prog, cfg, sink)
@@ -237,13 +231,13 @@ func hwsimProgram(e corpus.Entry, model *core.Model) ([]*hwsim.Counter, error) {
 	}
 	// The stream must cover exactly the profiled conditional executions —
 	// the CycleCount-style consistency check, applied end to end.
-	for _, c := range sink.counters {
+	for _, c := range sink.Counters {
 		if c.Events != tprof.CondExec {
 			return nil, fmt.Errorf("counter %s saw %d events, profile recorded %d",
 				c.Pred.Name(), c.Events, tprof.CondExec)
 		}
 	}
-	return sink.counters, nil
+	return sink.Counters, nil
 }
 
 // Render formats the study: the steady-state matrix, cold-start tables for

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/gencorpus"
+	"repro/internal/heuristics"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/par"
@@ -197,10 +198,10 @@ func pgoRow(e corpus.Entry, model *core.Model) (PGORow, error) {
 		}
 		return cycles, nil
 	}
-	if row.ESP, err = measure("esp", pgo.Fixed(&pgo.Model{M: model})); err != nil {
+	if row.ESP, err = measure("esp", pgo.Fixed(&core.Predictor{Model: model})); err != nil {
 		return PGORow{}, err
 	}
-	if row.Heuristic, err = measure("heuristic", pgo.Fixed(pgo.NewHeuristic())); err != nil {
+	if row.Heuristic, err = measure("heuristic", pgo.Fixed(heuristics.NewDSHCBallLarus())); err != nil {
 		return PGORow{}, err
 	}
 	if row.Perfect, err = measure("perfect", pgo.MeasuredFactory(e.RunConfig())); err != nil {

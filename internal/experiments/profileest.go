@@ -48,7 +48,7 @@ func ProfileEstimation(ctx *Context, cfg core.Config) (*ProfileEstimationResult,
 			w := float64(c.Executed)
 			actual := c.TakenFraction()
 			esp := model.TakenProbability(held.Vectors[i])
-			dp, _ := dshc.TakenProbability(&ev[i])
+			dp, _ := dshc.Prob(&held.Vectors[i], &ev[i])
 			espErr += float64(w * math.Abs(esp-actual))
 			dshcErr += float64(w * math.Abs(dp-actual))
 			uniErr += float64(w * math.Abs(0.5-actual))

@@ -78,7 +78,7 @@ func Table4(ctx *Context, espCfg core.Config) (*Table4Result, error) {
 
 	aphc := heuristics.NewAPHC()
 	dshcBL := heuristics.NewDSHCBallLarus()
-	dshcOurs := heuristics.NewDSHCFromMiss("DSHC(Ours)", res.MeasuredMiss)
+	dshcOurs := heuristics.NewDSHCFromMiss(res.MeasuredMiss)
 	entries := corpus.Study()
 	for i, pd := range data {
 		row := Table4Row{

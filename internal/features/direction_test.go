@@ -5,14 +5,13 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/heuristics"
-	"repro/internal/hwsim"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
 
 // TestSelfLoopIsBackward pins the one branch-direction rule on a branch to
 // its own block: the branch ends the block and the target is the block's
-// start, so the branch is backward. Feature 2, both BTFNT predictors and the
+// start, so the branch is backward. Feature 2, the BTFNT predictor and the
 // cycle model must all agree.
 func TestSelfLoopIsBackward(t *testing.T) {
 	// main: R1 = 3; loop: R1 = R1 - 1; bne R1, loop; V0 = 0; ret.
@@ -43,11 +42,8 @@ func TestSelfLoopIsBackward(t *testing.T) {
 	if got := v.Values[features.FBrDirection]; got != "B" {
 		t.Errorf("feature 2 = %q, want B", got)
 	}
-	if p, ok := (heuristics.BTFNT{}).Predict(v, ev); !ok || p != heuristics.Taken {
-		t.Errorf("heuristics.BTFNT = %v, %v; want taken", p, ok)
-	}
-	if p := (hwsim.BTFNT{}).Prob(v, ev); p != 1 {
-		t.Errorf("hwsim.BTFNT probability = %v, want 1", p)
+	if p, ok := (heuristics.BTFNT{}).Prob(v, ev); !ok || p != 1 {
+		t.Errorf("heuristics.BTFNT = %v, %v; want 1 (taken)", p, ok)
 	}
 
 	// The branch runs three times: taken twice, then falls through once.

@@ -598,7 +598,7 @@ func TestRecordExamplesMatchSites(t *testing.T) {
 			t.Fatalf("%s: record did not read back", e.Name)
 		}
 		want := sitesExamples(pd)
-		if !sameExamples(core.ExamplesOf(rec.Vectors, rec.Profile), want) {
+		if !sameExamples(core.LinkedExamples(nil, rec.Vectors, rec.Profile), want) {
 			t.Errorf("%s: record examples differ from the site-keyed examples", e.Name)
 		}
 		if !sameExamples(pd.Examples(), want) {

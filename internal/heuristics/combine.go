@@ -5,14 +5,37 @@ import (
 	"repro/internal/interp"
 )
 
-// Predictor is any static branch predictor: it predicts a direction for a
-// branch site from the site's feature vector and heuristic evidence, or
-// declines (ok == false), in which case evaluation charges the expected
-// 50% miss rate of a uniform random prediction, exactly as the paper
-// treats uncovered branches.
+// Predictor is any static branch predictor: it estimates the probability
+// p that a branch site is taken from the site's feature vector and
+// heuristic evidence. The site is predicted taken when p > 0.5 and
+// not-taken otherwise. A predictor may decline (ok == false), and then p
+// is exactly 0.5: evaluation charges the expected 50% miss rate of a
+// uniform random prediction, exactly as the paper treats uncovered
+// branches, and profile estimation reads the uninformed 0.5.
 type Predictor interface {
-	Name() string
-	Predict(v *features.Vector, ev *Evidence) (pred Prediction, ok bool)
+	Prob(v *features.Vector, ev *Evidence) (p float64, ok bool)
+}
+
+// direction is the prediction a predictor's (p, ok) answer stands for.
+func direction(p float64, ok bool) Prediction {
+	switch {
+	case !ok:
+		return None
+	case p > 0.5:
+		return Taken
+	}
+	return NotTaken
+}
+
+// probOf is the probability a directional predictor reports for pred.
+func probOf(pred Prediction) (float64, bool) {
+	switch pred {
+	case Taken:
+		return 1, true
+	case NotTaken:
+		return 0, true
+	}
+	return 0.5, false
 }
 
 // --- BTFNT -------------------------------------------------------------------
@@ -21,15 +44,12 @@ type Predictor interface {
 // on the sign of the branch displacement.
 type BTFNT struct{}
 
-// Name implements Predictor.
-func (BTFNT) Name() string { return "BTFNT" }
-
-// Predict implements Predictor.
-func (BTFNT) Predict(v *features.Vector, _ *Evidence) (Prediction, bool) {
+// Prob implements Predictor.
+func (BTFNT) Prob(v *features.Vector, _ *Evidence) (float64, bool) {
 	if v.Values[features.FBrDirection] == "B" {
-		return Taken, true
+		return 1, true
 	}
-	return NotTaken, true
+	return 0, true
 }
 
 // --- APHC --------------------------------------------------------------------
@@ -52,13 +72,10 @@ type APHC struct {
 // NewAPHC returns an APHC predictor with the default order.
 func NewAPHC() *APHC { return &APHC{Order: DefaultOrder} }
 
-// Name implements Predictor.
-func (a *APHC) Name() string { return "APHC" }
-
-// Predict implements Predictor.
-func (a *APHC) Predict(_ *features.Vector, ev *Evidence) (Prediction, bool) {
-	p, _, ok := a.PredictWith(ev)
-	return p, ok
+// Prob implements Predictor.
+func (a *APHC) Prob(_ *features.Vector, ev *Evidence) (float64, bool) {
+	p, _, _ := a.PredictWith(ev)
+	return probOf(p)
 }
 
 // PredictWith additionally reports which heuristic fired.
@@ -79,15 +96,14 @@ func (a *APHC) PredictWith(ev *Evidence) (Prediction, Heuristic, bool) {
 
 // DSHC combines every applicable heuristic's evidence with the
 // Dempster-Shafer combination rule (Wu and Larus). Each heuristic h that
-// predicts a direction contributes its historical hit rate Prob[h] as the
+// predicts a direction contributes its historical hit rate HitRate[h] as the
 // probability of that direction; the combined taken-probability is
 //
 //	Π p_i / (Π p_i + Π (1-p_i))
 //
 // over the per-heuristic taken-probabilities p_i.
 type DSHC struct {
-	Name_ string
-	Prob  [NumHeuristics]float64 // probability the heuristic's prediction is correct
+	HitRate [NumHeuristics]float64 // probability the heuristic's prediction is correct
 }
 
 // BallLarusMIPSMiss holds the per-heuristic miss rates Ball and Larus report
@@ -108,9 +124,9 @@ var BallLarusMIPSMiss = [NumHeuristics]float64{
 // NewDSHCBallLarus returns DSHC configured with the Ball/Larus published
 // rates — the paper's "DSHC(B&L)" column.
 func NewDSHCBallLarus() *DSHC {
-	d := &DSHC{Name_: "DSHC(B&L)"}
+	d := &DSHC{}
 	for h := Heuristic(0); h < NumHeuristics; h++ {
-		d.Prob[h] = 1 - BallLarusMIPSMiss[h]
+		d.HitRate[h] = 1 - BallLarusMIPSMiss[h]
 	}
 	return d
 }
@@ -118,8 +134,8 @@ func NewDSHCBallLarus() *DSHC {
 // NewDSHCFromMiss returns DSHC configured from measured per-heuristic miss
 // rates — the paper's "DSHC(Ours)" column uses the rates measured on our own
 // corpus (Table 6's "Overall" column).
-func NewDSHCFromMiss(name string, miss [NumHeuristics]float64) *DSHC {
-	d := &DSHC{Name_: name}
+func NewDSHCFromMiss(miss [NumHeuristics]float64) *DSHC {
+	d := &DSHC{}
 	for h := Heuristic(0); h < NumHeuristics; h++ {
 		p := 1 - miss[h]
 		// Clamp away from 0/1: Dempster-Shafer with certainty-1 evidence
@@ -130,22 +146,15 @@ func NewDSHCFromMiss(name string, miss [NumHeuristics]float64) *DSHC {
 		if p > 0.99 {
 			p = 0.99
 		}
-		d.Prob[h] = p
+		d.HitRate[h] = p
 	}
 	return d
 }
 
-// Name implements Predictor.
-func (d *DSHC) Name() string {
-	if d.Name_ != "" {
-		return d.Name_
-	}
-	return "DSHC"
-}
-
-// TakenProbability returns the Dempster-Shafer combined probability that the
-// branch is taken, and whether any heuristic applied.
-func (d *DSHC) TakenProbability(ev *Evidence) (float64, bool) {
+// Prob implements Predictor: the Dempster-Shafer combined probability that
+// the branch is taken. It declines when no heuristic applies or the
+// evidence cancels out to exactly 0.5.
+func (d *DSHC) Prob(_ *features.Vector, ev *Evidence) (float64, bool) {
 	pTaken, pNot := 1.0, 1.0
 	applied := false
 	for h, pred := range ev {
@@ -153,7 +162,7 @@ func (d *DSHC) TakenProbability(ev *Evidence) (float64, bool) {
 			continue
 		}
 		applied = true
-		p := d.Prob[h]
+		p := d.HitRate[h]
 		if pred == Taken {
 			pTaken *= p
 			pNot *= 1 - p
@@ -162,67 +171,45 @@ func (d *DSHC) TakenProbability(ev *Evidence) (float64, bool) {
 			pNot *= p
 		}
 	}
-	if !applied {
-		return 0.5, false
+	if den := pTaken + pNot; applied && den != 0 {
+		if p := pTaken / den; p != 0.5 {
+			return p, true
+		}
 	}
-	den := pTaken + pNot
-	if den == 0 {
-		return 0.5, true
-	}
-	return pTaken / den, true
-}
-
-// Predict implements Predictor.
-func (d *DSHC) Predict(_ *features.Vector, ev *Evidence) (Prediction, bool) {
-	p, ok := d.TakenProbability(ev)
-	if !ok {
-		return None, false
-	}
-	if p > 0.5 {
-		return Taken, true
-	}
-	if p < 0.5 {
-		return NotTaken, true
-	}
-	return None, false // exact tie: fall back to the random default
+	return 0.5, false // no evidence or an exact tie: the random default
 }
 
 // --- Perfect -----------------------------------------------------------------
 
 // Perfect is the perfect static profile predictor: with the program's own
-// profile in hand it predicts each branch's majority direction — the lower
-// bound for any static scheme (the paper's 8% column).
+// profile in hand it reports each branch's measured taken fraction, so it
+// predicts the majority direction — the lower bound for any static scheme
+// (the paper's 8% column). A branch the run never executed reads 0.5 (a
+// real profile carries no evidence about it either) and is predicted
+// not-taken.
 type Perfect struct {
 	Prof *interp.Profile
 }
 
-// Name implements Predictor.
-func (p *Perfect) Name() string { return "Perfect" }
-
-// Predict implements Predictor.
-func (p *Perfect) Predict(v *features.Vector, _ *Evidence) (Prediction, bool) {
-	c := p.Prof.Branches[v.Ref]
-	if c == nil || c.Executed == 0 {
-		return NotTaken, true
+// Prob implements Predictor. For counts below 2^53 the taken fraction
+// exceeds 0.5 exactly when 2*Taken > Executed.
+func (p *Perfect) Prob(v *features.Vector, _ *Evidence) (float64, bool) {
+	if c := p.Prof.Branches[v.Ref]; c != nil && c.Executed > 0 {
+		return c.TakenFraction(), true
 	}
-	if 2*c.Taken > c.Executed {
-		return Taken, true
-	}
-	return NotTaken, true
+	return 0.5, true
 }
 
 // --- Fixed -------------------------------------------------------------------
 
 // Fixed predicts every branch the same way (a trivial baseline used in
-// tests and ablations).
+// tests and ablations). Fixed{} declines every branch: the uninformed 0.5
+// baseline.
 type Fixed struct {
 	Direction Prediction
 }
 
-// Name implements Predictor.
-func (f Fixed) Name() string { return "Fixed(" + f.Direction.String() + ")" }
-
-// Predict implements Predictor.
-func (f Fixed) Predict(*features.Vector, *Evidence) (Prediction, bool) {
-	return f.Direction, true
+// Prob implements Predictor.
+func (f Fixed) Prob(*features.Vector, *Evidence) (float64, bool) {
+	return probOf(f.Direction)
 }

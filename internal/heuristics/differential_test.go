@@ -75,7 +75,7 @@ func TestPredictorsMatchSiteOracles(t *testing.T) {
 				rates[h] = float64(missed[h]) / float64(cov[h])
 			}
 		}
-		bl, ours := heuristics.NewDSHCBallLarus(), heuristics.NewDSHCFromMiss("DSHC(Ours)", rates)
+		bl, ours := heuristics.NewDSHCBallLarus(), heuristics.NewDSHCFromMiss(rates)
 		flipped := heuristics.Config{CallPredictsTaken: true}
 		for _, p := range progs {
 			aphcFlipped := &heuristics.APHC{Order: heuristics.DefaultOrder, Cfg: flipped}
@@ -86,8 +86,8 @@ func TestPredictorsMatchSiteOracles(t *testing.T) {
 				{heuristics.BTFNT{}, oracleBTFNT{}},
 				{heuristics.NewAPHC(), oracleAPHC{order: heuristics.DefaultOrder}},
 				{aphcFlipped, oracleAPHC{order: heuristics.DefaultOrder, cfg: flipped}},
-				{bl, oracleDSHC{prob: bl.Prob}},
-				{ours, oracleDSHC{prob: ours.Prob}},
+				{bl, oracleDSHC{prob: bl.HitRate}},
+				{ours, oracleDSHC{prob: ours.HitRate}},
 				{&heuristics.Perfect{Prof: p.prof}, oraclePerfect{p.prof}},
 				{heuristics.Fixed{Direction: heuristics.Taken}, oracleFixed{heuristics.Taken}},
 				{heuristics.Fixed{Direction: heuristics.NotTaken}, oracleFixed{heuristics.NotTaken}},
@@ -96,18 +96,20 @@ func TestPredictorsMatchSiteOracles(t *testing.T) {
 				got := heuristics.MissRate(p.vecs, p.ev, p.prof, pair.got)
 				want := oracleMissRate(p.ps, p.prof, pair.want)
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s/%s: predictor %d (%s) miss %v, oracle %v", tgt.Name, p.name, k, pair.got.Name(), got, want)
+					t.Fatalf("%s/%s: predictor %d miss %v, oracle %v", tgt.Name, p.name, k, got, want)
 				}
 				if got, want := heuristics.Outcomes(p.vecs, p.ev, p.prof, pair.got), oracleOutcomes(p.ps, p.prof, pair.want); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: predictor %d (%s) outcomes differ from the oracle's", tgt.Name, p.name, k, pair.got.Name())
+					t.Fatalf("%s/%s: predictor %d outcomes differ from the oracle's", tgt.Name, p.name, k)
 				}
 			}
 			for i, s := range p.ps.Sites {
-				for _, d := range []*heuristics.DSHC{bl, ours} {
-					got, gotOK := d.TakenProbability(&p.ev[i])
-					want, wantOK := oracleDSHC{prob: d.Prob}.takenProbability(s)
-					if math.Float64bits(got) != math.Float64bits(want) || gotOK != wantOK {
-						t.Fatalf("%s/%s %s: %s probability %v %v, oracle %v %v", tgt.Name, p.name, s.Ref, d.Name(), got, gotOK, want, wantOK)
+				for k, d := range []*heuristics.DSHC{bl, ours} {
+					got, gotOK := d.Prob(&p.vecs[i], &p.ev[i])
+					want, wantOK := oracleDSHC{prob: d.HitRate}.takenProbability(s)
+					// The oracle reports whether any heuristic applied;
+					// Prob also declines an exact tie.
+					if math.Float64bits(got) != math.Float64bits(want) || gotOK != (wantOK && want != 0.5) {
+						t.Fatalf("%s/%s %s: DSHC %d probability %v %v, oracle %v %v", tgt.Name, p.name, s.Ref, k, got, gotOK, want, wantOK)
 					}
 				}
 			}
@@ -157,18 +159,15 @@ func TestTieRules(t *testing.T) {
 	for h := range miss {
 		miss[h] = 0.3
 	}
-	d := heuristics.NewDSHCFromMiss("equal", miss)
+	d := heuristics.NewDSHCFromMiss(miss)
 	var ev heuristics.Evidence
 	ev[heuristics.Opcode], ev[heuristics.Return] = heuristics.Taken, heuristics.NotTaken
-	if p, ok := d.TakenProbability(&ev); p != 0.5 || !ok {
-		t.Fatalf("opposed equal evidence: %v %v, want 0.5 true", p, ok)
-	}
-	if pred, ok := d.Predict(nil, &ev); pred != heuristics.None || ok {
-		t.Errorf("DSHC at exactly 0.5 predicts %s %v, want a decline", pred, ok)
-	}
 	v := features.Vector{Ref: ir.BranchRef{Func: "f", Block: 1}}
+	if p, ok := d.Prob(&v, &ev); p != 0.5 || ok {
+		t.Errorf("DSHC at exactly 0.5: %v %v, want a decline (0.5 false)", p, ok)
+	}
 	prof := &interp.Profile{Branches: map[ir.BranchRef]*interp.BranchCount{v.Ref: {Executed: 4, Taken: 2}}}
-	if pred, ok := (&heuristics.Perfect{Prof: prof}).Predict(&v, &ev); pred != heuristics.NotTaken || !ok {
-		t.Errorf("Perfect on a half-taken branch predicts %s %v, want not-taken", pred, ok)
+	if p, ok := (&heuristics.Perfect{Prof: prof}).Prob(&v, &ev); p > 0.5 || !ok {
+		t.Errorf("Perfect on a half-taken branch: %v %v, want 0.5 true (not-taken)", p, ok)
 	}
 }

@@ -31,11 +31,10 @@ func MissRate(vecs []features.Vector, ev []Evidence, prof *interp.Profile, p Pre
 // siteMisses returns the (possibly fractional, for random defaults) number
 // of mispredicted executions of one branch site.
 func siteMisses(v *features.Vector, ev *Evidence, c *interp.BranchCount, p Predictor) float64 {
-	pred, ok := p.Predict(v, ev)
-	if !ok || pred == None {
+	switch direction(p.Prob(v, ev)) {
+	case None:
 		return 0.5 * float64(c.Executed)
-	}
-	if pred == Taken {
+	case Taken:
 		return float64(c.Executed - c.Taken)
 	}
 	return float64(c.Taken)
@@ -227,9 +226,9 @@ func Outcomes(vecs []features.Vector, ev []Evidence, prof *interp.Profile, p Pre
 		if c == nil {
 			c = &interp.BranchCount{}
 		}
-		pred, ok := p.Predict(&vecs[i], &ev[i])
+		pred := direction(p.Prob(&vecs[i], &ev[i]))
 		out = append(out, SiteOutcome{
-			Ref: vecs[i].Ref, Pred: pred, Covered: ok,
+			Ref: vecs[i].Ref, Pred: pred, Covered: pred != None,
 			Executed: c.Executed, Taken: c.Taken,
 		})
 	}

@@ -7,7 +7,7 @@ import "repro/internal/features"
 // needs it: when the neural model path is unavailable (inference failure,
 // deadline, overload), espserve answers from the feature vectors a client
 // sent or it extracted, through the same Dempster-Shafer combiner
-// (DSHC.TakenProbability) that scores the heuristic tier offline, the tier
+// (DSHC.Prob) that scores the heuristic tier offline, the tier
 // the paper shows ESP only modestly beats (Tables 4-5). Offline, every
 // predictor reads the Evidence that EvidenceOf computes from the CFG.
 //

@@ -9,7 +9,6 @@ import (
 	"repro/internal/heuristics"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/pgo"
 )
 
 // The Mux and Taxonomy sinks must satisfy the interpreter's trace contract.
@@ -184,7 +183,7 @@ func TestCorpusIntegration(t *testing.T) {
 	ps := features.Collect(prog)
 
 	var mux Mux
-	perfect := &pgo.Measured{Prof: prof}
+	perfect := &heuristics.Perfect{Prof: prof}
 	pre := &preMux{mux: &mux, vecs: features.ExtractAll(ps), evidence: heuristics.EvidenceOf(ps), perfect: perfect}
 	prof2, err := interp.RunTrace(prog, cfg, pre)
 	if err != nil {
@@ -210,7 +209,7 @@ type preMux struct {
 	mux      *Mux
 	vecs     []features.Vector
 	evidence []heuristics.Evidence
-	perfect  pgo.ProbSource
+	perfect  heuristics.Predictor
 }
 
 func (p *preMux) BeginTrace(refs []ir.BranchRef) {

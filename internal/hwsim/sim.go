@@ -4,33 +4,16 @@ import (
 	"repro/internal/features"
 	"repro/internal/heuristics"
 	"repro/internal/ir"
-	"repro/internal/pgo"
 )
 
-// BTFNT is the paper's hardware baseline as a probability source: backward
-// branches (target not later in layout) predicted taken, forward branches
-// not-taken. It slots into the same hint pipeline as the heuristic, ESP,
-// and perfect sources, all via pgo.ProbSource.
-type BTFNT struct{}
-
-// Name implements pgo.ProbSource.
-func (BTFNT) Name() string { return "btfnt" }
-
-// Prob implements pgo.ProbSource.
-func (BTFNT) Prob(v *features.Vector, _ *heuristics.Evidence) float64 {
-	if v.Values[features.FBrDirection] == "B" {
-		return 1
-	}
-	return 0
-}
-
 // Hints derives one static hint bit per dense branch site: taken when the
-// source's probability estimate is at least 1/2. refs is the interpreter's
-// site table (TraceSink.BeginTrace order); vecs and ev are the feature
-// vectors and heuristic evidence of the program's collected branch sites,
-// in site order. A site the collector cannot see (never happens for two-way
-// conditional branches, but defended anyway) hints not-taken.
-func Hints(src pgo.ProbSource, vecs []features.Vector, ev []heuristics.Evidence, refs []ir.BranchRef) []bool {
+// static predictor's probability estimate is at least 1/2 (a declined site
+// reads 1/2). refs is the interpreter's site table (TraceSink.BeginTrace
+// order); vecs and ev are the feature vectors and heuristic evidence of the
+// program's collected branch sites, in site order. A site the collector
+// cannot see (never happens for two-way conditional branches, but defended
+// anyway) hints not-taken.
+func Hints(pred heuristics.Predictor, vecs []features.Vector, ev []heuristics.Evidence, refs []ir.BranchRef) []bool {
 	at := make(map[ir.BranchRef]int, len(vecs))
 	for i := range vecs {
 		at[vecs[i].Ref] = i
@@ -38,7 +21,8 @@ func Hints(src pgo.ProbSource, vecs []features.Vector, ev []heuristics.Evidence,
 	hints := make([]bool, len(refs))
 	for i, ref := range refs {
 		if k, ok := at[ref]; ok {
-			hints[i] = src.Prob(&vecs[k], &ev[k]) >= 0.5
+			p, _ := pred.Prob(&vecs[k], &ev[k])
+			hints[i] = p >= 0.5
 		}
 	}
 	return hints

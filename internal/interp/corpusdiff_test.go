@@ -20,6 +20,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/faultinject"
 	"repro/internal/guard"
+	"repro/internal/heuristics"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
@@ -110,7 +111,7 @@ func guidedCases(t *testing.T) []diffCase {
 			if err != nil {
 				return nil, err
 			}
-			return pgo.Optimize(ast, e.Language, pgo.Fixed(pgo.NewHeuristic()), pgo.DefaultOptions())
+			return pgo.Optimize(ast, e.Language, pgo.Fixed(heuristics.NewDSHCBallLarus()), pgo.DefaultOptions())
 		}, e.RunConfig()})
 	}
 	return cases

@@ -141,23 +141,23 @@ func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 		for k := 0; k < rows; k++ {
 			idx, val := data.Row(k)
 			y := n.ForwardSparse(h, idx, val)
-			loss += w[k] * (y*(1-t[k]) + t[k]*(1-y))
+			loss += float64(w[k] * (float64(y*(1-t[k])) + float64(t[k]*(1-y))))
 			if y > 0.5 {
-				thr += w[k] * (1 - t[k])
+				thr += float64(w[k] * (1 - t[k]))
 			} else {
-				thr += w[k] * t[k]
+				thr += float64(w[k] * t[k])
 			}
 			u := 2*y - 1
-			dOut := w[k] * (1 - 2*t[k]) * 0.5 * (1 - u*u)
+			dOut := w[k] * (1 - 2*t[k]) * 0.5 * (1 - float64(u*u))
 			for i := 0; i < hh; i++ {
 				hi := h[i]
-				gV[i] += dOut * hi
-				d := dOut * n.V[i] * (1 - hi*hi)
+				gV[i] += float64(dOut * hi)
+				d := float64(dOut * n.V[i] * (1 - float64(hi*hi)))
 				gB[i] += d
 				dh[i] = d
 			}
 			csrScatter(gW, dh, idx, val)
-			gA += dOut
+			gA += float64(dOut)
 		}
 		// The pass ran with the weights produced by the previous epoch's
 		// update, so its thresholded error is that epoch's early-stopping
@@ -170,13 +170,13 @@ func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 		}
 		// Batch update.
 		for i := range n.W {
-			n.W[i] -= lr * gW[i]
+			n.W[i] -= float64(lr * gW[i])
 		}
 		for i := 0; i < hh; i++ {
-			n.V[i] -= lr * gV[i]
-			n.B[i] -= lr * gB[i]
+			n.V[i] -= float64(lr * gV[i])
+			n.B[i] -= float64(lr * gB[i])
 		}
-		n.A -= lr * gA
+		n.A -= float64(lr * gA)
 		if loss < prevLoss {
 			lr *= cfg.LRUp
 		} else {
@@ -197,9 +197,9 @@ func (n *Net) TrainCSR(cfg Config, data *CSR, t, w []float64) TrainResult {
 		for k := 0; k < rows; k++ {
 			idx, val := data.Row(k)
 			if n.ForwardSparse(h, idx, val) > 0.5 {
-				thr += w[k] * (1 - t[k])
+				thr += float64(w[k] * (1 - t[k]))
 			} else {
-				thr += w[k] * t[k]
+				thr += float64(w[k] * t[k])
 			}
 		}
 		if processThr(thr) {

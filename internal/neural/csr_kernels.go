@@ -21,7 +21,7 @@ func csrGatherGeneric(h, w []float64, idx []int32, val []float64) {
 		xv := val[p]
 		col := w[int(j)*n : int(j)*n+n]
 		for i, wv := range col {
-			h[i] += wv * xv
+			h[i] += float64(wv * xv)
 		}
 	}
 }
@@ -34,7 +34,7 @@ func csrScatterGeneric(gw, dh []float64, idx []int32, val []float64) {
 		xv := val[p]
 		col := gw[int(j)*n : int(j)*n+n]
 		for i := range col {
-			col[i] += dh[i] * xv
+			col[i] += float64(dh[i] * xv)
 		}
 	}
 }

@@ -20,7 +20,7 @@ func (n *Net) HiddenActivations(x []float64, h []float64) {
 		}
 		col := n.W[j*hh : j*hh+hh]
 		for i, wv := range col {
-			h[i] += wv * xv
+			h[i] += float64(wv * xv)
 		}
 	}
 	for i, z := range h {
@@ -49,7 +49,7 @@ func (n *Net) Loss(xs [][]float64, t, w []float64) float64 {
 	var e float64
 	for k, x := range xs {
 		y := n.ForwardInto(h, x)
-		e += w[k] * (y*(1-t[k]) + t[k]*(1-y))
+		e += float64(w[k] * (float64(y*(1-t[k])) + float64(t[k]*(1-y))))
 	}
 	return e
 }
@@ -65,7 +65,7 @@ func (n *Net) ThresholdedLoss(xs [][]float64, t, w []float64) float64 {
 		if n.ForwardInto(h, x) > 0.5 {
 			y = 1
 		}
-		e += w[k] * (y*(1-t[k]) + t[k]*(1-y))
+		e += float64(w[k] * (float64(y*(1-t[k])) + float64(t[k]*(1-y))))
 	}
 	return e
 }
@@ -113,14 +113,14 @@ func (n *Net) Train(cfg Config, xs [][]float64, t, w []float64) TrainResult {
 		for k, x := range xs {
 			n.HiddenActivations(x, h)
 			y := n.output(h)
-			loss += w[k] * (y*(1-t[k]) + t[k]*(1-y))
+			loss += float64(w[k] * (float64(y*(1-t[k])) + float64(t[k]*(1-y))))
 			// dE/dy = w_k (1 - 2 t_k); dy/dz = 0.5 (1 - u²) with u = 2y-1.
 			u := 2*y - 1
-			dOut := w[k] * (1 - 2*t[k]) * 0.5 * (1 - u*u)
+			dOut := w[k] * (1 - 2*t[k]) * 0.5 * (1 - float64(u*u))
 			for i := 0; i < hh; i++ {
 				hi := h[i]
-				gV[i] += dOut * hi
-				d := dOut * n.V[i] * (1 - hi*hi)
+				gV[i] += float64(dOut * hi)
+				d := float64(dOut * n.V[i] * (1 - float64(hi*hi)))
 				gB[i] += d
 				dh[i] = d
 			}
@@ -130,20 +130,20 @@ func (n *Net) Train(cfg Config, xs [][]float64, t, w []float64) TrainResult {
 				}
 				gcol := gW[j*hh : j*hh+hh]
 				for i, dv := range dh {
-					gcol[i] += dv * xv
+					gcol[i] += float64(dv * xv)
 				}
 			}
-			gA += dOut
+			gA += float64(dOut)
 		}
 		// Batch update.
 		for i := range n.W {
-			n.W[i] -= lr * gW[i]
+			n.W[i] -= float64(lr * gW[i])
 		}
 		for i := 0; i < hh; i++ {
-			n.V[i] -= lr * gV[i]
-			n.B[i] -= lr * gB[i]
+			n.V[i] -= float64(lr * gV[i])
+			n.B[i] -= float64(lr * gB[i])
 		}
-		n.A -= lr * gA
+		n.A -= float64(lr * gA)
 
 		// Adaptive learning rate: grow while the error drops, shrink when
 		// it rises.

@@ -118,7 +118,7 @@ func New(cfg Config) *Net {
 func (n *Net) output(h []float64) float64 {
 	z := n.A
 	for i, hv := range h {
-		z += n.V[i] * hv
+		z += float64(n.V[i] * hv)
 	}
 	return 0.5 * (math.Tanh(z) + 1)
 }
@@ -251,5 +251,5 @@ func (r *rng) next() uint64 {
 
 // uniform returns a value in (-1, 1).
 func (r *rng) uniform() float64 {
-	return 2*float64(r.next()>>11)/float64(1<<53) - 1
+	return float64(2*float64(r.next()>>11)/float64(1<<53)) - 1
 }

@@ -85,16 +85,16 @@ func rawGradient(n *Net, xs [][]float64, ts, ws []float64) map[string]float64 {
 		n.HiddenActivations(x, h)
 		y := n.output(h)
 		u := 2*y - 1
-		dOut := ws[k] * (1 - 2*ts[k]) * 0.5 * (1 - u*u)
+		dOut := ws[k] * (1 - 2*ts[k]) * 0.5 * (1 - float64(u*u))
 		for i := 0; i < n.Hidden; i++ {
-			gV[i] += dOut * h[i]
-			dHid := dOut * n.V[i] * (1 - h[i]*h[i])
+			gV[i] += float64(dOut * h[i])
+			dHid := float64(dOut * n.V[i] * (1 - float64(h[i]*h[i])))
 			gB[i] += dHid
 			for j := range x {
-				gW[i][j] += dHid * x[j]
+				gW[i][j] += float64(dHid * x[j])
 			}
 		}
-		gA += dOut
+		gA += float64(dOut)
 	}
 	out["w00"] = gW[0][0]
 	out["w11"] = gW[1][1]

@@ -8,6 +8,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/corpus"
 	"repro/internal/gencorpus"
+	"repro/internal/heuristics"
 	"repro/internal/interp"
 )
 
@@ -31,8 +32,8 @@ func TestGuidedOptimizationPreservesBehaviour(t *testing.T) {
 		mk   func(run interp.Config) SourceFactory
 	}
 	sources := []sourceCase{
-		{"uniform", func(interp.Config) SourceFactory { return Fixed(Uniform{}) }},
-		{"heuristic", func(interp.Config) SourceFactory { return Fixed(NewHeuristic()) }},
+		{"uniform", func(interp.Config) SourceFactory { return Fixed(heuristics.Fixed{}) }},
+		{"heuristic", func(interp.Config) SourceFactory { return Fixed(heuristics.NewDSHCBallLarus()) }},
 		{"perfect", func(run interp.Config) SourceFactory { return MeasuredFactory(run) }},
 	}
 	opt := DefaultOptions()

@@ -22,11 +22,10 @@ const maxCallWeight = 1e12
 // corpus call graph (deeper recursion only moves weight already at cap).
 const callDepthIters = 10
 
-// Estimate is a whole-program edge profile derived from a probability
-// source: the SNIPPETS.md branchProb/loopMultiplier interface materialized
-// over the IR.
+// Estimate is a whole-program edge profile derived from a static
+// predictor's taken-probabilities: the SNIPPETS.md branchProb/
+// loopMultiplier interface materialized over the IR.
 type Estimate struct {
-	Source string
 	// Prob is the per-site predicted taken probability.
 	Prob map[ir.BranchRef]float64
 	// Local maps function → block ID → per-invocation execution frequency
@@ -48,19 +47,19 @@ func (e *Estimate) Guidance() *codegen.EdgeGuidance {
 	return &codegen.EdgeGuidance{Prob: e.Prob, LocalFreq: e.Local}
 }
 
-// EstimateProfile propagates the source's branch probabilities to block
-// frequencies and function weights over the whole program. vecs and ev
-// must be the feature vectors and heuristic evidence of prog's sites, in
-// site order.
-func EstimateProfile(prog *ir.Program, vecs []features.Vector, ev []heuristics.Evidence, src ProbSource) *Estimate {
+// EstimateProfile propagates the predictor's branch probabilities to block
+// frequencies and function weights over the whole program; a branch the
+// predictor declines reads 0.5. vecs and ev must be the feature vectors
+// and heuristic evidence of prog's sites, in site order.
+func EstimateProfile(prog *ir.Program, vecs []features.Vector, ev []heuristics.Evidence, pred heuristics.Predictor) *Estimate {
 	est := &Estimate{
-		Source: src.Name(),
 		Prob:   make(map[ir.BranchRef]float64),
 		Local:  make(map[string]map[int]float64, len(prog.Funcs)),
 		Weight: make(map[string]float64, len(prog.Funcs)),
 	}
 	for i := range vecs {
-		est.Prob[vecs[i].Ref] = clampProb(src.Prob(&vecs[i], &ev[i]))
+		p, _ := pred.Prob(&vecs[i], &ev[i])
+		est.Prob[vecs[i].Ref] = clampProb(p)
 	}
 	// Per-invocation block frequencies, function by function.
 	graphs := make(map[string]*cfg.Graph, len(prog.Funcs))
@@ -149,7 +148,7 @@ func reachableInsns(b *ir.Block) []ir.Instr {
 }
 
 // propagateFunc computes per-invocation block frequencies (dense indices)
-// for one function: local edge probabilities from the source, loop
+// for one function: local edge probabilities from the estimate, loop
 // multipliers 1/(1-p_continue) applied at headers, and a single
 // reverse-postorder pass over the forward (back-edge-free) graph.
 func propagateFunc(g *cfg.Graph, est *Estimate) []float64 {

@@ -51,13 +51,13 @@ func TestEstimateMeasuredMatchesRealCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), &Measured{Prof: prof})
+	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), &heuristics.Perfect{Prof: prof})
 
 	if got := est.Weight["main"]; got != 1 {
 		t.Fatalf("main weight = %v, want 1", got)
 	}
 	// f is called ten times from a loop whose continue probability the
-	// perfect source measures as 10/11 ≈ 0.909 < the 0.95 cap, so the
+	// perfect profile measures as 10/11 ≈ 0.909 < the 0.95 cap, so the
 	// estimated activation count should land near the true 10.
 	if got, want := est.Weight["f"], float64(prof.Calls["f"]); math.Abs(got-want) > 0.25*want {
 		t.Fatalf("f weight = %v, want within 25%% of measured %v", got, want)
@@ -77,10 +77,7 @@ func TestEstimateMeasuredMatchesRealCounts(t *testing.T) {
 
 func TestEstimateUniformBoundedAndComplete(t *testing.T) {
 	prog, ps := compileEst(t, estSrc)
-	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), Uniform{})
-	if est.Source != "uniform" {
-		t.Fatalf("source = %q", est.Source)
-	}
+	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), heuristics.Fixed{})
 	for _, s := range ps.Sites {
 		p, ok := est.Prob[s.Ref]
 		if !ok {
@@ -117,7 +114,7 @@ int main() {
 }
 `
 	prog, ps := compileEst(t, src)
-	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), Uniform{})
+	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), heuristics.Fixed{})
 	w := est.Weight["fib"]
 	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 		t.Fatalf("fib weight = %v", w)
@@ -156,7 +153,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), &Measured{Prof: prof})
+	est := EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), &heuristics.Perfect{Prof: prof})
 	plan := BuildPlan(meta, est, DefaultOptions())
 
 	hotLoop := minic.Pos{Line: 6, Col: 2}

@@ -95,8 +95,8 @@ func BuildPlan(meta *codegen.Meta, est *Estimate, opt Options) *codegen.Plan {
 	}
 }
 
-// Optimize compiles ast under full profile guidance from the source the
-// factory provides: a baseline compilation discovers the branch sites, a
+// Optimize compiles ast under full profile guidance from the predictor
+// the factory provides: a baseline compilation discovers the branch sites, a
 // first estimate gates cmov and unrolling, and a second estimate — on the
 // gated IR, whose branch sites are the ones layout will move — drives
 // likely-successor block layout with cold splitting. The returned program
@@ -135,15 +135,15 @@ func Optimize(ast *minic.Program, lang ir.Language, srcFor SourceFactory, opt Op
 	return prog, nil
 }
 
-// estimate builds prog's source and estimates prog's profile from it over
-// the vectors and evidence of prog's sites.
+// estimate builds prog's predictor and estimates prog's profile from it
+// over the vectors and evidence of prog's sites.
 func estimate(prog *ir.Program, srcFor SourceFactory) (*Estimate, error) {
-	src, err := srcFor(prog)
+	pred, err := srcFor(prog)
 	if err != nil {
 		return nil, err
 	}
 	ps := features.Collect(prog)
-	return EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), src), nil
+	return EstimateProfile(prog, features.ExtractAll(ps), heuristics.EvidenceOf(ps), pred), nil
 }
 
 // Unguided compiles ast with the same optimizing target but no guidance:

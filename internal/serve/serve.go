@@ -584,7 +584,7 @@ func (s *Server) fallbackProbabilities(vecs []features.Vector) []float64 {
 	probs := make([]float64, len(vecs))
 	for i := range vecs {
 		ev := heuristics.VectorApply(&vecs[i])
-		probs[i], _ = s.fallback.TakenProbability(&ev)
+		probs[i], _ = s.fallback.Prob(&vecs[i], &ev)
 	}
 	return probs
 }

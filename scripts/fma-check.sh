@@ -11,7 +11,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 GO=${GO:-go}
-PKGS="core features interp serve stats heuristics pgo dtree obs hwsim mbr experiments"
+PKGS="core features interp serve stats heuristics pgo dtree obs hwsim mbr neural experiments"
 FUSED='[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]'
 
 fail=0
