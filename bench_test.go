@@ -383,22 +383,23 @@ func BenchmarkNeuralTrainSparse(b *testing.B) {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return float64((rng>>33)&0xFFFF)/65535*2 - 1
 	}
-	xs := make([][]float64, 500)
+	data := &neural.CSR{Cols: cfg.Inputs, Start: []int{0}}
 	ts := make([]float64, 500)
 	ws := make([]float64, 500)
-	for i := range xs {
-		xs[i] = make([]float64, cfg.Inputs)
-		for j := range xs[i] {
-			// Gated feature blocks are exact zeros, as the encoder emits.
+	for i := range ts {
+		for j := 0; j < cfg.Inputs; j++ {
+			// Gated feature blocks are exact zeros, as the encoder emits,
+			// so a sparse row leaves them out.
 			if j%8 < 3 && (i+j/8)%3 == 0 {
 				continue
 			}
-			xs[i][j] = next()
+			data.Index = append(data.Index, int32(j))
+			data.Value = append(data.Value, next())
 		}
+		data.Start = append(data.Start, len(data.Index))
 		ts[i] = (next() + 1) / 2
 		ws[i] = 1.0 / 500
 	}
-	data := neural.NewCSRFromDense(xs, cfg.Inputs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

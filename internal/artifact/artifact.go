@@ -83,20 +83,20 @@ type Record struct {
 	Vectors []features.Vector
 	// Image is, for the record of a program linked against a library
 	// image, the image's ID, and "" otherwise. A record with an Image holds
-	// only the vectors of the program's own functions (NewRecord);
-	// VectorsFor splices the image's back in, and ImageFor names the image
-	// to merge them with.
+	// only the vectors of the program's own functions (NewRecord), and
+	// ImageFor names the image whose vectors merge with them.
 	Image string
 }
 
-// NewRecord returns the record of prog's analysis: its profile and
-// vectors, in site order, leaving out the vectors of prog's library image
-// when it has one.
-func NewRecord(prog *ir.Program, prof *interp.Profile, vecs []features.Vector) *Record {
-	if prog.Image == nil {
-		return &Record{Profile: prof, Vectors: vecs}
+// NewRecord returns the record of prog's analysis: its profile and own,
+// the vectors of its own functions in site order (features.ExtractOwn),
+// naming prog's library image when it has one.
+func NewRecord(prog *ir.Program, prof *interp.Profile, own []features.Vector) *Record {
+	rec := &Record{Profile: prof, Vectors: own}
+	if prog.Image != nil {
+		rec.Image = prog.Image.ID
 	}
-	return &Record{Profile: prof, Vectors: features.OwnVectors(prog.Image, vecs), Image: prog.Image.ID}
+	return rec
 }
 
 // ImageFor returns the image whose vectors merge with the record's own
@@ -113,21 +113,6 @@ func (r *Record) ImageFor(img *ir.Image) (lib *ir.Image, ok bool) {
 		return nil, false
 	}
 	return img, true
-}
-
-// VectorsFor returns the record's vectors in site order for a program
-// linked against img (nil when there is none): its own vectors when it
-// names no image, spliced with img's when it names img, and ok=false as
-// ImageFor.
-func (r *Record) VectorsFor(img *ir.Image) (vecs []features.Vector, ok bool) {
-	lib, ok := r.ImageFor(img)
-	switch {
-	case !ok:
-		return nil, false
-	case lib == nil:
-		return r.Vectors, true
-	}
-	return features.SpliceVectors(lib, r.Vectors), true
 }
 
 // Cache is an open cache directory. The zero value is not usable; a nil

@@ -323,7 +323,8 @@ func TestRecordEncoderMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecs := features.ExtractAll(features.Collect(prog))
+		ps := features.Collect(prog)
+		vecs := features.ExtractAll(ps)
 		for _, edges := range []bool{false, true} {
 			cfg := e.RunConfig()
 			cfg.CollectEdges = edges
@@ -336,7 +337,7 @@ func TestRecordEncoderMatchesOracle(t *testing.T) {
 		if prog.Image == nil {
 			t.Fatalf("%s: Entry.Compile did not link the runtime library", e.Name)
 		}
-		recs = append(recs, artifact.NewRecord(prog, recs[len(recs)-1].Profile, vecs))
+		recs = append(recs, artifact.NewRecord(prog, recs[len(recs)-1].Profile, features.ExtractOwn(ps)))
 	}
 	recs = append(recs, syntheticRecord(), wideRecord(1<<16+100))
 	for i, rec := range recs {

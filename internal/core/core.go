@@ -44,22 +44,10 @@ func (pd *ProgramData) Evidence() []heuristics.Evidence {
 // Analyze runs a compiled program under the given interpreter configuration
 // and extracts its branch sites and static features.
 func Analyze(prog *ir.Program, lang ir.Language, runCfg interp.Config) (*ProgramData, error) {
-	prof, err := interp.Run(prog, runCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: profiling %s: %w", prog.Name, err)
-	}
-	ps := features.Collect(prog)
-	return &ProgramData{
-		Name:     prog.Name,
-		Language: lang,
-		Prog:     prog,
-		Sites:    ps,
-		Vectors:  features.ExtractAll(ps),
-		Profile:  prof,
-	}, nil
+	return AnalyzeCached(nil, prog, lang, runCfg)
 }
 
-// AnalysisCache is the load/store surface AnalyzeCached needs. A plain
+// AnalysisCache is the load/store surface AnalyzeRecord needs. A plain
 // *artifact.Cache satisfies it (including a typed nil, whose methods
 // degrade to miss/no-op); internal/cluster substitutes a peer-backed
 // implementation that consults replica caches before a miss.
@@ -70,46 +58,64 @@ type AnalysisCache interface {
 
 // AnalyzeCached is Analyze backed by a persistent artifact cache: the
 // expensive profiling run (and feature-vector extraction) is skipped when
-// the cache holds an entry for this exact program and configuration. Site
-// structures hold pointers into the live IR, so they are rebuilt from prog
-// on every path; a hit is bit-identical to a fresh Analyze because both the
-// profile and the vectors are pure functions of (prog, runCfg). The record
-// of a program linked against a library image keeps only its own
-// functions' vectors, and a hit splices the image's back in. A nil cache
-// degrades to plain Analyze, and a failed store is ignored — the cache is
-// an optimization, never a correctness dependency.
+// the cache holds an entry for this exact program and configuration
+// (AnalyzeRecord). The program's vectors are the record's own merged with
+// its library image's (features.SpliceVectors). A nil cache degrades to
+// plain Analyze.
 func AnalyzeCached(cache AnalysisCache, prog *ir.Program, lang ir.Language, runCfg interp.Config) (*ProgramData, error) {
-	if cache == nil {
-		return Analyze(prog, lang, runCfg)
+	var key string
+	if cache != nil {
+		key = artifact.Key(prog, runCfg)
 	}
-	return AnalyzeCachedKey(cache, artifact.Key(prog, runCfg), prog, lang, runCfg)
-}
-
-// AnalyzeCachedKey is AnalyzeCached for a caller that already holds
-// artifact.Key(prog, runCfg), key, and a non-nil cache.
-func AnalyzeCachedKey(cache AnalysisCache, key string, prog *ir.Program, lang ir.Language, runCfg interp.Config) (*ProgramData, error) {
-	if rec, ok := cache.Load(key); ok {
-		if vecs, ok := rec.VectorsFor(prog.Image); ok {
-			ps := features.Collect(prog)
-			if len(vecs) == len(ps.Sites) {
-				return &ProgramData{
-					Name:     prog.Name,
-					Language: lang,
-					Prog:     prog,
-					Sites:    ps,
-					Vectors:  vecs,
-					Profile:  rec.Profile,
-				}, nil
-			}
-		}
-	}
-	pd, err := Analyze(prog, lang, runCfg)
+	rec, lib, ps, err := AnalyzeRecord(cache, key, prog, runCfg)
 	if err != nil {
 		return nil, err
 	}
-	// Best effort: a full disk or injected fault costs only the warm start.
-	_ = cache.Store(key, artifact.NewRecord(prog, pd.Profile, pd.Vectors))
-	return pd, nil
+	return &ProgramData{
+		Name:     prog.Name,
+		Language: lang,
+		Prog:     prog,
+		Sites:    ps,
+		Vectors:  features.SpliceVectors(lib, rec.Vectors),
+		Profile:  rec.Profile,
+	}, nil
+}
+
+// AnalyzeRecord returns the record of prog's analysis under runCfg, the
+// image its own vectors merge with (artifact.Record.ImageFor) and prog's
+// sites: cache's record under key, artifact.Key(prog, runCfg), when one
+// covers exactly prog's sites, and otherwise a fresh profile and
+// extraction (features.ExtractOwn), which it stores. Site structures hold
+// pointers into the live IR, so they are collected from prog on every
+// path; a hit is bit-identical to a fresh analysis because both the
+// profile and the vectors are pure functions of (prog, runCfg). A nil
+// cache always computes, and a failed store is ignored — the cache is an
+// optimization, never a correctness dependency.
+func AnalyzeRecord(cache AnalysisCache, key string, prog *ir.Program, runCfg interp.Config) (*artifact.Record, *ir.Image, *features.ProgramSites, error) {
+	var ps *features.ProgramSites
+	if cache != nil {
+		if rec, ok := cache.Load(key); ok {
+			if lib, ok := rec.ImageFor(prog.Image); ok {
+				ps = features.Collect(prog)
+				if features.NumLinked(lib, rec.Vectors) == len(ps.Sites) {
+					return rec, lib, ps, nil
+				}
+			}
+		}
+	}
+	prof, err := interp.Run(prog, runCfg)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: profiling %s: %w", prog.Name, err)
+	}
+	if ps == nil {
+		ps = features.Collect(prog)
+	}
+	rec := artifact.NewRecord(prog, prof, features.ExtractOwn(ps))
+	if cache != nil {
+		// Best effort: a full disk or injected fault costs only the warm start.
+		_ = cache.Store(key, rec)
+	}
+	return rec, prog.Image, ps, nil
 }
 
 // Example is one training observation: a static feature vector with the
@@ -134,9 +140,9 @@ func (pd *ProgramData) Examples() []Example {
 // LinkedExamples pairs each feature vector with its branch's counts in
 // prof, in site order, skipping branches that never executed: the examples
 // of a program linked against img (nil for none) whose own functions'
-// vectors are own, as a cached record holds them (artifact.Record.ImageFor).
-// It reads only each vector's Ref, so a record yields a program's examples
-// without its sites, and it never splices (features.SpliceVectors): it
+// vectors are own, as its record holds them (AnalyzeRecord). It reads only
+// each vector's Ref, so a record yields a program's examples without its
+// sites, and it never splices (features.SpliceVectors): it
 // walks the vectors in site order (features.EachLinked) twice, first
 // counting the executed sites, so it allocates exactly their examples and
 // copies no other vector.

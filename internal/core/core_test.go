@@ -430,3 +430,10 @@ func TestEvidenceOnceUnderConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// CrossValidateSerial is CrossValidate with the folds run one at a time, in
+// order. It exists as the reference for tests: the parallel run must produce
+// identical folds.
+func CrossValidateSerial(corpus []*ProgramData, cfg Config) []FoldResult {
+	return crossValidate(corpus, cfg, 1)
+}

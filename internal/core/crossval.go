@@ -58,13 +58,6 @@ func CrossValidate(corpus []*ProgramData, cfg Config) []FoldResult {
 	return crossValidate(corpus, cfg, 0)
 }
 
-// CrossValidateSerial is CrossValidate with the folds run one at a time, in
-// order. It exists as the reference for tests: the parallel run must produce
-// identical folds.
-func CrossValidateSerial(corpus []*ProgramData, cfg Config) []FoldResult {
-	return crossValidate(corpus, cfg, 1)
-}
-
 func crossValidate(corpus []*ProgramData, cfg Config, workers int) []FoldResult {
 	cfg = cfg.withDefaults()
 	gate := gateOf(cfg.ExcludeFeatures)

@@ -113,7 +113,7 @@ func TestLinkedExamplesMatchSpliced(t *testing.T) {
 			want := pd.Examples()
 			exact(t, name+" ProgramData.Examples", want)
 
-			rec := roundTrip(t, name, key, artifact.NewRecord(prog, pd.Profile, pd.Vectors))
+			rec := roundTrip(t, name, key, artifact.NewRecord(prog, pd.Profile, features.ExtractOwn(pd.Sites)))
 			lib, ok := rec.ImageFor(img)
 			if !ok || lib != img {
 				t.Fatalf("%s: record does not take its own image", name)

@@ -81,23 +81,6 @@ func Table6(ctx *Context) (*Table6Result, error) {
 	return res, nil
 }
 
-// DivergentHeuristics counts heuristics whose C and Fortran miss rates
-// differ by more than 10 percentage points — the paper's observation that
-// "four of the nine heuristics show a difference of greater than 10%".
-func (r *Table6Result) DivergentHeuristics() int {
-	n := 0
-	for h := 0; h < int(heuristics.NumHeuristics); h++ {
-		d := r.OursC[h] - r.OursFortran[h]
-		if d < 0 {
-			d = -d
-		}
-		if d > 0.10 {
-			n++
-		}
-	}
-	return n
-}
-
 // Render formats the table in the paper's layout.
 func (r *Table6Result) Render() string {
 	t := stats.NewTable("Branch Heuristic", "B&L (MIPS)", "Ours C", "Ours FORT", "Ours Overall",

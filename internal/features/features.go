@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cfg"
@@ -50,7 +51,7 @@ const (
 	// this branch's source locations, and whether a *dominating* branch
 	// does — a dominating test of the same variable is the strongest static
 	// signal that two branches resolve together. They need whole-program
-	// context, so of alone leaves them Unknown; ExtractAll fills them. Like
+	// context, so of alone leaves them Unknown; ExtractOwn fills them. Like
 	// FLibraryProc they are excluded from the model by default
 	// (core.Config.IncludeCorrelationFeatures opts in), and an
 	// always-Unknown or masked feature contributes zero encoder columns, so
@@ -168,7 +169,7 @@ func of(s *Site) Vector {
 		v.Values[FLibraryProc] = "USER"
 	}
 	// The correlation features compare against the function's other branch
-	// sites, which a single site cannot see; ExtractAll fills them.
+	// sites, which a single site cannot see; ExtractOwn fills them.
 	v.Values[FCorrSharedCond] = Unknown
 	v.Values[FCorrDomCond] = Unknown
 	return v
@@ -256,30 +257,43 @@ func succEnds(g *cfg.Graph, succIdx int) string {
 }
 
 // ExtractAll returns feature vectors for every site of a program, in the
-// deterministic site order, with the whole-program correlation features
-// (FCorrSharedCond, FCorrDomCond) filled in.
+// deterministic site order: its own functions' (ExtractOwn) merged with
+// its library image's (SpliceVectors).
 func ExtractAll(ps *ProgramSites) []Vector {
-	out := make([]Vector, 0, len(ps.Sites))
-	shared := ps.shared
+	return SpliceVectors(ps.Prog.Image, ExtractOwn(ps))
+}
+
+// ExtractOwn returns the feature vectors of the sites of a program's own
+// functions, in site order, with the whole-program correlation features
+// (FCorrSharedCond, FCorrDomCond) filled in: every site's for an unlinked
+// program, and for one linked against a library image (ir.Program.Image)
+// all but the image's functions'. A library function's vectors depend on
+// its IR alone, never on pointer facts, so they are the image's even where
+// Collect analyzed the function in full; EachLinked merges them in.
+func ExtractOwn(ps *ProgramSites) []Vector {
+	var lib []string
+	n := len(ps.Sites)
+	if img := ps.Prog.Image; img != nil {
+		is := imageOf(img)
+		lib, n = is.names, n-len(is.all)
+	}
+	out := make([]Vector, 0, n)
 	// Collect sorts sites by function, so each function's sites are one run.
 	for start := 0; start < len(ps.Sites); {
-		if len(shared) > 0 && shared[0].start == start {
-			out = append(out, shared[0].vecs...)
-			start += len(shared[0].vecs)
-			shared = shared[1:]
-			continue
-		}
 		end := start + 1
 		for end < len(ps.Sites) && ps.Sites[end].Ref.Func == ps.Sites[start].Ref.Func {
 			end++
 		}
 		fnSites := ps.Sites[start:end]
+		start = end
+		if _, inLib := slices.BinarySearch(lib, fnSites[0].Ref.Func); inLib {
+			continue
+		}
 		for _, s := range fnSites {
 			v := of(s)
 			fillCorrelation(&v, s, fnSites)
 			out = append(out, v)
 		}
-		start = end
 	}
 	return out
 }

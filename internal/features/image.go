@@ -17,7 +17,6 @@ type imageSites struct {
 	ptrs   *cfg.LibraryPointers
 	facts  []*cfg.PointerInfo // each function's facts alone
 	sites  [][]*Site          // each function's sites in block order
-	vecs   [][]Vector         // each function's vectors, in the same order
 	all    []Vector           // every vector, in site order
 	names  []string           // the image's function names, sorted
 }
@@ -58,8 +57,7 @@ func analyzeImage(img *ir.Image) *imageSites {
 		ptrs:   lp,
 		facts:  make([]*cfg.PointerInfo, len(img.Funcs)),
 		sites:  make([][]*Site, len(img.Funcs)),
-		vecs:   make([][]Vector, len(img.Funcs)),
-		all:    ExtractAll(ps),
+		all:    ExtractOwn(ps),
 		names:  make([]string, len(img.Funcs)),
 	}
 	byName := make(map[string]int, len(img.Funcs))
@@ -78,40 +76,19 @@ func analyzeImage(img *ir.Image) *imageSites {
 		}
 		k := byName[ps.Sites[i].Ref.Func]
 		is.sites[k] = ps.Sites[i:j:j]
-		is.vecs[k] = is.all[i:j:j]
 		i = j
 	}
 	return is
 }
 
-// OwnVectors returns the vectors of vecs, a linked program's vectors in
-// site order, that belong to its own functions rather than to img's. A
-// library function's vectors depend on its IR alone, never on pointer
-// facts, so SpliceVectors restores vecs from the result.
-func OwnVectors(img *ir.Image, vecs []Vector) []Vector {
-	is := imageOf(img)
-	out := make([]Vector, 0, max(len(vecs)-len(is.all), 0))
-	for i := 0; i < len(vecs); {
-		j := i + 1
-		for j < len(vecs) && vecs[j].Ref.Func == vecs[i].Ref.Func {
-			j++
-		}
-		if _, lib := slices.BinarySearch(is.names, vecs[i].Ref.Func); !lib {
-			out = append(out, vecs[i:j]...)
-		}
-		i = j
-	}
-	return out
-}
-
 // EachLinked calls fn with each vector of a program linked against img,
 // in site order (what ExtractAll returns for it), merging own, the vectors
-// of its own functions in site order (OwnVectors), with img's. A nil img
+// of its own functions in site order (ExtractOwn), with img's. A nil img
 // stands for an unlinked program, whose vectors are all own. fn receives
 // pointers into own and into img's analysis, shared by every program
 // linked against it, and must not modify the vectors. This is the one
 // place the merge order is written: SpliceVectors and the examples of a
-// cached record both walk it.
+// record (core.LinkedExamples) both walk it.
 func EachLinked(img *ir.Image, own []Vector, fn func(*Vector)) {
 	var lib []Vector
 	if img != nil {
@@ -145,8 +122,12 @@ func NumLinked(img *ir.Image, own []Vector) int {
 }
 
 // SpliceVectors returns the vectors of a program linked against img in
-// site order, copied out of own and img's analysis (EachLinked).
+// site order, copied out of own and img's analysis (EachLinked). With no
+// image, they are own itself.
 func SpliceVectors(img *ir.Image, own []Vector) []Vector {
+	if img == nil {
+		return own
+	}
 	out := make([]Vector, 0, NumLinked(img, own))
 	EachLinked(img, own, func(v *Vector) { out = append(out, *v) })
 	return out

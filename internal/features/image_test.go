@@ -28,10 +28,24 @@ func unmarked(prog *ir.Program) *ir.Program {
 	return &p
 }
 
+// ownOracle returns the vectors of vecs, a program's vectors in site
+// order, that belong to its own functions rather than to img's (all of
+// them for a nil img), filtered by name: the oracle of ExtractOwn.
+func ownOracle(img *ir.Image, vecs []features.Vector) []features.Vector {
+	var out []features.Vector
+	for _, v := range vecs {
+		if img == nil || !slices.ContainsFunc(img.Funcs, func(f *ir.Func) bool { return f.Name == v.Ref.Func }) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // sameAnalysis fails unless the shared path's sites, graphs, pointer facts
 // and vectors for prog equal a full Collect and ExtractAll of its IR
-// unmarked, and the program's record splices back to the full vectors. It
-// returns the shared ProgramSites.
+// unmarked, its own vectors equal the full vectors less the image's
+// functions', and the program's record splices back to the full vectors.
+// It returns the shared ProgramSites.
 func sameAnalysis(t *testing.T, name string, prog *ir.Program) *features.ProgramSites {
 	t.Helper()
 	got := features.Collect(prog)
@@ -70,16 +84,16 @@ func sameAnalysis(t *testing.T, name string, prog *ir.Program) *features.Program
 	if !slices.Equal(gotVecs, wantVecs) {
 		t.Fatalf("%s: vectors differ from the full path's", name)
 	}
-	if prog.Image != nil {
-		rec := artifact.NewRecord(prog, nil, gotVecs)
-		for _, v := range rec.Vectors {
-			if slices.ContainsFunc(prog.Image.Funcs, func(f *ir.Func) bool { return f.Name == v.Ref.Func }) {
-				t.Fatalf("%s: record keeps the library vector %s", name, v.Ref)
-			}
-		}
-		if spliced, ok := rec.VectorsFor(prog.Image); !ok || !slices.Equal(spliced, wantVecs) {
-			t.Fatalf("%s: spliced record vectors differ from the full path's", name)
-		}
+	own := features.ExtractOwn(got)
+	if !slices.Equal(own, ownOracle(prog.Image, wantVecs)) {
+		t.Fatalf("%s: own vectors differ from the full path's less the image's", name)
+	}
+	rec := artifact.NewRecord(prog, nil, own)
+	if lib, ok := rec.ImageFor(prog.Image); !ok || lib != prog.Image {
+		t.Fatalf("%s: record does not take the program's image", name)
+	}
+	if !slices.Equal(features.SpliceVectors(prog.Image, rec.Vectors), wantVecs) {
+		t.Fatalf("%s: spliced record vectors differ from the full path's", name)
 	}
 	return got
 }

@@ -138,18 +138,6 @@ type ProgramSites struct {
 	Graphs map[string]*cfg.Graph
 	Ptrs   map[string]*cfg.PointerInfo
 	Sites  []*Site
-
-	// shared lists, in site order, the functions whose sites are the
-	// program's library image's, with the image's vectors for them, which
-	// ExtractAll copies.
-	shared []sharedRun
-}
-
-// sharedRun is one function's run of sites shared from an image: the run
-// starts at Sites[start], and vecs are its vectors.
-type sharedRun struct {
-	start int
-	vecs  []Vector
 }
 
 // totalCollects counts Collect calls process-wide. The generated-corpus
@@ -166,10 +154,11 @@ func TotalCollects() int64 { return totalCollects.Load() }
 // graph, its pointer facts take the image's recorded results wherever the
 // linked program's inputs to them are the image's (cfg.LibraryPointers),
 // and when its facts equal the ones the image has alone, its sites are the
-// image's sites and ExtractAll copies the image's vectors for them. A
-// function whose facts differ is analyzed in full. The library's IR is the
-// image's own, so either way the result equals Collect on the same IR
-// unmarked; the shared graphs, facts and sites are read-only.
+// image's sites. A function whose facts differ is analyzed in full. The
+// library's IR is the image's own, so either way the result equals Collect
+// on the same IR unmarked; the shared graphs, facts and sites are
+// read-only. A library function's vectors are the image's in both cases
+// (ExtractOwn).
 func Collect(prog *ir.Program) *ProgramSites {
 	totalCollects.Add(1)
 	if prog.Image == nil {
@@ -194,7 +183,6 @@ func collect(prog *ir.Program, img *imageSites, pointers func(*ir.Program, map[s
 		for _, g := range img.graphs {
 			ps.Graphs[g.Fn.Name] = g
 		}
-		ps.shared = make([]sharedRun, 0, len(img.graphs))
 	}
 	for _, fn := range prog.Funcs[:nOwn] {
 		g := cfg.New(fn)
@@ -239,10 +227,7 @@ func collect(prog *ir.Program, img *imageSites, pointers func(*ir.Program, map[s
 		fn := prog.Funcs[fi]
 		g := ps.Graphs[fn.Name]
 		if k := fi - nOwn; k >= 0 && !full[k] {
-			if len(img.sites[k]) > 0 {
-				ps.shared = append(ps.shared, sharedRun{start: len(ps.Sites), vecs: img.vecs[k]})
-				ps.Sites = append(ps.Sites, img.sites[k]...)
-			}
+			ps.Sites = append(ps.Sites, img.sites[k]...)
 			continue
 		}
 		procType := procedureType(fn)

@@ -609,3 +609,46 @@ func TestRecordExamplesMatchSites(t *testing.T) {
 		t.Errorf("checked %d programs, want the 46 corpus programs and one per mix", len(entries))
 	}
 }
+
+// TestColdExamplesMatchFullAnalysis is the oracle of the one example
+// builder every pass shares (core.LinkedExamples over a record): for every
+// corpus program and a generated program of every mix, a cold pass, with a
+// cache and without, yields the site-keyed examples of a full analysis of
+// the same program with its library image unshared, bit for bit.
+func TestColdExamplesMatchFullAnalysis(t *testing.T) {
+	entries := corpus.All()
+	for _, m := range gencorpus.AllMixes() {
+		entries = append(entries, gencorpus.Spec{Seed: 31, N: 1, Mixes: []gencorpus.Mix{m}}.Entries()...)
+	}
+	if len(entries) != 46+len(gencorpus.AllMixes()) {
+		t.Fatalf("checking %d programs, want the 46 corpus programs and one per mix", len(entries))
+	}
+	want := make([][]core.Example, len(entries))
+	for i, e := range entries {
+		prog, err := e.Compile(codegen.Default)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.Image == nil {
+			t.Fatalf("%s: not linked against the runtime library", e.Name)
+		}
+		prog.Unshare()
+		pd, err := core.Analyze(prog, e.Language, e.RunConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sitesExamples(pd)
+	}
+	for _, cache := range []*artifact.Cache{nil, openCache(t, t.TempDir())} {
+		src := &gencorpus.ShardedCorpus{Entries: entries, Size: 1, Cache: cache}
+		for i, e := range entries {
+			got, err := src.Load(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameExamples(got, want[i]) {
+				t.Errorf("%s (cache %v): cold examples differ from the full analysis's", e.Name, cache != nil)
+			}
+		}
+	}
+}

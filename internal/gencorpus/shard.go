@@ -209,7 +209,8 @@ var binaryIdentity = artifact.BinaryIdentity
 // (a zero hint names none) with the hinted site count, the examples come
 // from that record alone. Otherwise the entry compiles, unless prog is
 // already its compiled program under key, and analyzes through the cache,
-// which serves the pack's frame for the entry first.
+// which serves the pack's frame for the entry first (core.AnalyzeRecord).
+// Either way the examples are the record's (core.LinkedExamples).
 func (c *ShardedCorpus) entry(e corpus.Entry, tgt codegen.Target, j int, hint artifact.IndexEntry, pack *artifact.Pack, prog *ir.Program, key string) (analyzed, error) {
 	if rec, frame, ok := pack.Record(j, hint.IRKey); ok {
 		// The record of a linked program merges its own vectors with those
@@ -226,54 +227,52 @@ func (c *ShardedCorpus) entry(e corpus.Entry, tgt codegen.Target, j int, hint ar
 		if prog, err = e.Compile(tgt); err != nil {
 			return analyzed{}, err
 		}
-		if c.Cache == nil {
-			pd, err := core.Analyze(prog, e.Language, e.RunConfig())
-			if err != nil {
-				return analyzed{}, err
-			}
-			return analyzed{examples: pd.Examples()}, nil
+		if c.Cache != nil {
+			key = artifact.Key(prog, e.RunConfig())
 		}
-		key = artifact.Key(prog, e.RunConfig())
 	}
+	// With no cache, pc holds nothing and every load misses.
 	pc := &packCache{Cache: c.Cache, pack: pack, j: j}
-	pd, err := core.AnalyzeCachedKey(pc, key, prog, e.Language, e.RunConfig())
+	rec, lib, ps, err := core.AnalyzeRecord(pc, key, prog, e.RunConfig())
 	if err != nil {
 		return analyzed{}, err
+	}
+	ex := core.LinkedExamples(lib, rec.Vectors, rec.Profile)
+	if c.Cache == nil {
+		return analyzed{examples: ex}, nil
 	}
 	packed := pc.frame != nil
 	if !packed {
 		// Encoding fails only for a record Store would refuse too; the
 		// shard then keeps its old pack.
-		pc.frame, _ = artifact.Frame(key, pc.rec)
+		pc.frame, _ = artifact.Frame(key, rec)
 	}
-	return analyzed{pd.Examples(), artifact.IndexEntry{IRKey: key, Sites: len(pd.Sites.Sites)}, pc.frame, packed}, nil
+	return analyzed{ex, artifact.IndexEntry{IRKey: key, Sites: len(ps.Sites)}, pc.frame, packed}, nil
 }
 
 // packCache is the core.AnalysisCache of entry j of a shard. It serves the
-// record from the shard's pack, falling back to a record file of its own
-// (an older cache's, or one another caller stored), and captures the
-// record AnalyzeCached would store instead of writing it: the shard stores
-// every record in its pack.
+// record from the shard's pack, keeping its frame, and falls back to a
+// record file of its own (an older cache's, or one another caller stored).
+// It stores nothing: the shard stores every record in its pack.
 type packCache struct {
 	*artifact.Cache
 	pack *artifact.Pack
 	j    int
 
-	rec   *artifact.Record // the record the entry's analysis rests on
-	frame []byte           // rec's pack frame, when the pack served it
+	frame []byte // the served record's pack frame, when the pack served it
 }
 
 func (p *packCache) Load(key string) (*artifact.Record, bool) {
 	if rec, frame, ok := p.pack.Record(p.j, key); ok {
-		p.rec, p.frame = rec, frame
+		p.frame = frame
 		return rec, true
 	}
-	rec, ok := p.Cache.Load(key)
-	p.rec = rec
-	return rec, ok
+	return p.Cache.Load(key)
 }
 
-func (p *packCache) Store(_ string, rec *artifact.Record) error {
-	p.rec, p.frame = rec, nil
+// Store drops the frame of a served record that did not cover the
+// program's sites: the record stored in its place is new.
+func (p *packCache) Store(string, *artifact.Record) error {
+	p.frame = nil
 	return nil
 }

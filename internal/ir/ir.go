@@ -90,9 +90,6 @@ type Instr struct {
 	Targets []int
 }
 
-// Uses returns the registers read by the instruction.
-func (in *Instr) Uses() []Reg { return in.AppendUses(nil) }
-
 // AppendUses appends the registers read by the instruction to dst.
 func (in *Instr) AppendUses(dst []Reg) []Reg {
 	switch in.Op.Class() {

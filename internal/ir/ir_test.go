@@ -129,30 +129,30 @@ func TestUsesAndDef(t *testing.T) {
 	if d, ok := add.Def(); !ok || d != R(1) {
 		t.Errorf("add def = %v, %v", d, ok)
 	}
-	if got := add.Uses(); len(got) != 2 || got[0] != R(2) || got[1] != R(3) {
+	if got := add.AppendUses(nil); len(got) != 2 || got[0] != R(2) || got[1] != R(3) {
 		t.Errorf("add uses = %v", got)
 	}
 	addImm := Instr{Op: OpAddQ, Dst: R(1), A: R(2), Imm: 5, UseImm: true}
-	if got := addImm.Uses(); len(got) != 1 || got[0] != R(2) {
+	if got := addImm.AppendUses(nil); len(got) != 1 || got[0] != R(2) {
 		t.Errorf("addImm uses = %v", got)
 	}
 	st := Instr{Op: OpStq, A: R(4), B: R(5), Imm: 2}
 	if _, ok := st.Def(); ok {
 		t.Error("store must not define a register")
 	}
-	if got := st.Uses(); len(got) != 2 {
+	if got := st.AppendUses(nil); len(got) != 2 {
 		t.Errorf("store uses = %v", got)
 	}
 	br := Instr{Op: OpBne, A: R(6), Target: 1}
-	if got := br.Uses(); len(got) != 1 || got[0] != R(6) {
+	if got := br.AppendUses(nil); len(got) != 1 || got[0] != R(6) {
 		t.Errorf("branch uses = %v", got)
 	}
 	br2 := Instr{Op: OpBeq2, A: R(6), B: R(7), Target: 1}
-	if got := br2.Uses(); len(got) != 2 {
+	if got := br2.AppendUses(nil); len(got) != 2 {
 		t.Errorf("two-register branch uses = %v", got)
 	}
 	cmov := Instr{Op: OpCmovNe, Dst: R(1), A: R(2), B: R(3)}
-	if got := cmov.Uses(); len(got) != 3 {
+	if got := cmov.AppendUses(nil); len(got) != 3 {
 		t.Errorf("cmov must read its destination too, uses = %v", got)
 	}
 }

@@ -36,22 +36,6 @@ func (c *CSR) Row(k int) ([]int32, []float64) {
 	return c.Index[lo:hi], c.Value[lo:hi]
 }
 
-// NewCSRFromDense compresses dense rows (all of width cols), dropping exact
-// zeros.
-func NewCSRFromDense(xs [][]float64, cols int) *CSR {
-	c := &CSR{Cols: cols, Start: make([]int, 1, len(xs)+1)}
-	for _, x := range xs {
-		for j, v := range x {
-			if v != 0 {
-				c.Index = append(c.Index, int32(j))
-				c.Value = append(c.Value, v)
-			}
-		}
-		c.Start = append(c.Start, len(c.Index))
-	}
-	return c
-}
-
 // ForwardSparse computes the hidden activations for one sparse row (column
 // indices idx, ascending, and their values val) into h (length Hidden) and
 // returns the network output. It is the one float forward pass: training

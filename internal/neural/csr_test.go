@@ -258,3 +258,19 @@ func TestKernelsMatchGeneric(t *testing.T) {
 		}
 	}
 }
+
+// NewCSRFromDense compresses dense rows (all of width cols), dropping exact
+// zeros.
+func NewCSRFromDense(xs [][]float64, cols int) *CSR {
+	c := &CSR{Cols: cols, Start: make([]int, 1, len(xs)+1)}
+	for _, x := range xs {
+		for j, v := range x {
+			if v != 0 {
+				c.Index = append(c.Index, int32(j))
+				c.Value = append(c.Value, v)
+			}
+		}
+		c.Start = append(c.Start, len(c.Index))
+	}
+	return c
+}

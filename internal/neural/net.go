@@ -87,9 +87,6 @@ type Net struct {
 // Weight returns the weight from input j to hidden unit i.
 func (n *Net) Weight(i, j int) float64 { return n.W[j*n.Hidden+i] }
 
-// SetWeight sets the weight from input j to hidden unit i.
-func (n *Net) SetWeight(i, j int, v float64) { n.W[j*n.Hidden+i] = v }
-
 // New creates a network with small deterministic random weights.
 func New(cfg Config) *Net {
 	cfg = cfg.withDefaults()

@@ -208,3 +208,6 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// SetWeight sets the weight from input j to hidden unit i.
+func (n *Net) SetWeight(i, j int, v float64) { n.W[j*n.Hidden+i] = v }
